@@ -2,8 +2,9 @@
 
 Answers go to stdout as a single token on the first line (YES / NO /
 UNKNOWN); diagnostics go to stderr.  Exit codes: 0 answered, 1 usage error,
-2 input error, 3 incomplete (a cap cut the adaptive search).  All output is
-deterministically ordered so runs can be compared byte for byte.
+2 input error, 3 incomplete (a node, round or counter cap cut the search
+before the answer was certain).  All output is deterministically ordered
+so runs can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -85,75 +86,68 @@ def _decision_exit(answer: Optional[bool]) -> tuple[str, int]:
     return ("YES" if answer else "NO"), EXIT_OK
 
 
+def _run_oracle(args, v: model.Vass, s: int,
+                t: Optional[int]) -> tuple[str, int, list[str]]:
+    """Oracle coverability of ``t`` (unboundedness when ``t`` is None):
+    answer token, exit code and detail lines."""
+    if t is not None:
+        verdict = oracle.oracle_cover(v, s, t, counter_cap=args.counter_cap,
+                                      node_cap=args.node_cap)
+    else:
+        verdict = oracle.oracle_unbounded(v, s, counter_cap=args.counter_cap,
+                                          node_cap=args.node_cap)
+    answer, code = _decision_exit(
+        verdict.answer == "yes" if verdict.definite else None)
+    return answer, code, [f"explored {verdict.states_explored} configurations",
+                          verdict.reason]
+
+
 def _cmd_check(args) -> int:
     v = _read_instance(args.file)
-    if args.mode == "coverability":
-        s = _resolve(v, args.source, v.initial, "source")
-        t = _resolve(v, args.target, v.target, "target")
-    else:
-        s = _resolve(v, args.source, v.initial, "source")
-        t = None
+    s = _resolve(v, args.source, v.initial, "source")
+    t = (_resolve(v, args.target, v.target, "target")
+         if args.mode == "coverability" else None)
 
-    trace_payload = None
     if args.algo == "oracle":
-        if args.mode == "coverability":
-            verdict = oracle.oracle_cover(v, s, t, counter_cap=args.counter_cap,
-                                          node_cap=args.node_cap)
-        else:
-            verdict = oracle.oracle_unbounded(v, s, counter_cap=args.counter_cap,
-                                              node_cap=args.node_cap)
-        answer, code = verdict.answer.upper(), EXIT_OK
-        detail = [f"explored {verdict.states_explored} configurations",
-                  verdict.reason]
+        answer, code, detail = _run_oracle(args, v, s, t)
     elif args.algo == "pareto":
         if v.has_guards:
             raise InputError("pareto requires guard-free input")
-        if args.mode == "coverability":
-            ans = pareto.decide_cover_pareto(v, s, t, threads=args.threads)
+        if t is not None:
+            ans = pareto.decide_cover_pareto(v, s, t)
         else:
-            ans = pareto.decide_unbounded_lasso(v, s, threads=args.threads).answer
+            ans = pareto.decide_unbounded_lasso(v, s).answer
         answer, code = _decision_exit(ans)
         detail = []
     else:  # fixpoint
-        vn, entry, exit_ = model.normalize_guards_with_maps(v)
-        params = (fixpoint.FixpointParams.rigorous(vn, threads=args.threads)
-                  if args.rigorous
-                  else fixpoint.FixpointParams.adaptive(vn, threads=args.threads))
-        if args.mode == "coverability":
-            dec = fixpoint.decide_coverability(
-                v, s, t, mode="rigorous" if args.rigorous else "adaptive")
+        preset = (fixpoint.FixpointParams.rigorous if args.rigorous
+                  else fixpoint.FixpointParams.adaptive)
+        if t is not None:
+            dec = fixpoint.decide_coverability(v, s, t, preset)
         else:
-            dec = fixpoint.decide_unboundedness(vn, entry[s], params=params)
+            vn, entry, _ = model.normalize_guards_with_maps(v)
+            dec = fixpoint.decide_unboundedness(vn, entry[s], preset(vn))
         answer, code = _decision_exit(dec.answer)
         detail = [dec.reason] if dec.reason else []
         if args.emit_trace:
-            if args.mode == "coverability":
-                # trace the instance the reduction actually solves
-                reduced, _s1 = reductions.reduce_cov_to_unbound(v, s, t)
-                vn, _, _ = model.normalize_guards_with_maps(reduced)
-                params = (fixpoint.FixpointParams.rigorous(vn, threads=args.threads)
-                          if args.rigorous
-                          else fixpoint.FixpointParams.adaptive(vn, threads=args.threads))
-            core = fixpoint.unbounded_core(vn, params)
-            trace_payload = _trace_json(vn, core)
+            _write_trace(args.emit_trace, _trace_json(dec.core))
 
     payload = {"answer": answer, "mode": args.mode, "algo": args.algo,
                "detail": detail}
-    if trace_payload is not None:
-        _write_trace(args.emit_trace, trace_payload)
     _emit(payload, args.format)
     return code
 
 
-def _trace_json(v: model.Vass, core: fixpoint.CoreResult) -> dict:
+def _trace_json(core: fixpoint.CoreResult) -> dict:
+    names = core.analysis.vass.names
     rounds = []
     for r in core.rounds:
         rounds.append(
-            {v.names[q]: vals for q, vals in sorted(r.items())}
+            {names[q]: vals for q, vals in sorted(r.items())}
         )
     maxima = {}
     for (q, lo), m in sorted(core.uset.per_chain_max.items()):
-        maxima.setdefault(v.names[q], []).append({"chain_lo": lo, "max": m})
+        maxima.setdefault(names[q], []).append({"chain_lo": lo, "max": m})
     return {"rounds": rounds, "per_chain_max": maxima, "status": core.status}
 
 
@@ -246,13 +240,11 @@ def _cmd_inspect(args) -> int:
                     })
         doc["chains"] = chs
     if sections["u_trace"]:
-        params = fixpoint.FixpointParams.adaptive(vn, threads=args.threads)
-        core = fixpoint.unbounded_core(vn, params)
-        doc["u_trace"] = _trace_json(vn, core)
+        doc["u_trace"] = _trace_json(fixpoint.unbounded_core(vn))
     if sections["pareto"]:
         if vn.has_guards:
             raise InputError("pareto families require guard-free input")
-        fam = pareto.build_families(vn, threads=args.threads)
+        fam = pareto.build_families(vn)
         cells = []
         for (p, q) in sorted(fam.cells):
             for e in fam.cell(p, q):
@@ -349,15 +341,9 @@ def _cmd_reduce(args) -> int:
 def _cmd_oracle(args) -> int:
     v = _read_instance(args.file)
     s = _resolve(v, args.source, v.initial, "source")
-    if args.mode == "cover":
-        t = _resolve(v, args.target, v.target, "target")
-        verdict = oracle.oracle_cover(v, s, t, counter_cap=args.counter_cap,
-                                      node_cap=args.node_cap)
-    elif args.mode == "unbounded":
-        verdict = oracle.oracle_unbounded(v, s, counter_cap=args.counter_cap,
-                                          node_cap=args.node_cap)
-    else:  # bounded-cover
-        t = _resolve(v, args.target, v.target, "target")
+    t = (None if args.mode == "unbounded"
+         else _resolve(v, args.target, v.target, "target"))
+    if args.mode == "bounded-cover":
         o = objectives.DiseqObjective(
             target_state=t, ell=args.ell, period=args.period,
             forbidden_residues=frozenset(_csv_ints(args.not_res)),
@@ -365,14 +351,13 @@ def _cmd_oracle(args) -> int:
         )
         ans = oracle.oracle_bounded_cover(
             v, model.Configuration(s, args.counter), o, args.steps)
-        _emit({"answer": "YES" if ans else "NO", "mode": args.mode,
-               "algo": "oracle", "detail": []}, args.format)
-        return EXIT_OK
-    _emit({"answer": verdict.answer.upper(), "mode": args.mode,
-           "algo": "oracle",
-           "detail": [f"explored {verdict.states_explored} configurations",
-                      verdict.reason]}, args.format)
-    return EXIT_OK
+        answer, code = _decision_exit(ans)
+        detail = []
+    else:
+        answer, code, detail = _run_oracle(args, v, s, t)
+    _emit({"answer": answer, "mode": args.mode, "algo": "oracle",
+           "detail": detail}, args.format)
+    return code
 
 
 def _cmd_selftest(args) -> int:
@@ -437,7 +422,6 @@ def _selftest_membership(v, core) -> bool:
 def build_parser() -> _Parser:
     p = _Parser(prog="vass", description=__doc__)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--threads", type=int, default=1)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def add_instance_arg(sp):

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional
 
 from . import reductions
 from .cycles import (
@@ -37,9 +36,10 @@ DEFAULT_MAX_ROUNDS = 100_000
 @dataclass(frozen=True)
 class WorstCaseBounds:
     """The chain of pessimistic polynomial bounds behind the termination
-    argument.  They certify convergence but are astronomically loose; the
-    adaptive solver exists because of them, and `rigorous` mode exists to
-    make them executable on tiny instances.
+    argument.  They certify convergence but are astronomically loose.  The
+    adaptive preset needs none of them, because its first round that adds
+    nothing is already the fixpoint (see `unbounded_core`); the rigorous
+    preset runs them as its window, step and round caps on tiny instances.
     """
 
     gap_window: int        # consecutive chain elements forcing an escape
@@ -76,27 +76,20 @@ class FixpointParams:
     candidates_per_chain: int
     step_bound: Optional[int] = None   # None: saturation runs to closure
     max_rounds: int = DEFAULT_MAX_ROUNDS
-    mode: str = "adaptive"             # "adaptive" | "rigorous"
     node_cap: int = DEFAULT_NODE_CAP
-    threads: int = 1
 
     @staticmethod
-    def adaptive(v: Vass, threads: int = 1) -> "FixpointParams":
+    def adaptive(v: Vass) -> "FixpointParams":
         n = v.n_states
-        return FixpointParams(
-            candidates_per_chain=max(64, 4 * n * n), threads=threads
-        )
+        return FixpointParams(candidates_per_chain=max(64, 4 * n * n))
 
     @staticmethod
-    def rigorous(v: Vass, threads: int = 1) -> "FixpointParams":
+    def rigorous(v: Vass) -> "FixpointParams":
         wc = worstcase_bounds(v.n_states)
         return FixpointParams(
             candidates_per_chain=wc.defect_bound,
             step_bound=wc.run_length_bound,
             max_rounds=wc.round_bound,
-            mode="rigorous",
-            node_cap=DEFAULT_NODE_CAP,
-            threads=threads,
         )
 
 
@@ -251,7 +244,10 @@ def saturate_step(
     of ``u`` at which they failed; a failure can only flip after ``u`` grew,
     so probes at an unchanged version are skipped.
     """
-    jobs: list[tuple[Chain, int, list[int]]] = []
+    truncated = False
+    additions: dict[tuple[int, int], int] = {}
+    memo = _failed if _failed is not None else {}
+    version = (len(u.per_chain_max), sum(u.per_chain_max.values()))
     for ch in bounded_chains(analysis):
         w = analysis.states[ch.state].selection.period
         cmax = u.per_chain_max.get((ch.state, ch.lo))
@@ -265,46 +261,20 @@ def saturate_step(
             x -= w
         if cands[-1] != first_missing:
             cands.append(first_missing)
-        jobs.append((ch, w, cands))
-
-    truncated = False
-    additions: dict[tuple[int, int], int] = {}
-    memo = _failed if _failed is not None else {}
-    version = (len(u.per_chain_max), sum(u.per_chain_max.values()))
-
-    def probe(state: int, x: int) -> tuple[str, int]:
-        if x in v.guards[state]:
-            return ("no", 0)  # invalid configuration heads no valid run
-        if memo.get((state, x)) == version:
-            return ("no", 0)
-        out = _reach_uset(
-            v, u, Configuration(state, x), params.node_cap, params.step_bound
-        )
-        if out[0] == "no":
-            memo[(state, x)] = version
-        return out
-
-    if params.threads > 1:
-        flat = [(ch, x) for ch, _, cands in jobs for x in cands]
-        with ThreadPoolExecutor(max_workers=params.threads) as ex:
-            results = list(ex.map(lambda cx: probe(cx[0].state, cx[1]), flat))
-        truncated = any(r[0] == "capped" for r in results)
-        best: dict[tuple[int, int], int] = {}
-        for (ch, x), (status, _) in zip(flat, results):
+        for x in cands:  # descending: first hit is the chain's new max
+            if x in v.guards[ch.state]:
+                continue  # invalid configuration heads no valid run
+            if memo.get((ch.state, x)) == version:
+                continue
+            status, _ = _reach_uset(v, u, Configuration(ch.state, x),
+                                    params.node_cap, params.step_bound)
             if status == "hit":
-                key = (ch.state, ch.lo)
-                if key not in best or best[key] < x:
-                    best[key] = x
-        additions = best
-    else:
-        for ch, _, cands in jobs:
-            for x in cands:  # descending: first hit is the chain's new max
-                status, _ = probe(ch.state, x)
-                if status == "capped":
-                    truncated = True
-                if status == "hit":
-                    additions[(ch.state, ch.lo)] = x
-                    break
+                additions[(ch.state, ch.lo)] = x
+                break
+            if status == "capped":
+                truncated = True
+            else:
+                memo[(ch.state, x)] = version
 
     new_u = u.with_additions(additions)
     added: dict[int, list[int]] = {}
@@ -328,13 +298,23 @@ class CoreResult:
 
 def unbounded_core(v: Vass, params: Optional[FixpointParams] = None) -> CoreResult:
     """Saturate to the set of unbounded configurations in the pumpable
-    region.
+    region, stopping at the first round that adds nothing.
 
-    Adaptive mode doubles the per-chain candidate window after reaching a
-    stable round and only accepts a fixpoint that survives the doubling;
-    rigorous mode runs the pessimistic bounds directly (practical only for
-    very small state counts).  A hit node cap or round cap degrades the
-    status to "incomplete"; the set itself stays sound either way.
+    That round is the fixpoint.  Every round probes the lowest missing
+    element of every bounded chain.  A bounded chain holds no guard cut-off
+    except as a singleton chain, so from any element ``z`` of a chain one
+    lap of the reference cycle validly reaches ``z + W``, staying at or
+    above the floor.  Hence if any missing element ``x`` reaches ``U``, the
+    lowest missing element reaches ``x`` and then ``U``.  Its closure
+    contains the closure of ``x``, so the node cap cannot hit on ``x`` when
+    it did not hit on the lowest missing element: a round that adds nothing
+    and hits no cap leaves no chain element to add, and a larger candidate
+    window would change neither the set nor the status.  The rigorous
+    preset stops by the same rule, with every probe cut at the worst-case
+    run length (``step_bound``).
+
+    A hit node cap or round cap degrades the status to "incomplete"; the
+    set itself stays sound either way.
     """
     _require_normalized(v)
     if params is None:
@@ -343,35 +323,16 @@ def unbounded_core(v: Vass, params: Optional[FixpointParams] = None) -> CoreResu
     u = seed_uset(analysis)
     rounds: list[dict] = []
     truncated = False
-    rounds_left = params.max_rounds
-    k = params.candidates_per_chain
     failed: dict = {}
     while True:
-        out = saturate_step(v, analysis, u,
-                            replace(params, candidates_per_chain=k), failed)
+        out = saturate_step(v, analysis, u, params, failed)
         truncated = truncated or out.truncated
-        rounds_left -= 1
         u = out.uset
-        if out.added:
-            rounds.append(out.added)
-            if rounds_left <= 0:
-                return CoreResult(analysis, u, rounds, "incomplete")
-            continue
-        if params.mode == "adaptive":
-            confirm = saturate_step(
-                v, analysis, u, replace(params, candidates_per_chain=2 * k),
-                failed,
-            )
-            truncated = truncated or confirm.truncated
-            rounds_left -= 1
-            if confirm.added:
-                k *= 2
-                u = confirm.uset
-                rounds.append(confirm.added)
-                if rounds_left <= 0:
-                    return CoreResult(analysis, u, rounds, "incomplete")
-                continue
-        break
+        if not out.added:
+            break
+        rounds.append(out.added)
+        if len(rounds) >= params.max_rounds:
+            return CoreResult(analysis, u, rounds, "incomplete")
     status = "incomplete" if truncated else "complete"
     return CoreResult(analysis, u, rounds, status)
 
@@ -382,6 +343,7 @@ class Decision:
     status: str                 # "complete" | "incomplete"
     witness: Optional[Path] = None
     reason: str = ""
+    core: Optional[CoreResult] = None  # the saturation decided against
 
 
 def _require_normalized(v: Vass) -> None:
@@ -433,20 +395,20 @@ def decide_unboundedness(
     if params is None:
         params = FixpointParams.adaptive(v)
     core = unbounded_core(v, params)
-    return _decide_config(v, core, Configuration(s, 0), params, want_witness)
+    dec = _decide_config(v, core, Configuration(s, 0), params, want_witness)
+    return Decision(dec.answer, dec.status, dec.witness, dec.reason, core)
 
 
 def decide_coverability(
     v: Vass,
     s: int,
     t: int,
-    params: Optional[FixpointParams] = None,
-    mode: str = "adaptive",
+    preset: Callable[[Vass], FixpointParams] = FixpointParams.adaptive,
 ) -> Decision:
     """Can ``(s, 0)`` reach state ``t``?  Decided by reduction to
     unboundedness (prune states that cannot reach ``t``, then let ``t`` feed
-    an unguarded +1 self-loop).  ``mode`` picks the parameter preset for the
-    reduced instance when ``params`` is not given."""
+    an unguarded +1 self-loop).  ``preset`` makes the parameters for the
+    normalized reduced instance, whose saturation ``Decision.core`` holds."""
     for q in (s, t):
         if not (0 <= q < v.n_states):
             raise ValueError("unknown state index")
@@ -454,11 +416,8 @@ def decide_coverability(
     from .model import normalize_guards_with_maps
 
     v2, entry, _ = normalize_guards_with_maps(reduced)
-    if params is None:
-        params = (FixpointParams.rigorous(v2) if mode == "rigorous"
-                  else FixpointParams.adaptive(v2))
-    dec = decide_unboundedness(v2, entry[s1], params)
-    return Decision(dec.answer, dec.status, None, dec.reason)
+    dec = decide_unboundedness(v2, entry[s1], preset(v2))
+    return Decision(dec.answer, dec.status, None, dec.reason, dec.core)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Core model: weighted state graphs with one counter and disequality guards.
 
 A system is a directed graph whose transitions carry integer weights.  A run
-threads a nonnegative counter through a path, adding the weight of every
+carries a nonnegative counter along a path, adding the weight of every
 transition taken.  Each state may carry *disequality guards*: counter values
 on which the run must not rest at that state.  A configuration ``(q, z)`` is
 valid when ``z`` avoids the guards of ``q``; a valid run is one whose

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 from . import cycles
 from .model import Configuration, Vass
@@ -35,17 +36,22 @@ def default_counter_cap(v: Vass) -> int:
     return max_guard + v.n_states * v.n_states * max_w + 64
 
 
-def enumerate_reach(
+def _closure(
     v: Vass,
     init: Configuration,
     counter_cap: int,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> tuple[set[Configuration], bool]:
-    """Breadth-first closure under valid steps, discarding counters above
-    ``counter_cap``.  Returns the configurations found and whether anything
-    was cut off (by either cap)."""
-    if not v.is_valid(init) or init.counter > counter_cap:
-        return set(), init.counter > counter_cap
+    node_cap: int,
+    stop: Optional[Callable[[Configuration], bool]] = None,
+) -> tuple[set[Configuration], str, Optional[Configuration]]:
+    """Breadth-first closure of the valid ``init`` under valid steps,
+    discarding counters above ``counter_cap``.
+
+    Returns ``(seen, outcome, hit)``.  ``outcome`` is "hit" when a newly
+    found configuration ``hit`` satisfies ``stop`` (it is not added to
+    ``seen``), "capped" when a new configuration would exceed ``node_cap``,
+    "truncated" when the closure finished but the counter cap discarded
+    something, and "closed" when it finished untouched by either cap.
+    """
     seen = {init}
     queue = deque([init])
     truncated = False
@@ -61,11 +67,38 @@ def enumerate_reach(
             c = Configuration(t.dst, y)
             if c in seen:
                 continue
+            if stop is not None and stop(c):
+                return seen, "hit", c
             if len(seen) >= node_cap:
-                return seen, True
+                return seen, "capped", None
             seen.add(c)
             queue.append(c)
-    return seen, truncated
+    return seen, ("truncated" if truncated else "closed"), None
+
+
+def _verdict(seen: set, outcome: str, yes: str, no: str) -> OracleVerdict:
+    if outcome == "hit":
+        return OracleVerdict("yes", len(seen) + 1, yes)
+    if outcome == "capped":
+        return OracleVerdict("unknown", len(seen), "node cap exhausted")
+    if outcome == "truncated":
+        return OracleVerdict("unknown", len(seen), "counter cap exceeded")
+    return OracleVerdict("no", len(seen), no)
+
+
+def enumerate_reach(
+    v: Vass,
+    init: Configuration,
+    counter_cap: int,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> tuple[set[Configuration], bool]:
+    """Breadth-first closure under valid steps, discarding counters above
+    ``counter_cap``.  Returns the configurations found and whether anything
+    was cut off (by either cap)."""
+    if not v.is_valid(init) or init.counter > counter_cap:
+        return set(), init.counter > counter_cap
+    seen, outcome, _ = _closure(v, init, counter_cap, node_cap)
+    return seen, outcome != "closed"
 
 
 def oracle_cover(
@@ -82,32 +115,12 @@ def oracle_cover(
     init = Configuration(s, 0)
     if not v.is_valid(init):
         return OracleVerdict("no", 0, "initial configuration is invalid")
-    seen = {init}
     if s == t:
         return OracleVerdict("yes", 1, "empty run")
-    queue = deque([init])
-    truncated = False
-    while queue:
-        q, z = queue.popleft()
-        for _, tr in v.out_edges(q):
-            y = z + tr.weight
-            if y < 0 or y in v.guards[tr.dst]:
-                continue
-            if y > cap:
-                truncated = True
-                continue
-            c = Configuration(tr.dst, y)
-            if c in seen:
-                continue
-            if tr.dst == t:
-                return OracleVerdict("yes", len(seen) + 1, "target reached")
-            if len(seen) >= node_cap:
-                return OracleVerdict("unknown", len(seen), "node cap exhausted")
-            seen.add(c)
-            queue.append(c)
-    if truncated:
-        return OracleVerdict("unknown", len(seen), "counter cap exceeded")
-    return OracleVerdict("no", len(seen), "closure complete, target unreached")
+    seen, outcome, _ = _closure(v, init, cap, node_cap,
+                                lambda c: c.state == t)
+    return _verdict(seen, outcome, "target reached",
+                    "closure complete, target unreached")
 
 
 def oracle_unbounded(
@@ -137,31 +150,9 @@ def oracle_unbounded(
 
     if pumps(init):
         return OracleVerdict("yes", 1, "initial configuration pumps")
-    seen = {init}
-    queue = deque([init])
-    truncated = False
-    while queue:
-        q, z = queue.popleft()
-        for _, tr in v.out_edges(q):
-            y = z + tr.weight
-            if y < 0 or y in v.guards[tr.dst]:
-                continue
-            if y > cap:
-                truncated = True
-                continue
-            c = Configuration(tr.dst, y)
-            if c in seen:
-                continue
-            if pumps(c):
-                return OracleVerdict("yes", len(seen) + 1,
-                                     f"pumpable at {v.names[c.state]}:{c.counter}")
-            if len(seen) >= node_cap:
-                return OracleVerdict("unknown", len(seen), "node cap exhausted")
-            seen.add(c)
-            queue.append(c)
-    if truncated:
-        return OracleVerdict("unknown", len(seen), "counter cap exceeded")
-    return OracleVerdict("no", len(seen), "reachable set is finite")
+    seen, outcome, hit = _closure(v, init, cap, node_cap, pumps)
+    yes = f"pumpable at {v.names[hit.state]}:{hit.counter}" if hit else ""
+    return _verdict(seen, outcome, yes, "reachable set is finite")
 
 
 def oracle_bounded_cover(

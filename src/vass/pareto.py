@@ -16,7 +16,6 @@ irrelevant.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -163,18 +162,17 @@ def _level_zero(v: Vass) -> dict:
     return {pq: tuple(pareto_filter(v, es)) for pq, es in cells.items()}
 
 
-def build_families(v: Vass, threads: int = 1) -> ParetoFamily:
+def build_families(v: Vass) -> ParetoFamily:
     """Doubling construction up to level ``ceil(log2 |Q|)``: the final family
     is a Pareto set for all paths of length up to ``|Q|`` between every pair
-    of states.  Cells of one level are independent; with ``threads > 1``
-    they are computed by a thread pool and merged in cell order.
+    of states.  Each level builds its cells from the previous level only,
+    in sorted cell order.
     """
     cells = _level_zero(v)
     top = max(1, v.n_states)
     levels = math.ceil(math.log2(top)) if top > 1 else 0
 
-    def next_cell(pq: tuple[int, int]) -> tuple[tuple[int, int], tuple]:
-        p, q = pq
+    def next_cell(p: int, q: int) -> tuple:
         pool: list[ParetoElem] = []
         for r in range(v.n_states):
             left = cells.get((p, r))
@@ -184,7 +182,7 @@ def build_families(v: Vass, threads: int = 1) -> ParetoFamily:
             for a in left:
                 for b in right:
                     pool.append(concat(a, b))
-        return pq, tuple(pareto_filter(v, pool))
+        return tuple(pareto_filter(v, pool))
 
     for _ in range(levels):
         # Midpoint products can populate pairs absent from the current level.
@@ -194,12 +192,8 @@ def build_families(v: Vass, threads: int = 1) -> ParetoFamily:
         pairs = sorted(
             {(p, q) for (r, q) in cells for p in into.get(r, ())}
         )
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(next_cell, pairs))
-        else:
-            results = [next_cell(pq) for pq in pairs]
-        cells = {pq: es for pq, es in results if es}
+        results = {pq: next_cell(*pq) for pq in pairs}
+        cells = {pq: es for pq, es in results.items() if es}
     return ParetoFamily(level=levels, cells=cells)
 
 
@@ -215,7 +209,7 @@ def _require_guard_free(v: Vass) -> None:
         raise ValueError("this procedure requires guard-free input")
 
 
-def decide_unbounded_lasso(v: Vass, s: int, threads: int = 1) -> LassoDecision:
+def decide_unbounded_lasso(v: Vass, s: int) -> LassoDecision:
     """Is ``(s, 0)`` unbounded in a guard-free system?
 
     Holds iff some stem with nonnegative minimal prefix reaches a state with
@@ -224,7 +218,7 @@ def decide_unbounded_lasso(v: Vass, s: int, threads: int = 1) -> LassoDecision:
     trimmed to one.
     """
     _require_guard_free(v)
-    fam = build_families(v, threads=threads)
+    fam = build_families(v)
     for q in range(v.n_states):
         for stem in fam.cell(s, q):
             if stem.pmin < 0:
@@ -235,9 +229,9 @@ def decide_unbounded_lasso(v: Vass, s: int, threads: int = 1) -> LassoDecision:
     return LassoDecision(False)
 
 
-def decide_cover_pareto(v: Vass, s: int, t: int, threads: int = 1) -> bool:
+def decide_cover_pareto(v: Vass, s: int, t: int) -> bool:
     """Coverability for guard-free systems, through the unboundedness
     reduction and the lasso test."""
     _require_guard_free(v)
     reduced, s1 = reductions.reduce_cov_to_unbound(v, s, t)
-    return decide_unbounded_lasso(reduced, s1, threads=threads).answer
+    return decide_unbounded_lasso(reduced, s1).answer

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vass import instances, model
+from vass import fixpoint, instances, model, reductions
 from vass.cli import main
 
 
@@ -123,12 +123,63 @@ def test_inspect_output_is_deterministic(capsys, demo_file):
     assert out1 == out2
 
 
-def test_threads_do_not_change_output(capsys, demo_file):
-    _, out1, _ = run(capsys, "--threads", "1", "check", demo_file,
-                     "--emit-trace", "-")
-    _, out2, _ = run(capsys, "--threads", "2", "check", demo_file,
-                     "--emit-trace", "-")
-    assert out1 == out2
+def _expected_trace(v: model.Vass) -> dict:
+    """The trace of a fresh saturation of the normalized ``v``."""
+    core = fixpoint.unbounded_core(model.normalize_guards_with_maps(v)[0])
+    names = core.analysis.vass.names
+    maxima: dict = {}
+    for (q, lo), m in sorted(core.uset.per_chain_max.items()):
+        maxima.setdefault(names[q], []).append({"chain_lo": lo, "max": m})
+    return {
+        "rounds": [{names[q]: vals for q, vals in r.items()}
+                   for r in core.rounds],
+        "per_chain_max": maxima,
+        "status": core.status,
+    }
+
+
+def test_emit_trace_reuses_the_solve(capsys, monkeypatch, demo_file):
+    # the trace is that of the one saturation behind the answer: for
+    # coverability, of the normalized instance the reduction solves
+    v = instances.demo_guarded()
+    reduced, _ = reductions.reduce_cov_to_unbound(v, v.initial, v.target)
+    expected = {"unboundedness": _expected_trace(v),
+                "coverability": _expected_trace(reduced)}
+    calls = []
+    solve = fixpoint.unbounded_core
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fixpoint, "unbounded_core", counted)
+    for mode, want in expected.items():
+        calls.clear()
+        code, out, _ = run(capsys, "check", "--mode", mode, demo_file,
+                           "--emit-trace", "-")
+        assert code == 0 and len(calls) == 1, mode
+        trace, end = json.JSONDecoder().raw_decode(out)
+        assert trace == want, mode
+        assert out[end:].split() == ["YES"]
+
+
+UNKNOWN_TO_ORACLE = ("state a 1000\nstate b\nedge a a 1\nedge a b -500\n"
+                     "init a\ntarget b\n")
+
+
+@pytest.mark.parametrize("argv", (
+    ("check", "--algo", "oracle"),
+    ("check", "--algo", "oracle", "--mode", "coverability"),
+    ("oracle", "--mode", "unbounded"),
+    ("oracle", "--mode", "cover"),
+))
+def test_oracle_unknown_exits_incomplete(capsys, tmp_path, argv):
+    # the +1 loop climbs past the counter cap long before the guard at 1000
+    path = tmp_path / "climb.vass"
+    path.write_text(UNKNOWN_TO_ORACLE)
+    code, out, _ = run(capsys, *argv, str(path), "--counter-cap", "10")
+    assert out.splitlines()[0] == "UNKNOWN"
+    assert code == 3
 
 
 def test_gen_cnf_roundtrip(capsys, tmp_path):

@@ -11,6 +11,8 @@ from vass import (
     decide_unboundedness,
     decompose_objectives,
     defect_stats,
+    fixpoint,
+    normalize_guards,
     objective_contains,
     parse_vass,
     saturate_step,
@@ -239,6 +241,29 @@ def test_saturation_candidate_window_respects_budget(demo):
     for q, vals in out.added.items():
         for z in vals:
             assert truly_unbounded(demo, q, z) is True
+
+
+def test_stable_round_is_the_fixpoint():
+    # unbounded_core stops at the first round that adds nothing; that round
+    # is final because the lowest missing element of a bounded chain pumps
+    # up to every other missing one, so none of them can reach the set
+    rng = random.Random(20190218)
+    probed = 0
+    for _ in range(300):
+        v = normalize_guards(gen_vass(rng, multi_guards=True))
+        core = unbounded_core(v)
+        if core.status != "complete":
+            continue
+        for ch in fixpoint.bounded_chains(core.analysis):
+            w = core.analysis.states[ch.state].selection.period
+            m = core.uset.per_chain_max.get((ch.state, ch.lo))
+            for x in range(ch.lo if m is None else m + w, ch.hi + 1, w):
+                c = Configuration(ch.state, x)
+                out = fixpoint._reach_uset(v, core.uset, c,
+                                           fixpoint.DEFAULT_NODE_CAP)
+                assert out[0] == "no", (v, ch, x)
+                probed += 1
+    assert probed > 1000
 
 
 # --- defect diagnostics ---------------------------------------------------------

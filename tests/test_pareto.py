@@ -205,15 +205,6 @@ def test_families_dominate_every_short_path():
                 assert any(dominates(f, e) for f in fam.cell(src, dst)), (src, dst)
 
 
-def test_families_threaded_equals_sequential(plain):
-    a = build_families(plain, threads=1)
-    b = build_families(plain, threads=2)
-    assert {pq: [(e.pmin, e.smax, e.weight) for e in cell]
-            for pq, cell in a.cells.items()} == \
-        {pq: [(e.pmin, e.smax, e.weight) for e in cell]
-         for pq, cell in b.cells.items()}
-
-
 # --- lasso decisions -----------------------------------------------------------------
 
 def test_lasso_trivial_cases():
