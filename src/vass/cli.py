@@ -129,12 +129,12 @@ def _cmd_check(args) -> int:
             dec = fixpoint.decide_unboundedness(vn, entry[s], preset(vn))
         answer, code = _decision_exit(dec.answer)
         detail = [dec.reason] if dec.reason else []
-        if args.emit_trace:
-            _write_trace(args.emit_trace, _trace_json(dec.core))
 
     payload = {"answer": answer, "mode": args.mode, "algo": args.algo,
                "detail": detail}
     _emit(payload, args.format)
+    if args.algo == "fixpoint" and args.emit_trace:
+        _write_trace(args.emit_trace, _trace_json(dec.core))
     return code
 
 
@@ -164,16 +164,7 @@ def _cmd_bounded_cover(args) -> int:
     v = _read_instance(args.file)
     s = _resolve(v, args.source, v.initial, "source")
     t = _resolve(v, args.target, v.target, "target")
-    try:
-        o = objectives.DiseqObjective(
-            target_state=t,
-            ell=args.ell,
-            period=args.period,
-            forbidden_residues=frozenset(_csv_ints(args.not_res)),
-            forbidden_values=frozenset(_csv_ints(args.not_val)),
-        )
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    o = _objective(args, t)
     init = model.Configuration(s, args.counter)
     res = objectives.decide_bounded_cover(v, init, o, args.steps,
                                           want_witness=args.witness)
@@ -185,6 +176,21 @@ def _cmd_bounded_cover(args) -> int:
         payload["detail"].append("witness: " + " ".join(payload["witness"]))
     _emit(payload, args.format)
     return EXIT_OK
+
+
+def _objective(args, t: int) -> objectives.DiseqObjective:
+    """The disequality objective at state ``t`` given by the ``--ell``,
+    ``--period``, ``--not-res`` and ``--not-val`` flags."""
+    try:
+        return objectives.DiseqObjective(
+            target_state=t,
+            ell=args.ell,
+            period=args.period,
+            forbidden_residues=frozenset(_csv_ints(args.not_res)),
+            forbidden_values=frozenset(_csv_ints(args.not_val)),
+        )
+    except ValueError as e:
+        raise InputError(str(e)) from None
 
 
 def _csv_ints(text: Optional[str]) -> list[int]:
@@ -344,13 +350,9 @@ def _cmd_oracle(args) -> int:
     t = (None if args.mode == "unbounded"
          else _resolve(v, args.target, v.target, "target"))
     if args.mode == "bounded-cover":
-        o = objectives.DiseqObjective(
-            target_state=t, ell=args.ell, period=args.period,
-            forbidden_residues=frozenset(_csv_ints(args.not_res)),
-            forbidden_values=frozenset(_csv_ints(args.not_val)),
-        )
         ans = oracle.oracle_bounded_cover(
-            v, model.Configuration(s, args.counter), o, args.steps)
+            v, model.Configuration(s, args.counter), _objective(args, t),
+            args.steps)
         answer, code = _decision_exit(ans)
         detail = []
     else:

@@ -188,6 +188,7 @@ def _reach_uset(
     start: Configuration,
     node_cap: int,
     max_depth: Optional[int] = None,
+    dead: Optional[set] = None,
 ) -> tuple[str, int]:
     """Search forward from ``start`` for any member of ``u``.
 
@@ -195,12 +196,28 @@ def _reach_uset(
     Absent a hit the closure is finite: an infinite cone pumps some positive
     cycle arbitrarily high and therefore enters an unbounded chain, all of
     which lie in every ``USet``.  So "no" certifies a finite reachable set.
+
+    ``dead`` memoises failed probes against this same ``u``, keyed by the
+    int ``counter * n_states + state``.  A "no" proves that its whole
+    closure misses ``u``, so a complete, depth-unbounded "no" adds every
+    configuration it visited, and later probes skip those configurations
+    (and answer "no" at once from one of them).  No run into ``u`` passes
+    through a dead configuration, so skipping one changes neither the answer
+    nor the depth of a hit.  ``node_cap`` counts only the configurations a
+    probe adds that are not already dead, so the memo can make a cap hit
+    less often, never more.  The memo is valid only while ``u`` is
+    unchanged; a depth-cut "no" proves nothing about the rest of its
+    closure and adds nothing.
     """
     if not v.is_valid(start):
         return ("no", 0)
+    n = v.n_states
+    skip = dead if dead is not None else ()
+    if start.counter * n + start.state in skip:
+        return ("no", 0)
     if u.contains(start):
         return ("hit", 0)
-    seen = {start}
+    seen = {start.counter * n + start.state}
     queue = deque([(start.state, start.counter, 0)])
     guards = v.guards
     while queue:
@@ -211,15 +228,17 @@ def _reach_uset(
             y = z + t.weight
             if y < 0 or y in guards[t.dst]:
                 continue
-            c = Configuration(t.dst, y)
-            if c in seen:
+            key = y * n + t.dst
+            if key in seen or key in skip:
                 continue
-            if u.contains(c):
+            if u.contains(Configuration(t.dst, y)):
                 return ("hit", d + 1)
             if len(seen) >= node_cap:
                 return ("capped", len(seen))
-            seen.add(c)
+            seen.add(key)
             queue.append((t.dst, y, d + 1))
+    if dead is not None and max_depth is None:
+        dead |= seen
     return ("no", len(seen))
 
 
@@ -228,11 +247,11 @@ class SaturateOutcome:
     uset: USet
     added: dict           # state -> sorted list of counter values added
     truncated: bool = False
+    dead: set = field(default_factory=set)  # closures missing the input set
 
 
 def saturate_step(
     v: Vass, analysis: CycleAnalysis, u: USet, params: FixpointParams,
-    _failed: Optional[dict] = None,
 ) -> SaturateOutcome:
     """One synchronous round: against the frozen ``u``, test the top
     ``candidates_per_chain`` missing elements of every bounded chain (and
@@ -240,14 +259,15 @@ def saturate_step(
     raises its chain's maximum, which closes downward soundly because lower
     chain elements pump up to it.  The result always contains ``u``.
 
-    ``_failed`` is a cross-round memo of failed probes keyed by the version
-    of ``u`` at which they failed; a failure can only flip after ``u`` grew,
-    so probes at an unchanged version are skipped.
+    The probes of a round share one dead set (see `_reach_uset`): the
+    closure of a "no" is finite and misses ``u``, so every configuration in
+    it can be skipped by the later probes of the round.  ``u`` grows only
+    between rounds, so the set is made fresh here and returned as
+    ``dead``; it holds for ``uset`` too when the round added nothing.
     """
     truncated = False
     additions: dict[tuple[int, int], int] = {}
-    memo = _failed if _failed is not None else {}
-    version = (len(u.per_chain_max), sum(u.per_chain_max.values()))
+    dead: set = set()
     for ch in bounded_chains(analysis):
         w = analysis.states[ch.state].selection.period
         cmax = u.per_chain_max.get((ch.state, ch.lo))
@@ -264,17 +284,13 @@ def saturate_step(
         for x in cands:  # descending: first hit is the chain's new max
             if x in v.guards[ch.state]:
                 continue  # invalid configuration heads no valid run
-            if memo.get((ch.state, x)) == version:
-                continue
             status, _ = _reach_uset(v, u, Configuration(ch.state, x),
-                                    params.node_cap, params.step_bound)
+                                    params.node_cap, params.step_bound, dead)
             if status == "hit":
                 additions[(ch.state, ch.lo)] = x
                 break
             if status == "capped":
                 truncated = True
-            else:
-                memo[(ch.state, x)] = version
 
     new_u = u.with_additions(additions)
     added: dict[int, list[int]] = {}
@@ -285,7 +301,8 @@ def saturate_step(
         added.setdefault(state, []).extend(range(start, x + 1, w))
     for state in added:
         added[state].sort()
-    return SaturateOutcome(uset=new_u, added=added, truncated=truncated)
+    return SaturateOutcome(uset=new_u, added=added, truncated=truncated,
+                           dead=dead)
 
 
 @dataclass(frozen=True)
@@ -294,6 +311,7 @@ class CoreResult:
     uset: USet
     rounds: list  # per round: {state: [values added]}, stable round omitted
     status: str   # "complete" | "incomplete"
+    dead: set = field(default_factory=set)  # dead set of the stable round
 
 
 def unbounded_core(v: Vass, params: Optional[FixpointParams] = None) -> CoreResult:
@@ -313,6 +331,12 @@ def unbounded_core(v: Vass, params: Optional[FixpointParams] = None) -> CoreResu
     preset stops by the same rule, with every probe cut at the worst-case
     run length (``step_bound``).
 
+    Each round memoises its failed probes in a fresh dead set, valid while
+    that round's ``U`` is frozen.  The stable round adds nothing, so its
+    ``U`` is the final one and its dead set still holds for the final
+    query: ``CoreResult.dead`` carries it.  When the round cap stops the
+    loop, the last round grew ``U`` and ``dead`` is left empty.
+
     A hit node cap or round cap degrades the status to "incomplete"; the
     set itself stays sound either way.
     """
@@ -323,9 +347,8 @@ def unbounded_core(v: Vass, params: Optional[FixpointParams] = None) -> CoreResu
     u = seed_uset(analysis)
     rounds: list[dict] = []
     truncated = False
-    failed: dict = {}
     while True:
-        out = saturate_step(v, analysis, u, params, failed)
+        out = saturate_step(v, analysis, u, params)
         truncated = truncated or out.truncated
         u = out.uset
         if not out.added:
@@ -334,7 +357,7 @@ def unbounded_core(v: Vass, params: Optional[FixpointParams] = None) -> CoreResu
         if len(rounds) >= params.max_rounds:
             return CoreResult(analysis, u, rounds, "incomplete")
     status = "incomplete" if truncated else "complete"
-    return CoreResult(analysis, u, rounds, status)
+    return CoreResult(analysis, u, rounds, status, out.dead)
 
 
 @dataclass(frozen=True)
@@ -361,7 +384,8 @@ def _decide_config(
         w = Path(c.state) if want_witness else None
         return Decision(True, "complete", witness=w,
                         reason="initial configuration is unbounded")
-    status, depth = _reach_uset(v, core.uset, c, params.node_cap)
+    status, depth = _reach_uset(v, core.uset, c, params.node_cap,
+                                dead=core.dead)
     if status == "no":
         return Decision(False, "complete", reason="reachable set is finite")
     if status == "capped":

@@ -158,9 +158,9 @@ def test_emit_trace_reuses_the_solve(capsys, monkeypatch, demo_file):
         code, out, _ = run(capsys, "check", "--mode", mode, demo_file,
                            "--emit-trace", "-")
         assert code == 0 and len(calls) == 1, mode
-        trace, end = json.JSONDecoder().raw_decode(out)
-        assert trace == want, mode
-        assert out[end:].split() == ["YES"]
+        token, trace = out.split("\n", 1)
+        assert token == "YES", mode
+        assert json.loads(trace) == want, mode
 
 
 UNKNOWN_TO_ORACLE = ("state a 1000\nstate b\nedge a a 1\nedge a b -500\n"
@@ -217,6 +217,13 @@ def test_oracle_subcommand(capsys, demo_file):
                        "--ell", "80", "--period", "10", "--not-res", "0,3,6,9",
                        "--steps", "10")
     assert code == 0 and out.splitlines()[0] == "YES"
+
+
+def test_oracle_bounded_cover_rejects_bad_objective(capsys, demo_file):
+    code, out, err = run(capsys, "oracle", demo_file, "--mode", "bounded-cover",
+                         "--source", "s4", "--target", "s10", "--period", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "period" in err
 
 
 def test_check_rigorous_on_tiny_instance(capsys, tmp_path):

@@ -13,8 +13,10 @@ from vass import (
     defect_stats,
     fixpoint,
     normalize_guards,
+    normalize_guards_with_maps,
     objective_contains,
     parse_vass,
+    reductions,
     saturate_step,
     seed_uset,
     u_contains,
@@ -264,6 +266,100 @@ def test_stable_round_is_the_fixpoint():
                 assert out[0] == "no", (v, ch, x)
                 probed += 1
     assert probed > 1000
+
+
+# --- closure memo of failed probes ---------------------------------------------
+
+def _solve(v, params):
+    """The core of ``v`` and the answer from ``(s, 0)`` for every state."""
+    core = unbounded_core(v, params)
+    answers = [fixpoint._decide_config(v, core, Configuration(s, 0), params).answer
+               for s in range(v.n_states)]
+    return core, answers
+
+
+def _memo_instances(count):
+    rng = random.Random(31337)
+    return [normalize_guards(gen_vass(rng, multi_guards=True))
+            for _ in range(count)]
+
+
+def test_dead_set_changes_no_result(monkeypatch):
+    # the memo only skips configurations already proved to miss U, so every
+    # result must equal that of a search that ignores it
+    memo_free = fixpoint._reach_uset
+
+    def reference(v, u, start, node_cap, max_depth=None, dead=None):
+        return memo_free(v, u, start, node_cap, max_depth)
+
+    presets = [(v, FixpointParams.adaptive(v)) for v in _memo_instances(300)]
+    presets += [(v, FixpointParams.rigorous(v)) for v, _ in presets
+                if v.n_states <= 4]
+    with monkeypatch.context() as m:
+        m.setattr(fixpoint, "_reach_uset", reference)
+        want = [_solve(v, p) for v, p in presets]
+    with_rounds = 0
+    for (v, p), (ref, ref_answers) in zip(presets, want):
+        core, answers = _solve(v, p)
+        assert core.uset.per_chain_max == ref.uset.per_chain_max, v
+        assert (core.rounds, core.status) == (ref.rounds, ref.status), v
+        assert answers == ref_answers, v
+        assert not ref.dead
+        with_rounds += bool(core.rounds)
+    assert with_rounds > 30
+
+
+def test_dead_set_misses_the_final_set():
+    # every memoised configuration really has a closure that misses U
+    checked = 0
+    for v in _memo_instances(300):
+        core = unbounded_core(v)
+        if core.status != "complete":
+            continue
+        n = v.n_states
+        for key in core.dead:
+            c = Configuration(key % n, key // n)
+            out = fixpoint._reach_uset(v, core.uset, c, fixpoint.DEFAULT_NODE_CAP)
+            assert out[0] == "no", (v, c)
+            checked += 1
+    assert checked > 1000
+
+
+def test_step_bound_leaves_the_dead_set_empty():
+    # a depth-cut "no" proves nothing about the rest of the closure, so the
+    # rigorous preset memoises nothing, where the unbounded search does
+    memoised = 0
+    for v in _memo_instances(120):
+        if v.n_states > 4:
+            continue
+        params = FixpointParams.rigorous(v)
+        ana = analyze(v)
+        assert not saturate_step(v, ana, seed_uset(ana), params).dead
+        assert not unbounded_core(v, params).dead
+        memoised += bool(saturate_step(v, ana, seed_uset(ana),
+                                       FixpointParams.adaptive(v)).dead)
+    assert memoised > 5
+
+
+def test_cnf_anchor_work_count(monkeypatch):
+    # the 4-variable NO anchor of the CNF family: its chains are disjoint,
+    # so without a closure memo every probe re-walks the same closures
+    f = reductions.Cnf3(4, (((1, True), (2, False), (3, True)),
+                            ((1, False), (2, True), (4, False))))
+    w, w0 = reductions.with_start_counter(reductions.cnf_to_vass(f)[0], 119)
+    v, entry, _ = normalize_guards_with_maps(w)
+    calls = 0
+    contains = USet.contains
+
+    def counted(u, c):
+        nonlocal calls
+        calls += 1
+        return contains(u, c)
+
+    monkeypatch.setattr(USet, "contains", counted)
+    dec = decide_unboundedness(v, entry[w0])
+    assert dec.answer is False and dec.status == "complete"
+    assert calls < 100_000, calls
 
 
 # --- defect diagnostics ---------------------------------------------------------
