@@ -90,19 +90,32 @@ def _run_oracle(args, v: model.Vass, s: int,
                 t: Optional[int]) -> tuple[str, int, list[str]]:
     """Oracle coverability of ``t`` (unboundedness when ``t`` is None):
     answer token, exit code and detail lines."""
+    node_cap = (oracle.DEFAULT_NODE_CAP if args.node_cap is None
+                else args.node_cap)
     if t is not None:
         verdict = oracle.oracle_cover(v, s, t, counter_cap=args.counter_cap,
-                                      node_cap=args.node_cap)
+                                      node_cap=node_cap)
     else:
         verdict = oracle.oracle_unbounded(v, s, counter_cap=args.counter_cap,
-                                          node_cap=args.node_cap)
+                                          node_cap=node_cap)
     answer, code = _decision_exit(
         verdict.answer == "yes" if verdict.definite else None)
     return answer, code, [f"explored {verdict.states_explored} configurations",
                           verdict.reason]
 
 
+# `check` flags that only one algorithm reads; with any other they are
+# refused rather than silently ignored.
+_ALGO_ONLY_FLAGS = (("rigorous", "fixpoint"), ("emit_trace", "fixpoint"),
+                    ("counter_cap", "oracle"), ("node_cap", "oracle"))
+
+
 def _cmd_check(args) -> int:
+    for flag, algo in _ALGO_ONLY_FLAGS:
+        value = getattr(args, flag)
+        if args.algo != algo and value is not None and value is not False:
+            raise UsageError(f"--{flag.replace('_', '-')} applies only to "
+                             f"--algo {algo}")
     v = _read_instance(args.file)
     s = _resolve(v, args.source, v.initial, "source")
     t = (_resolve(v, args.target, v.target, "target")
@@ -133,7 +146,7 @@ def _cmd_check(args) -> int:
     payload = {"answer": answer, "mode": args.mode, "algo": args.algo,
                "detail": detail}
     _emit(payload, args.format)
-    if args.algo == "fixpoint" and args.emit_trace:
+    if args.emit_trace:
         _write_trace(args.emit_trace, _trace_json(dec.core))
     return code
 
@@ -166,7 +179,7 @@ def _cmd_bounded_cover(args) -> int:
     t = _resolve(v, args.target, v.target, "target")
     o = _objective(args, t)
     init = model.Configuration(s, args.counter)
-    res = objectives.decide_bounded_cover(v, init, o, args.steps,
+    res = objectives.decide_bounded_cover(v, init, o, _steps(args),
                                           want_witness=args.witness)
     payload = {"answer": "YES" if res.reachable else "NO",
                "mode": "bounded-cover", "algo": "dp",
@@ -191,6 +204,12 @@ def _objective(args, t: int) -> objectives.DiseqObjective:
         )
     except ValueError as e:
         raise InputError(str(e)) from None
+
+
+def _steps(args) -> int:
+    if args.steps < 0:
+        raise InputError("step bound must be nonnegative")
+    return args.steps
 
 
 def _csv_ints(text: Optional[str]) -> list[int]:
@@ -352,7 +371,7 @@ def _cmd_oracle(args) -> int:
     if args.mode == "bounded-cover":
         ans = oracle.oracle_bounded_cover(
             v, model.Configuration(s, args.counter), _objective(args, t),
-            args.steps)
+            _steps(args))
         answer, code = _decision_exit(ans)
         detail = []
     else:
@@ -442,7 +461,7 @@ def build_parser() -> _Parser:
     c.add_argument("--emit-trace", metavar="PATH",
                    help="write the saturation trace as JSON (- for stdout)")
     c.add_argument("--counter-cap", type=int, default=None)
-    c.add_argument("--node-cap", type=int, default=oracle.DEFAULT_NODE_CAP)
+    c.add_argument("--node-cap", type=int, default=None)
     c.set_defaults(func=_cmd_check)
 
     b = sub.add_parser("bounded-cover",
@@ -483,7 +502,7 @@ def build_parser() -> _Parser:
     o.add_argument("--mode", choices=("cover", "unbounded", "bounded-cover"),
                    required=True)
     o.add_argument("--counter-cap", type=int, default=None)
-    o.add_argument("--node-cap", type=int, default=oracle.DEFAULT_NODE_CAP)
+    o.add_argument("--node-cap", type=int, default=None)
     o.add_argument("--counter", type=int, default=0)
     o.add_argument("--ell", type=int, default=0)
     o.add_argument("--period", type=int, default=1)

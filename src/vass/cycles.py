@@ -116,6 +116,9 @@ def _prune_frontier(elems: list[tuple[int, int, tuple[int, ...]]]) -> list:
     Order: pmin descending, then weight descending (equivalently smax),
     then shorter then lexicographically smaller witness -- a later element
     survives only if its weight strictly beats everything kept so far.
+    The order is total on distinct elements and dominance is transitive,
+    so pruning in stages changes nothing: ``prune(A + B) ==
+    prune(prune(A) + B)``.
     """
     elems = sorted(elems, key=lambda e: (-e[0], -e[1], len(e[2]), e[2]))
     kept: list[tuple[int, int, tuple[int, ...]]] = []
@@ -132,12 +135,23 @@ def select_cycles(v: Vass) -> dict[int, CycleSelection]:
     minimal prefix weight is maximal among all such cycles.
 
     Runs a leveled Pareto dynamic program inside each strongly connected
-    component: level ``l`` keeps, for every state reachable from the source,
-    the undominated (pmin, weight) summaries over paths of at most ``l``
-    transitions.  The cycle reported for a state is the one achieving the
-    best pmin at the earliest level, which favours a single loop over its
-    own powers (the powers only appear at later levels and never improve
-    pmin).  Guards play no role here: selection reads weights only.
+    component: after level ``l``, ``frontier[p]`` holds, for every state
+    reachable from the source, the undominated (pmin, weight) summaries over
+    paths of at most ``l`` transitions.  The cycle reported for a state is
+    the one achieving the best pmin at the earliest level, which favours a
+    single loop over its own powers (the powers only appear at later levels
+    and never improve pmin).  Guards play no role here: selection reads
+    weights only.
+
+    The program is semi-naive: level ``l`` extends only ``delta``, the
+    elements that entered the frontier at level ``l - 1`` (their witnesses
+    have exactly ``l - 1`` transitions), and stops once ``delta`` is empty.
+    This is exact.  An older element had its extensions taken when it was
+    new, and they were pruned into the frontier then; since ``prune(A + B)
+    == prune(prune(A) + B)``, offering them again changes no frontier.
+    Only ``delta[q]`` is scanned for the source's own cycle: ``best`` rises
+    only on a strictly greater pmin, so an element scanned at an earlier
+    level can never replace it later.
     """
     selections: dict[int, CycleSelection] = {}
     for comp in _strongly_connected_components(v):
@@ -154,21 +168,31 @@ def select_cycles(v: Vass) -> dict[int, CycleSelection]:
         levels = len(comp)
         for q in sorted(comp):
             # frontier[p]: undominated (pmin, weight, transition tuple) over
-            # q->p paths of at most `level` transitions.
+            # q->p paths of at most `level` transitions; delta[p]: those of
+            # exactly `level` transitions.
             frontier: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {
                 q: [(0, 0, ())]
             }
+            delta = frontier
             best: Optional[tuple[int, int, tuple[int, ...]]] = None
-            for _level in range(1, levels + 1):
-                new: dict[int, list] = {p: list(es) for p, es in frontier.items()}
-                for p, elems in frontier.items():
+            for level in range(1, levels + 1):
+                ext: dict[int, list] = {}
+                for p, elems in delta.items():
                     for i, dst, w in out_by_src[p]:
+                        out = ext.setdefault(dst, [])
                         for pmin, wt, path in elems:
-                            ext = (min(pmin, wt + w), wt + w, path + (i,))
-                            new.setdefault(dst, []).append(ext)
-                frontier = {p: _prune_frontier(es) for p, es in new.items()}
-                for pmin, wt, path in frontier.get(q, ()):
-                    if wt >= 1 and path and (best is None or pmin > best[0]):
+                            out.append((min(pmin, wt + w), wt + w, path + (i,)))
+                delta = {}
+                for dst, es in ext.items():
+                    kept = _prune_frontier(frontier.get(dst, []) + es)
+                    frontier[dst] = kept
+                    fresh = [e for e in kept if len(e[2]) == level]
+                    if fresh:
+                        delta[dst] = fresh
+                if not delta:
+                    break
+                for pmin, wt, path in delta.get(q, ()):
+                    if wt >= 1 and (best is None or pmin > best[0]):
                         best = (pmin, wt, path)
             if best is not None:
                 pmin, wt, path = best

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 from vass import Path, Transition, Vass
+from vass.cycles import (
+    CycleSelection,
+    _prune_frontier,
+    _strongly_connected_components,
+)
+from vass.model import normalize_guards_with_maps
 from vass.oracle import oracle_unbounded
-from vass.reductions import with_start_counter
+from vass.reductions import Cnf3, cnf_to_vass, with_start_counter
 
 
 def gen_vass(
@@ -36,6 +43,30 @@ def gen_vass(
     )
     return Vass(names=names, guards=tuple(guards), transitions=edges,
                 initial=0, target=rng.randrange(n))
+
+
+def gen_dense_guard_free(rng: random.Random, n: int,
+                         max_weight: int = 5) -> Vass:
+    """A guard-free graph on ``n`` states with three out-edges per state."""
+    edges = tuple(
+        Transition(q, rng.randrange(n), rng.randint(-max_weight, max_weight))
+        for q in range(n) for _ in range(3)
+    )
+    return Vass(names=tuple(f"q{i}" for i in range(n)),
+                guards=(frozenset(),) * n, transitions=edges,
+                initial=0, target=n - 1)
+
+
+def cnf_no_anchor() -> tuple[Vass, int]:
+    """The 4-variable NO anchor of the CNF family, normalized, with the
+    state its start counter 119 is entered from.  Its chains are disjoint
+    and its components are simple cycles of 26 and 40 states, so it
+    exposes repeated probe and selection work."""
+    f = Cnf3(4, (((1, True), (2, False), (3, True)),
+                 ((1, False), (2, True), (4, False))))
+    w, w0 = with_start_counter(cnf_to_vass(f)[0], 119)
+    v, entry, _ = normalize_guards_with_maps(w)
+    return v, entry[w0]
 
 
 def gen_guard_free(rng: random.Random, max_states: int = 6,
@@ -94,3 +125,45 @@ def enumerate_paths(v: Vass, src: int, max_len: int):
         if len(taken) < max_len:
             for ti, t in v.out_edges(cur):
                 stack.append((t.dst, taken + (ti,)))
+
+
+def select_cycles_reference(v: Vass) -> dict[int, CycleSelection]:
+    """The full leveled Pareto DP: every level re-extends and re-prunes the
+    whole frontier of every state.  Reference for ``select_cycles``."""
+    selections: dict[int, CycleSelection] = {}
+    for comp in _strongly_connected_components(v):
+        comp_set = set(comp)
+        edges_in = [
+            (i, t) for i, t in enumerate(v.transitions)
+            if t.src in comp_set and t.dst in comp_set
+        ]
+        if not edges_in:
+            continue
+        out_by_src: dict[int, list[tuple[int, int, int]]] = {q: [] for q in comp}
+        for i, t in edges_in:
+            out_by_src[t.src].append((i, t.dst, t.weight))
+        levels = len(comp)
+        for q in sorted(comp):
+            # frontier[p]: undominated (pmin, weight, transition tuple) over
+            # q->p paths of at most `level` transitions.
+            frontier: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {
+                q: [(0, 0, ())]
+            }
+            best: Optional[tuple[int, int, tuple[int, ...]]] = None
+            for _level in range(1, levels + 1):
+                new: dict[int, list] = {p: list(es) for p, es in frontier.items()}
+                for p, elems in frontier.items():
+                    for i, dst, w in out_by_src[p]:
+                        for pmin, wt, path in elems:
+                            ext = (min(pmin, wt + w), wt + w, path + (i,))
+                            new.setdefault(dst, []).append(ext)
+                frontier = {p: _prune_frontier(es) for p, es in new.items()}
+                for pmin, wt, path in frontier.get(q, ()):
+                    if wt >= 1 and path and (best is None or pmin > best[0]):
+                        best = (pmin, wt, path)
+            if best is not None:
+                pmin, wt, path = best
+                selections[q] = CycleSelection(
+                    state=q, gamma=Path(q, path), period=wt, pmin=pmin
+                )
+    return selections

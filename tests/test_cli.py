@@ -226,6 +226,39 @@ def test_oracle_bounded_cover_rejects_bad_objective(capsys, demo_file):
     assert err.startswith("input error:") and "period" in err
 
 
+@pytest.mark.parametrize("argv", (
+    ("bounded-cover", "--source", "s4", "--target", "s10", "--ell", "80",
+     "--period", "10", "--steps", "-1"),
+    ("oracle", "--mode", "bounded-cover", "--steps", "-3"),
+))
+def test_negative_step_bound_is_an_input_error(capsys, demo_file, argv):
+    code, out, err = run(capsys, argv[0], demo_file, *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "step" in err
+
+
+@pytest.mark.parametrize("argv", (
+    ("--node-cap", "1"),
+    ("--counter-cap", "0"),
+    ("--algo", "pareto", "--node-cap", "1"),
+    ("--algo", "oracle", "--emit-trace", "-"),
+    ("--algo", "pareto", "--emit-trace", "-"),
+    ("--algo", "oracle", "--rigorous"),
+))
+def test_check_refuses_flags_its_algorithm_ignores(capsys, demo_file, argv):
+    code, out, err = run(capsys, "check", *argv, demo_file)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and "applies only to" in err
+
+
+def test_check_oracle_reads_its_node_cap(capsys, demo_file):
+    # the default cap settles the demo (test_check_oracle_algo); one node
+    # cuts the search
+    code, out, _ = run(capsys, "check", "--algo", "oracle", "--node-cap", "1",
+                       demo_file)
+    assert code == 3 and out.splitlines()[0] == "UNKNOWN"
+
+
 def test_check_rigorous_on_tiny_instance(capsys, tmp_path):
     f = tmp_path / "tiny.vass"
     f.write_text("state a 5\nstate b\nedge a b 2\nedge b a 1\ninit a\n")

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 from vass import (
     Configuration,
@@ -7,14 +8,22 @@ from vass import (
     blocked_omega,
     chains_of,
     conf_plus_contains,
+    cycles,
     lift_run,
     parse_vass,
     select_cycles,
     summarize_path,
 )
-from vass.model import Violation
+from vass.model import Violation, normalize_guards
+from vass.reductions import Cnf3, cnf_to_vass
 
-from helpers import gen_vass, simple_cycles_through
+from helpers import (
+    cnf_no_anchor,
+    gen_dense_guard_free,
+    gen_vass,
+    select_cycles_reference,
+    simple_cycles_through,
+)
 
 
 def test_demo_cycle_selection(demo):
@@ -68,6 +77,47 @@ def test_pumpable_states_match_simple_cycle_enumeration():
             if best is not None:
                 # length-bounded cycles are a superset of simple ones
                 assert sels[q].pmin >= best
+
+
+def test_selection_equals_full_leveled_dp():
+    rng = random.Random(31337)
+    for _ in range(500):
+        v = normalize_guards(gen_vass(rng, max_states=8, multi_guards=True))
+        assert select_cycles(v) == select_cycles_reference(v)
+    for _ in range(100):
+        v = gen_dense_guard_free(rng, rng.randint(4, 12))
+        assert select_cycles(v) == select_cycles_reference(v)
+
+
+def test_cnf_selection_equals_full_leveled_dp():
+    # every single clause and every pair of distinct clauses over three
+    # variables, and the two four-variable anchors of the CNF family
+    clauses = [tuple((var, bool(signs >> var - 1 & 1)) for var in (1, 2, 3))
+               for signs in range(8)]
+    formulas = [Cnf3(3, (c,)) for c in clauses]
+    formulas += [Cnf3(3, pair) for pair in combinations(clauses, 2)]
+    formulas += [Cnf3(4, (clauses[5],)), Cnf3(4, (clauses[5], (
+        (1, False), (2, True), (4, False))))]
+    for f in formulas:
+        v = normalize_guards(cnf_to_vass(f)[0])
+        assert select_cycles(v) == select_cycles_reference(v), f
+
+
+def test_selection_extends_only_new_frontier_elements(monkeypatch):
+    # the full leveled DP feeds 83,852 elements to the frontier prune on
+    # this anchor, re-extending every old element at every level
+    v, _ = cnf_no_anchor()
+    fed = 0
+    prune = cycles._prune_frontier
+
+    def counted(elems):
+        nonlocal fed
+        fed += len(elems)
+        return prune(elems)
+
+    monkeypatch.setattr(cycles, "_prune_frontier", counted)
+    select_cycles(v)
+    assert fed < 10_000, fed
 
 
 def test_demo_omega_blocked_set(demo):

@@ -13,10 +13,8 @@ from vass import (
     defect_stats,
     fixpoint,
     normalize_guards,
-    normalize_guards_with_maps,
     objective_contains,
     parse_vass,
-    reductions,
     saturate_step,
     seed_uset,
     u_contains,
@@ -27,7 +25,7 @@ from vass.cycles import Chain
 from vass.model import Violation, lift_run
 from vass.oracle import oracle_unbounded
 
-from helpers import gen_vass, truly_unbounded
+from helpers import cnf_no_anchor, gen_vass, truly_unbounded
 
 
 # --- worst-case bound arithmetic ------------------------------------------
@@ -342,12 +340,8 @@ def test_step_bound_leaves_the_dead_set_empty():
 
 
 def test_cnf_anchor_work_count(monkeypatch):
-    # the 4-variable NO anchor of the CNF family: its chains are disjoint,
-    # so without a closure memo every probe re-walks the same closures
-    f = reductions.Cnf3(4, (((1, True), (2, False), (3, True)),
-                            ((1, False), (2, True), (4, False))))
-    w, w0 = reductions.with_start_counter(reductions.cnf_to_vass(f)[0], 119)
-    v, entry, _ = normalize_guards_with_maps(w)
+    # without a closure memo every probe re-walks the same closures
+    v, s = cnf_no_anchor()
     calls = 0
     contains = USet.contains
 
@@ -357,7 +351,7 @@ def test_cnf_anchor_work_count(monkeypatch):
         return contains(u, c)
 
     monkeypatch.setattr(USet, "contains", counted)
-    dec = decide_unboundedness(v, entry[w0])
+    dec = decide_unboundedness(v, s)
     assert dec.answer is False and dec.status == "complete"
     assert calls < 100_000, calls
 
