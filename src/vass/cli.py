@@ -363,12 +363,32 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+# `oracle` flags that only some modes read: the search caps only
+# `cover`/`unbounded`, the objective flags only `bounded-cover`, which
+# applies these defaults.  With another mode they are refused rather than
+# silently ignored.
+_ORACLE_CAP_FLAGS = ("counter_cap", "node_cap")
+_ORACLE_OBJECTIVE_DEFAULTS = {"counter": 0, "ell": 0, "period": 1,
+                              "not_res": "", "not_val": "", "steps": 0}
+
+
 def _cmd_oracle(args) -> int:
+    bounded = args.mode == "bounded-cover"
+    ignored, modes = ((_ORACLE_CAP_FLAGS, "cover|unbounded") if bounded
+                      else (_ORACLE_OBJECTIVE_DEFAULTS, "bounded-cover"))
+    for flag in ignored:
+        if getattr(args, flag) is not None:
+            raise UsageError(f"--{flag.replace('_', '-')} applies only to "
+                             f"--mode {modes}")
+    if bounded:
+        for flag, default in _ORACLE_OBJECTIVE_DEFAULTS.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
     v = _read_instance(args.file)
     s = _resolve(v, args.source, v.initial, "source")
     t = (None if args.mode == "unbounded"
          else _resolve(v, args.target, v.target, "target"))
-    if args.mode == "bounded-cover":
+    if bounded:
         ans = oracle.oracle_bounded_cover(
             v, model.Configuration(s, args.counter), _objective(args, t),
             _steps(args))
@@ -503,12 +523,12 @@ def build_parser() -> _Parser:
                    required=True)
     o.add_argument("--counter-cap", type=int, default=None)
     o.add_argument("--node-cap", type=int, default=None)
-    o.add_argument("--counter", type=int, default=0)
-    o.add_argument("--ell", type=int, default=0)
-    o.add_argument("--period", type=int, default=1)
-    o.add_argument("--not-res", default="")
-    o.add_argument("--not-val", default="")
-    o.add_argument("--steps", type=int, default=0)
+    o.add_argument("--counter", type=int, default=None)
+    o.add_argument("--ell", type=int, default=None)
+    o.add_argument("--period", type=int, default=None)
+    o.add_argument("--not-res", default=None)
+    o.add_argument("--not-val", default=None)
+    o.add_argument("--steps", type=int, default=None)
     o.set_defaults(func=_cmd_oracle)
 
     st = sub.add_parser("selftest", help="run the bundled golden checks")

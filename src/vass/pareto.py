@@ -16,7 +16,7 @@ irrelevant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import reductions
@@ -25,7 +25,16 @@ from .model import Path, Vass
 
 @dataclass(frozen=True)
 class ParetoElem:
-    """A path summary pinned to its endpoints, with a concrete witness."""
+    """A path summary pinned to its endpoints, with a concrete witness.
+
+    ``nadirs`` lists, in ascending order, every ``(position, state)`` of the
+    witness (positions counted in states, ``0 .. len(witness)``) where its
+    prefix weight equals ``pmin``.  Every constructor here fills it in from
+    its operands in time proportional to the number of nadirs, never by
+    walking the witness; ``from_path`` walks once, for callers that start
+    from a bare path.  An element built without it (``None``) is refused by
+    ``concat`` and ``pareto_filter``.
+    """
 
     src: int
     dst: int
@@ -33,18 +42,42 @@ class ParetoElem:
     smax: int
     weight: int
     witness: Path
+    nadirs: Optional[tuple[tuple[int, int], ...]] = field(
+        default=None, compare=False, repr=False)
 
     @staticmethod
     def empty(v: Vass, q: int) -> "ParetoElem":
-        return ParetoElem(q, q, 0, 0, 0, Path(q))
+        return ParetoElem(q, q, 0, 0, 0, Path(q), ((0, q),))
 
     @staticmethod
     def edge(v: Vass, ti: int) -> "ParetoElem":
         t = v.transitions[ti]
+        if t.weight > 0:
+            nadirs = ((0, t.src),)
+        elif t.weight < 0:
+            nadirs = ((1, t.dst),)
+        else:
+            nadirs = ((0, t.src), (1, t.dst))
         return ParetoElem(
             t.src, t.dst, min(0, t.weight), max(0, t.weight), t.weight,
-            Path(t.src, (ti,)),
+            Path(t.src, (ti,)), nadirs,
         )
+
+    @staticmethod
+    def from_path(v: Vass, path: Path) -> "ParetoElem":
+        """The summary of ``path``, by one walk along it."""
+        states = v.path_states(path)
+        sums = [0]
+        for w in v.path_weights(path):
+            sums.append(sums[-1] + w)
+        pmin = min(sums)
+        nadirs = tuple((i, states[i]) for i, acc in enumerate(sums)
+                       if acc == pmin)
+        return ParetoElem(states[0], states[-1], pmin, sums[-1] - pmin,
+                          sums[-1], path, nadirs)
+
+
+_NO_NADIRS = "element has no nadir positions; build it with ParetoElem.from_path"
 
 
 def dominates(a: ParetoElem, b: ParetoElem) -> bool:
@@ -56,17 +89,41 @@ def dominates(a: ParetoElem, b: ParetoElem) -> bool:
 
 def concat(a: ParetoElem, b: ParetoElem) -> ParetoElem:
     """Summary of the concatenation; the single-state summary is the
-    identity and the operation is associative."""
+    identity and the operation is associative.
+
+    The prefix weights of the result are those of ``a``, then those of
+    ``b`` raised by ``a.weight``, so its minimum is the lesser of ``a.pmin``
+    and ``a.weight + b.pmin`` and its nadirs are those of the side that
+    attains it: ``a``'s as they are, ``b``'s shifted by ``len(a)``, or both
+    on a tie.  On a tie the junction is a nadir of both sides or of
+    neither (it is one of ``a`` iff ``a.weight == a.pmin``, which the tie
+    turns into ``b.pmin == 0``), and it is listed once.
+    """
     if a.dst != b.src:
         raise ValueError("paths do not share an endpoint")
+    if a.nadirs is None or b.nadirs is None:
+        raise ValueError(_NO_NADIRS)
+    shift = len(a.witness.transitions)
+    low_b = a.weight + b.pmin
+    if a.pmin < low_b:
+        nadirs = a.nadirs
+    else:
+        tail = tuple((i + shift, q) for i, q in b.nadirs)
+        if a.pmin > low_b:
+            nadirs = tail
+        elif a.nadirs[-1][0] == shift:
+            nadirs = a.nadirs + tail[1:]
+        else:
+            nadirs = a.nadirs + tail
     return ParetoElem(
         src=a.src,
         dst=b.dst,
-        pmin=min(a.pmin, a.weight + b.pmin),
+        pmin=min(a.pmin, low_b),
         smax=max(b.smax, a.smax + b.weight),
         weight=a.weight + b.weight,
         witness=Path(a.witness.start,
                      a.witness.transitions + b.witness.transitions),
+        nadirs=nadirs,
     )
 
 
@@ -85,58 +142,61 @@ def pareto_filter(v: Vass, elems: list[ParetoElem]) -> list[ParetoElem]:
     Outputs that are themselves dominated are pruned (a strict refinement:
     the ``|Q|`` bound holds without it).  Ties break toward larger weight,
     then the shorter then lexicographically smaller witness.
+
+    The nadirs come from each input's ``nadirs``, so no witness is walked.
+    A best prefix or suffix is held as ``(weight, length, element,
+    position)``, and its transitions are sliced out only when a candidate
+    ties it in both weight and length.  This is exact: a lexicographic
+    order on ``(weight, length, transitions)`` looks at the transitions
+    only on such a tie, so every choice, and with it every witness, is the
+    one made by slicing each candidate up front.  The glued element of a
+    best prefix ``(a, i1)`` and a best suffix ``(b, i2)`` has pmin
+    ``a.pmin`` (``b`` never dips below its nadir after ``i2``), and its
+    nadirs are ``a``'s up to ``i1`` followed by ``b``'s after ``i2``,
+    shifted by ``i1 - i2``.
     """
     if not elems:
         return []
     src, dst = elems[0].src, elems[0].dst
-
-    def better(cand: tuple, cur: Optional[tuple]) -> bool:
-        # max weight, then shortest, then lexicographically smallest witness
-        if cur is None:
-            return True
-        if cand[0] != cur[0]:
-            return cand[0] > cur[0]
-        if cand[1] != cur[1]:
-            return cand[1] < cur[1]
-        return cand[2] < cur[2]
-
     best_prefix: dict[int, tuple] = {}
     best_suffix: dict[int, tuple] = {}
     for e in elems:
         if (e.src, e.dst) != (src, dst):
             raise ValueError("filter inputs must share endpoints")
-        weights = v.path_weights(e.witness)
-        states = v.path_states(e.witness)
-        sums = [0]
-        for w in weights:
-            sums.append(sums[-1] + w)
-        pmin = min(sums)
-        for i, acc in enumerate(sums):
-            if acc != pmin:
-                continue
-            r = states[i]
-            pre = Path(src, e.witness.transitions[:i])
-            suf = Path(r, e.witness.transitions[i:])
-            cand = (pmin, len(pre.transitions), pre.transitions, pre)
-            if better(cand, best_prefix.get(r)):
-                best_prefix[r] = cand
-            cand = (e.weight - pmin, len(suf.transitions), suf.transitions, suf)
-            if better(cand, best_suffix.get(r)):
-                best_suffix[r] = cand
+        if e.nadirs is None:
+            raise ValueError(_NO_NADIRS)
+        pw, sw = e.pmin, e.weight - e.pmin
+        n = len(e.witness.transitions)
+        for i, r in e.nadirs:
+            cur = best_prefix.get(r)
+            if (cur is None or pw > cur[0] or pw == cur[0] and (
+                    i < cur[1] or i == cur[1] and
+                    e.witness.transitions[:i]
+                    < cur[2].witness.transitions[:cur[3]])):
+                best_prefix[r] = (pw, i, e, i)
+            cur = best_suffix.get(r)
+            if (cur is None or sw > cur[0] or sw == cur[0] and (
+                    n - i < cur[1] or n - i == cur[1] and
+                    e.witness.transitions[i:]
+                    < cur[2].witness.transitions[cur[3]:])):
+                best_suffix[r] = (sw, n - i, e, i)
     combined: list[ParetoElem] = []
-    for r in best_prefix:
-        pw, _, _, pre = best_prefix[r]
-        sw, _, _, suf = best_suffix[r]
-        path = Path(src, pre.transitions + suf.transitions)
-        combined.append(ParetoElem(src, dst, pw, sw, pw + sw, path))
+    for r, (pw, _, a, i1) in best_prefix.items():
+        sw, _, b, i2 = best_suffix[r]
+        shift = i1 - i2
+        nadirs = tuple(x for x in a.nadirs if x[0] <= i1) + tuple(
+            (j + shift, q) for j, q in b.nadirs if j > i2)
+        path = Path(src, a.witness.transitions[:i1] + b.witness.transitions[i2:])
+        combined.append(ParetoElem(src, dst, pw, sw, pw + sw, path, nadirs))
     combined.sort(key=lambda e: (-e.pmin, -e.smax) + _witness_key(e))
+    # `combined` is sorted and the prune only appends or drops, so `kept`
+    # stays sorted.
     kept: list[ParetoElem] = []
     for e in combined:
         if any(dominates(f, e) for f in kept):
             continue
         kept = [f for f in kept if not dominates(e, f)]
         kept.append(e)
-    kept.sort(key=lambda e: (-e.pmin, -e.smax) + _witness_key(e))
     return kept
 
 

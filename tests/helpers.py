@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Optional
 
@@ -13,6 +14,7 @@ from vass.cycles import (
 )
 from vass.model import normalize_guards_with_maps
 from vass.oracle import oracle_unbounded
+from vass.pareto import ParetoElem, ParetoFamily, _witness_key, dominates
 from vass.reductions import Cnf3, cnf_to_vass, with_start_counter
 
 
@@ -167,3 +169,114 @@ def select_cycles_reference(v: Vass) -> dict[int, CycleSelection]:
                     state=q, gamma=Path(q, path), period=wt, pmin=pmin
                 )
     return selections
+
+
+def concat_reference(a: ParetoElem, b: ParetoElem) -> ParetoElem:
+    """``concat`` without nadir positions.  Reference for ``concat``."""
+    if a.dst != b.src:
+        raise ValueError("paths do not share an endpoint")
+    return ParetoElem(
+        src=a.src,
+        dst=b.dst,
+        pmin=min(a.pmin, a.weight + b.pmin),
+        smax=max(b.smax, a.smax + b.weight),
+        weight=a.weight + b.weight,
+        witness=Path(a.witness.start,
+                     a.witness.transitions + b.witness.transitions),
+    )
+
+
+def pareto_filter_reference(v: Vass, elems: list[ParetoElem]) -> list[ParetoElem]:
+    """The filter that walks every input witness to find its nadirs.
+    Reference for ``pareto_filter``."""
+    if not elems:
+        return []
+    src, dst = elems[0].src, elems[0].dst
+
+    def better(cand: tuple, cur: Optional[tuple]) -> bool:
+        # max weight, then shortest, then lexicographically smallest witness
+        if cur is None:
+            return True
+        if cand[0] != cur[0]:
+            return cand[0] > cur[0]
+        if cand[1] != cur[1]:
+            return cand[1] < cur[1]
+        return cand[2] < cur[2]
+
+    best_prefix: dict[int, tuple] = {}
+    best_suffix: dict[int, tuple] = {}
+    for e in elems:
+        if (e.src, e.dst) != (src, dst):
+            raise ValueError("filter inputs must share endpoints")
+        weights = v.path_weights(e.witness)
+        states = v.path_states(e.witness)
+        sums = [0]
+        for w in weights:
+            sums.append(sums[-1] + w)
+        pmin = min(sums)
+        for i, acc in enumerate(sums):
+            if acc != pmin:
+                continue
+            r = states[i]
+            pre = Path(src, e.witness.transitions[:i])
+            suf = Path(r, e.witness.transitions[i:])
+            cand = (pmin, len(pre.transitions), pre.transitions, pre)
+            if better(cand, best_prefix.get(r)):
+                best_prefix[r] = cand
+            cand = (e.weight - pmin, len(suf.transitions), suf.transitions, suf)
+            if better(cand, best_suffix.get(r)):
+                best_suffix[r] = cand
+    combined: list[ParetoElem] = []
+    for r in best_prefix:
+        pw, _, _, pre = best_prefix[r]
+        sw, _, _, suf = best_suffix[r]
+        path = Path(src, pre.transitions + suf.transitions)
+        combined.append(ParetoElem(src, dst, pw, sw, pw + sw, path))
+    combined.sort(key=lambda e: (-e.pmin, -e.smax) + _witness_key(e))
+    kept: list[ParetoElem] = []
+    for e in combined:
+        if any(dominates(f, e) for f in kept):
+            continue
+        kept = [f for f in kept if not dominates(e, f)]
+        kept.append(e)
+    kept.sort(key=lambda e: (-e.pmin, -e.smax) + _witness_key(e))
+    return kept
+
+
+def build_families_reference(v: Vass) -> ParetoFamily:
+    """The doubling construction over the walking filter.  Reference for
+    ``build_families``."""
+    cells: dict[tuple[int, int], list[ParetoElem]] = {}
+    for q in range(v.n_states):
+        cells[(q, q)] = [ParetoElem.empty(v, q)]
+    for ti in range(len(v.transitions)):
+        e = ParetoElem.edge(v, ti)
+        cells.setdefault((e.src, e.dst), []).append(e)
+    cells = {pq: tuple(pareto_filter_reference(v, es))
+             for pq, es in cells.items()}
+    top = max(1, v.n_states)
+    levels = math.ceil(math.log2(top)) if top > 1 else 0
+
+    def next_cell(p: int, q: int) -> tuple:
+        pool: list[ParetoElem] = []
+        for r in range(v.n_states):
+            left = cells.get((p, r))
+            right = cells.get((r, q))
+            if not left or not right:
+                continue
+            for a in left:
+                for b in right:
+                    pool.append(concat_reference(a, b))
+        return tuple(pareto_filter_reference(v, pool))
+
+    for _ in range(levels):
+        # Midpoint products can populate pairs absent from the current level.
+        into: dict[int, list[int]] = {}
+        for (p, r) in cells:
+            into.setdefault(r, []).append(p)
+        pairs = sorted(
+            {(p, q) for (r, q) in cells for p in into.get(r, ())}
+        )
+        results = {pq: next_cell(*pq) for pq in pairs}
+        cells = {pq: es for pq, es in results.items() if es}
+    return ParetoFamily(level=levels, cells=cells)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import vass
 from vass import fixpoint, instances, model, reductions
 from vass.cli import main
 
@@ -251,6 +255,22 @@ def test_check_refuses_flags_its_algorithm_ignores(capsys, demo_file, argv):
     assert err.startswith("usage error:") and "applies only to" in err
 
 
+@pytest.mark.parametrize("argv", (
+    ("bounded-cover", "--node-cap", "1"),
+    ("bounded-cover", "--counter-cap", "0"),
+    ("cover", "--counter", "3"),
+    ("cover", "--ell", "2"),
+    ("unbounded", "--period", "0"),
+    ("unbounded", "--not-res", "0"),
+    ("cover", "--not-val", "4"),
+    ("unbounded", "--steps", "5"),
+))
+def test_oracle_refuses_flags_its_mode_ignores(capsys, demo_file, argv):
+    code, out, err = run(capsys, "oracle", demo_file, "--mode", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and "applies only to" in err
+
+
 def test_check_oracle_reads_its_node_cap(capsys, demo_file):
     # the default cap settles the demo (test_check_oracle_algo); one node
     # cuts the search
@@ -273,6 +293,15 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "0 failures" in out
+
+
+def test_python_m_vass_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(vass.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "vass", "selftest"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "0 failures" in done.stdout
 
 
 def test_usage_error_exit_code(capsys):

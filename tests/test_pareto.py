@@ -4,6 +4,7 @@ import pytest
 
 from vass import (
     Path,
+    Vass,
     build_families,
     concat,
     decide_cover_pareto,
@@ -18,13 +19,16 @@ from vass.model import Violation
 from vass.oracle import oracle_cover, oracle_unbounded
 from vass.pareto import ParetoElem
 
-from helpers import enumerate_paths, gen_guard_free
+from helpers import (
+    build_families_reference,
+    enumerate_paths,
+    gen_dense_guard_free,
+    gen_guard_free,
+)
 
 
 def elem(v, path: Path) -> ParetoElem:
-    s = summarize_path(v, path)
-    states = v.path_states(path)
-    return ParetoElem(states[0], states[-1], s.pmin, s.smax, s.weight, path)
+    return ParetoElem.from_path(v, path)
 
 
 def plain_routes(plain):
@@ -105,9 +109,34 @@ def test_concat_associative_random():
         right = concat(p1, concat(p2, p3))
         assert (left.pmin, left.smax, left.weight) == \
             (right.pmin, right.smax, right.weight)
+        for c in (concat(p1, p2), concat(p2, p3), left, right):
+            assert c.nadirs == elem(v, c.witness).nadirs
         whole = elem(v, Path(start, tuple(walk)))
         assert (left.pmin, left.smax, left.weight) == \
             (whole.pmin, whole.smax, whole.weight)
+
+
+def test_nadirs_of_the_constructors():
+    v = parse_vass("state a\nstate b\nedge a b 2\nedge b a -2\nedge a a 0\n")
+    assert ParetoElem.empty(v, 1).nadirs == ((0, 1),)
+    assert ParetoElem.edge(v, 0).nadirs == ((0, 0),)
+    assert ParetoElem.edge(v, 1).nadirs == ((1, 0),)
+    assert ParetoElem.edge(v, 2).nadirs == ((0, 0), (1, 0))
+    # a -> b -> a -> a: prefix sums 0, 2, 0, 0
+    loop = concat(concat(ParetoElem.edge(v, 0), ParetoElem.edge(v, 1)),
+                  ParetoElem.edge(v, 2))
+    assert loop.nadirs == ((0, 0), (2, 0), (3, 0))
+    assert loop.nadirs == elem(v, loop.witness).nadirs
+
+
+def test_elements_without_nadirs_are_refused(plain):
+    top, *_ = plain_routes(plain)
+    bare = ParetoElem(top.src, top.dst, top.pmin, top.smax, top.weight,
+                      top.witness)
+    with pytest.raises(ValueError):
+        pareto_filter(plain, [top, bare])
+    with pytest.raises(ValueError):
+        concat(ParetoElem.empty(plain, 0), bare)
 
 
 # --- the nadir-recombination filter ----------------------------------------------
@@ -203,6 +232,39 @@ def test_families_dominate_every_short_path():
                 dst = v.path_states(path)[-1]
                 e = elem(v, path)
                 assert any(dominates(f, e) for f in fam.cell(src, dst)), (src, dst)
+
+
+def _dense_and_random_graphs():
+    rng = random.Random(5150)
+    graphs = [gen_guard_free(rng) for _ in range(300)]
+    graphs += [gen_dense_guard_free(rng, 4 + k % 13) for k in range(100)]
+    return graphs
+
+
+def test_families_equal_the_walking_reference():
+    for v in _dense_and_random_graphs():
+        fam = build_families(v)
+        ref = build_families_reference(v)
+        assert fam.level == ref.level
+        assert fam.cells == ref.cells  # summaries and witnesses
+        for cell in fam.cells.values():
+            for e in cell:
+                assert e.nadirs == elem(v, e.witness).nadirs
+
+
+def test_families_walk_no_witness(monkeypatch):
+    # the filter reads each element's nadirs; the walking reference
+    # calls path_states 5,326 times on this graph
+    calls = []
+    walk = Vass.path_states
+
+    def counted(self, p):
+        calls.append(p)
+        return walk(self, p)
+
+    monkeypatch.setattr(Vass, "path_states", counted)
+    build_families(gen_dense_guard_free(random.Random(0), 12))
+    assert len(calls) == 0
 
 
 # --- lasso decisions -----------------------------------------------------------------
