@@ -106,16 +106,16 @@ def _run_oracle(args, v: model.Vass, s: int,
 
 # `check` flags that only one algorithm reads; with any other they are
 # refused rather than silently ignored.
-_ALGO_ONLY_FLAGS = (("rigorous", "fixpoint"), ("emit_trace", "fixpoint"),
-                    ("counter_cap", "oracle"), ("node_cap", "oracle"))
+_ALGO_ONLY_FLAGS = (("emit_trace", "fixpoint"), ("counter_cap", "oracle"),
+                    ("node_cap", "oracle"))
 
 
 def _cmd_check(args) -> int:
     for flag, algo in _ALGO_ONLY_FLAGS:
-        value = getattr(args, flag)
-        if args.algo != algo and value is not None and value is not False:
+        if args.algo != algo and getattr(args, flag) is not None:
             raise UsageError(f"--{flag.replace('_', '-')} applies only to "
                              f"--algo {algo}")
+    _nonnegative(args, "counter_cap", "node_cap")
     v = _read_instance(args.file)
     s = _resolve(v, args.source, v.initial, "source")
     t = (_resolve(v, args.target, v.target, "target")
@@ -133,13 +133,10 @@ def _cmd_check(args) -> int:
         answer, code = _decision_exit(ans)
         detail = []
     else:  # fixpoint
-        preset = (fixpoint.FixpointParams.rigorous if args.rigorous
-                  else fixpoint.FixpointParams.adaptive)
         if t is not None:
-            dec = fixpoint.decide_coverability(v, s, t, preset)
+            dec = fixpoint.decide_coverability(v, s, t)
         else:
-            vn, entry, _ = model.normalize_guards_with_maps(v)
-            dec = fixpoint.decide_unboundedness(vn, entry[s], preset(vn))
+            dec = fixpoint.decide_unboundedness(v, s)
         answer, code = _decision_exit(dec.answer)
         detail = [dec.reason] if dec.reason else []
 
@@ -174,12 +171,13 @@ def _write_trace(dest: str, payload: dict) -> None:
 
 
 def _cmd_bounded_cover(args) -> int:
+    _nonnegative(args, "counter", "steps")
     v = _read_instance(args.file)
     s = _resolve(v, args.source, v.initial, "source")
     t = _resolve(v, args.target, v.target, "target")
     o = _objective(args, t)
     init = model.Configuration(s, args.counter)
-    res = objectives.decide_bounded_cover(v, init, o, _steps(args),
+    res = objectives.decide_bounded_cover(v, init, o, args.steps,
                                           want_witness=args.witness)
     payload = {"answer": "YES" if res.reachable else "NO",
                "mode": "bounded-cover", "algo": "dp",
@@ -206,10 +204,13 @@ def _objective(args, t: int) -> objectives.DiseqObjective:
         raise InputError(str(e)) from None
 
 
-def _steps(args) -> int:
-    if args.steps < 0:
-        raise InputError("step bound must be nonnegative")
-    return args.steps
+def _nonnegative(args, *flags: str) -> None:
+    """Refuse a negative value of any of the given numeric flags (``None``
+    means the flag was not given)."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise InputError(f"--{flag.replace('_', '-')} must be nonnegative")
 
 
 def _csv_ints(text: Optional[str]) -> list[int]:
@@ -258,7 +259,7 @@ def _cmd_inspect(args) -> int:
         for q in sorted(analysis.states):
             sa = analysis.states[q]
             for r in sorted(sa.splits):
-                for ch in cycles.chains_of(vn, sa.selection, r, sa):
+                for ch in cycles.chains_of(sa, r):
                     chs.append({
                         "state": vn.names[q], "residue": r,
                         "lo": ch.lo, "hi": ch.hi,
@@ -384,6 +385,7 @@ def _cmd_oracle(args) -> int:
         for flag, default in _ORACLE_OBJECTIVE_DEFAULTS.items():
             if getattr(args, flag) is None:
                 setattr(args, flag, default)
+    _nonnegative(args, "counter_cap", "node_cap", "counter", "steps")
     v = _read_instance(args.file)
     s = _resolve(v, args.source, v.initial, "source")
     t = (None if args.mode == "unbounded"
@@ -391,7 +393,7 @@ def _cmd_oracle(args) -> int:
     if bounded:
         ans = oracle.oracle_bounded_cover(
             v, model.Configuration(s, args.counter), _objective(args, t),
-            _steps(args))
+            args.steps)
         answer, code = _decision_exit(ans)
         detail = []
     else:
@@ -476,8 +478,6 @@ def build_parser() -> _Parser:
                    default="unboundedness")
     c.add_argument("--algo", choices=("fixpoint", "pareto", "oracle"),
                    default="fixpoint")
-    c.add_argument("--rigorous", action="store_true",
-                   help="run the pessimistic worst-case parameters")
     c.add_argument("--emit-trace", metavar="PATH",
                    help="write the saturation trace as JSON (- for stdout)")
     c.add_argument("--counter-cap", type=int, default=None)

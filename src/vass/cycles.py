@@ -241,20 +241,17 @@ def analyze(v: Vass) -> CycleAnalysis:
     """Full per-state cycle analysis for every state on a positive cycle."""
     states: dict[int, StateAnalysis] = {}
     for q, sel in select_cycles(v).items():
-        floor = -sel.pmin
-        caps = sorted(_cutoff_caps(v, sel))
+        blocked = blocked_omega(v, sel)
+        caps = tuple(cap for cap, _ in blocked.families)
         splits: dict[int, list[int]] = {}
         for cap in caps:
             splits.setdefault(cap % sel.period, []).append(cap)
         states[q] = StateAnalysis(
             selection=sel,
-            floor=floor,
-            induced=tuple(caps),
+            floor=blocked.low_all,
+            induced=caps,
             splits=splits,
-            blocked=BlockedSet(
-                low_all=floor,
-                families=tuple((cap, sel.period) for cap in caps),
-            ),
+            blocked=blocked,
         )
     return CycleAnalysis(vass=v, states=states)
 
@@ -266,8 +263,7 @@ def class_floor(sa: StateAnalysis, residue: int) -> int:
     return sa.floor + delta
 
 
-def chains_of(v: Vass, sel: CycleSelection, residue: int,
-              sa: Optional[StateAnalysis] = None) -> list[Chain]:
+def chains_of(sa: StateAnalysis, residue: int) -> list[Chain]:
     """Decompose one residue class into bounded chains plus the unbounded
     tail.
 
@@ -276,19 +272,13 @@ def chains_of(v: Vass, sel: CycleSelection, residue: int,
     entered from below); the stretches between cut-offs are the remaining
     bounded chains; everything above the last cut-off climbs forever.
     """
-    if not (0 <= residue < sel.period):
-        raise ValueError("residue out of range")
-    if sa is None:
-        floor = -sel.pmin
-        caps = sorted(c for c in _cutoff_caps(v, sel) if c % sel.period == residue)
-    else:
-        floor = sa.floor
-        caps = sa.splits.get(residue, [])
+    sel = sa.selection
     w = sel.period
-    lo = floor + ((residue - floor) % w)
+    if not (0 <= residue < w):
+        raise ValueError("residue out of range")
     chains: list[Chain] = []
-    start = lo
-    for cap in caps:
+    start = class_floor(sa, residue)
+    for cap in sa.splits.get(residue, ()):
         if cap - w >= start:
             chains.append(Chain(sel.state, residue, start, cap - w))
         chains.append(Chain(sel.state, residue, cap, cap))

@@ -16,9 +16,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
-from . import reductions
+from . import model, reductions
 from .cycles import (
     Chain,
     CycleAnalysis,
@@ -37,9 +37,8 @@ DEFAULT_MAX_ROUNDS = 100_000
 class WorstCaseBounds:
     """The chain of pessimistic polynomial bounds behind the termination
     argument.  They certify convergence but are astronomically loose.  The
-    adaptive preset needs none of them, because its first round that adds
-    nothing is already the fixpoint (see `unbounded_core`); the rigorous
-    preset runs them as its window, step and round caps on tiny instances.
+    solver needs none of them, because its first round that adds nothing is
+    already the fixpoint (see `unbounded_core`).
     """
 
     gap_window: int        # consecutive chain elements forcing an escape
@@ -74,23 +73,11 @@ def worstcase_bounds(n_states: int) -> WorstCaseBounds:
 @dataclass(frozen=True)
 class FixpointParams:
     candidates_per_chain: int
-    step_bound: Optional[int] = None   # None: saturation runs to closure
-    max_rounds: int = DEFAULT_MAX_ROUNDS
-    node_cap: int = DEFAULT_NODE_CAP
 
     @staticmethod
     def adaptive(v: Vass) -> "FixpointParams":
         n = v.n_states
         return FixpointParams(candidates_per_chain=max(64, 4 * n * n))
-
-    @staticmethod
-    def rigorous(v: Vass) -> "FixpointParams":
-        wc = worstcase_bounds(v.n_states)
-        return FixpointParams(
-            candidates_per_chain=wc.defect_bound,
-            step_bound=wc.run_length_bound,
-            max_rounds=wc.round_bound,
-        )
 
 
 @dataclass(frozen=True)
@@ -146,7 +133,7 @@ def bounded_chains(analysis: CycleAnalysis) -> Iterable[Chain]:
     for q in sorted(analysis.states):
         sa = analysis.states[q]
         for r in sorted(sa.splits):
-            for ch in chains_of(analysis.vass, sa.selection, r, sa):
+            for ch in chains_of(sa, r):
                 if ch.bounded:
                     yield ch
 
@@ -162,7 +149,7 @@ def decompose_objectives(u: USet, q: int) -> list[DiseqObjective]:
     nontrivial = frozenset(sa.splits)
     objs = [DiseqObjective(q, sa.floor, w, nontrivial)]
     for r in sorted(nontrivial):
-        chains = chains_of(u.analysis.vass, sa.selection, r, sa)
+        chains = chains_of(sa, r)
         ell = None
         for ch in chains:
             if not ch.bounded or u.per_chain_max.get((q, ch.lo)) is not None:
@@ -187,7 +174,6 @@ def _reach_uset(
     u: USet,
     start: Configuration,
     node_cap: int,
-    max_depth: Optional[int] = None,
     dead: Optional[set] = None,
 ) -> tuple[str, int]:
     """Search forward from ``start`` for any member of ``u``.
@@ -199,15 +185,13 @@ def _reach_uset(
 
     ``dead`` memoises failed probes against this same ``u``, keyed by the
     int ``counter * n_states + state``.  A "no" proves that its whole
-    closure misses ``u``, so a complete, depth-unbounded "no" adds every
-    configuration it visited, and later probes skip those configurations
-    (and answer "no" at once from one of them).  No run into ``u`` passes
-    through a dead configuration, so skipping one changes neither the answer
-    nor the depth of a hit.  ``node_cap`` counts only the configurations a
-    probe adds that are not already dead, so the memo can make a cap hit
-    less often, never more.  The memo is valid only while ``u`` is
-    unchanged; a depth-cut "no" proves nothing about the rest of its
-    closure and adds nothing.
+    closure misses ``u``, so it adds every configuration it visited, and
+    later probes skip those configurations (and answer "no" at once from
+    one of them).  No run into ``u`` passes through a dead configuration, so
+    skipping one changes neither the answer nor the depth of a hit.
+    ``node_cap`` counts only the configurations a probe adds that are not
+    already dead, so the memo can make a cap hit less often, never more.
+    The memo is valid only while ``u`` is unchanged.
     """
     if not v.is_valid(start):
         return ("no", 0)
@@ -222,8 +206,6 @@ def _reach_uset(
     guards = v.guards
     while queue:
         q, z, d = queue.popleft()
-        if max_depth is not None and d >= max_depth:
-            continue
         for _, t in v.out_edges(q):
             y = z + t.weight
             if y < 0 or y in guards[t.dst]:
@@ -237,7 +219,7 @@ def _reach_uset(
                 return ("capped", len(seen))
             seen.add(key)
             queue.append((t.dst, y, d + 1))
-    if dead is not None and max_depth is None:
+    if dead is not None:
         dead |= seen
     return ("no", len(seen))
 
@@ -285,7 +267,7 @@ def saturate_step(
             if x in v.guards[ch.state]:
                 continue  # invalid configuration heads no valid run
             status, _ = _reach_uset(v, u, Configuration(ch.state, x),
-                                    params.node_cap, params.step_bound, dead)
+                                    DEFAULT_NODE_CAP, dead)
             if status == "hit":
                 additions[(ch.state, ch.lo)] = x
                 break
@@ -327,9 +309,7 @@ def unbounded_core(v: Vass, params: Optional[FixpointParams] = None) -> CoreResu
     contains the closure of ``x``, so the node cap cannot hit on ``x`` when
     it did not hit on the lowest missing element: a round that adds nothing
     and hits no cap leaves no chain element to add, and a larger candidate
-    window would change neither the set nor the status.  The rigorous
-    preset stops by the same rule, with every probe cut at the worst-case
-    run length (``step_bound``).
+    window would change neither the set nor the status.
 
     Each round memoises its failed probes in a fresh dead set, valid while
     that round's ``U`` is frozen.  The stable round adds nothing, so its
@@ -354,7 +334,7 @@ def unbounded_core(v: Vass, params: Optional[FixpointParams] = None) -> CoreResu
         if not out.added:
             break
         rounds.append(out.added)
-        if len(rounds) >= params.max_rounds:
+        if len(rounds) >= DEFAULT_MAX_ROUNDS:
             return CoreResult(analysis, u, rounds, "incomplete")
     status = "incomplete" if truncated else "complete"
     return CoreResult(analysis, u, rounds, status, out.dead)
@@ -375,8 +355,7 @@ def _require_normalized(v: Vass) -> None:
 
 
 def _decide_config(
-    v: Vass, core: CoreResult, c: Configuration, params: FixpointParams,
-    want_witness: bool = False,
+    v: Vass, core: CoreResult, c: Configuration, want_witness: bool = False,
 ) -> Decision:
     if not v.is_valid(c):
         return Decision(False, "complete", reason="initial configuration is invalid")
@@ -384,7 +363,7 @@ def _decide_config(
         w = Path(c.state) if want_witness else None
         return Decision(True, "complete", witness=w,
                         reason="initial configuration is unbounded")
-    status, depth = _reach_uset(v, core.uset, c, params.node_cap,
+    status, depth = _reach_uset(v, core.uset, c, DEFAULT_NODE_CAP,
                                 dead=core.dead)
     if status == "no":
         return Decision(False, "complete", reason="reachable set is finite")
@@ -406,42 +385,35 @@ def _decide_config(
                     reason=f"reaches the unbounded core in {depth} steps")
 
 
-def decide_unboundedness(
-    v: Vass,
-    s: int,
-    params: Optional[FixpointParams] = None,
-    want_witness: bool = False,
-) -> Decision:
-    """Is ``(s, 0)`` unbounded?  Requires a normalized (single-guard) system."""
-    _require_normalized(v)
+def decide_unboundedness(v: Vass, s: int, want_witness: bool = False) -> Decision:
+    """Is ``(s, 0)`` unbounded?
+
+    Multi-guard states are split first (`model.normalize_guards_with_maps`)
+    and the question is asked at the entry of the chain that replaces ``s``.
+    ``Decision.core`` is the saturation of the split instance.  A witness is
+    a path of the split instance, so ``want_witness`` requires single-guard
+    input.
+    """
     if not (0 <= s < v.n_states):
         raise ValueError("unknown source state")
-    if params is None:
-        params = FixpointParams.adaptive(v)
-    core = unbounded_core(v, params)
-    dec = _decide_config(v, core, Configuration(s, 0), params, want_witness)
+    if want_witness:
+        _require_normalized(v)
+    vn, entry, _ = model.normalize_guards_with_maps(v)
+    core = unbounded_core(vn)
+    dec = _decide_config(vn, core, Configuration(entry[s], 0), want_witness)
     return Decision(dec.answer, dec.status, dec.witness, dec.reason, core)
 
 
-def decide_coverability(
-    v: Vass,
-    s: int,
-    t: int,
-    preset: Callable[[Vass], FixpointParams] = FixpointParams.adaptive,
-) -> Decision:
+def decide_coverability(v: Vass, s: int, t: int) -> Decision:
     """Can ``(s, 0)`` reach state ``t``?  Decided by reduction to
     unboundedness (prune states that cannot reach ``t``, then let ``t`` feed
-    an unguarded +1 self-loop).  ``preset`` makes the parameters for the
-    normalized reduced instance, whose saturation ``Decision.core`` holds."""
+    an unguarded +1 self-loop); ``Decision.core`` is the saturation of the
+    reduced instance."""
     for q in (s, t):
         if not (0 <= q < v.n_states):
             raise ValueError("unknown state index")
     reduced, s1 = reductions.reduce_cov_to_unbound(v, s, t)
-    from .model import normalize_guards_with_maps
-
-    v2, entry, _ = normalize_guards_with_maps(reduced)
-    dec = decide_unboundedness(v2, entry[s1], preset(v2))
-    return Decision(dec.answer, dec.status, None, dec.reason, dec.core)
+    return decide_unboundedness(reduced, s1)
 
 
 @dataclass(frozen=True)
@@ -462,7 +434,7 @@ def defect_stats(u: USet, analysis: Optional[CycleAnalysis] = None) -> DefectSta
         sa = analysis.states[q]
         w = sa.selection.period
         for r in sorted(sa.splits):
-            chains = chains_of(analysis.vass, sa.selection, r, sa)
+            chains = chains_of(sa, r)
             min_u = None
             for ch in chains:
                 if not ch.bounded or u.per_chain_max.get((q, ch.lo)) is not None:

@@ -247,6 +247,8 @@ def parse_vass(text: str) -> Vass:
                     raise ParseError(f"bad guard value {tok!r}", ln) from None
                 if g < 0:
                     raise ParseError(f"negative guard value {g}", ln)
+                if g > MAX_MAGNITUDE:
+                    raise ParseError(f"guard value {g} out of range", ln)
                 gs.add(g)
             index[name] = len(names)
             names.append(name)
@@ -260,6 +262,8 @@ def parse_vass(text: str) -> Vass:
                 w = int(args[2])
             except ValueError:
                 raise ParseError(f"bad weight {args[2]!r}", ln) from None
+            if abs(w) > MAX_MAGNITUDE:
+                raise ParseError(f"weight {w} out of range", ln)
             edges.append(Transition(src, dst, w))
         elif kind == "init":
             if len(args) != 1:

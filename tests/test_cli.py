@@ -247,7 +247,6 @@ def test_negative_step_bound_is_an_input_error(capsys, demo_file, argv):
     ("--algo", "pareto", "--node-cap", "1"),
     ("--algo", "oracle", "--emit-trace", "-"),
     ("--algo", "pareto", "--emit-trace", "-"),
-    ("--algo", "oracle", "--rigorous"),
 ))
 def test_check_refuses_flags_its_algorithm_ignores(capsys, demo_file, argv):
     code, out, err = run(capsys, "check", *argv, demo_file)
@@ -279,14 +278,43 @@ def test_check_oracle_reads_its_node_cap(capsys, demo_file):
     assert code == 3 and out.splitlines()[0] == "UNKNOWN"
 
 
-def test_check_rigorous_on_tiny_instance(capsys, tmp_path):
-    f = tmp_path / "tiny.vass"
-    f.write_text("state a 5\nstate b\nedge a b 2\nedge b a 1\ninit a\n")
-    code, out, _ = run(capsys, "check", "--rigorous", str(f))
-    assert code == 0 and out.splitlines()[0] == "YES"
-    code, out, _ = run(capsys, "check", "--rigorous", "--mode", "coverability",
-                       str(f), "--target", "b")
-    assert code == 0 and out.splitlines()[0] == "YES"
+def test_check_rigorous_is_a_usage_error(capsys, demo_file):
+    # the fixpoint solver has one configuration; the worst-case preset is gone
+    code, out, err = run(capsys, "check", "--rigorous", demo_file)
+    assert code == 1 and out == "" and err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", (
+    ("check", "--algo", "oracle", "--counter-cap"),
+    ("check", "--algo", "oracle", "--node-cap"),
+    ("oracle", "--mode", "unbounded", "--counter-cap"),
+    ("oracle", "--mode", "cover", "--node-cap"),
+    ("bounded-cover", "--source", "s4", "--target", "s10", "--ell", "80",
+     "--period", "10", "--steps", "10", "--counter"),
+    ("oracle", "--mode", "bounded-cover", "--counter"),
+))
+def test_negative_numeric_flag_is_an_input_error(capsys, demo_file, argv):
+    code, out, err = run(capsys, argv[0], demo_file, *argv[1:], "-4")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and argv[-1] in err
+    # zero is a valid value of every such flag
+    assert run(capsys, argv[0], demo_file, *argv[1:], "0")[0] != 2
+
+
+@pytest.mark.parametrize("text, where", (
+    ("state a\nedge a a 9223372036854775808\n", "line 2: weight"),
+    ("state a\nedge a a -9223372036854775808\n", "line 2: weight"),
+    ("state a 9223372036854775808\n", "line 1: guard value"),
+))
+def test_out_of_range_value_is_reported_at_its_line(capsys, tmp_path, text,
+                                                    where):
+    f = tmp_path / "big.vass"
+    f.write_text(text)
+    code, out, err = run(capsys, "check", "--source", "a", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: {where}")
+    # the largest magnitude itself is accepted
+    model.parse_vass(text.replace("9223372036854775808", "9223372036854775807"))
 
 
 def test_selftest(capsys):

@@ -159,18 +159,16 @@ def test_random_omega_blocked_vs_simulation():
 
 def test_demo_chain_decomposition(demo):
     ana = analyze(demo)
-    sel = ana.states[4].selection
-    chains = chains_of(demo, sel, 0, ana.states[4])
+    chains = chains_of(ana.states[4], 0)
     assert [(c.lo, c.hi) for c in chains] == [(54, 81), (90, 90), (99, None)]
-    trivial = chains_of(demo, sel, 7, ana.states[4])
+    trivial = chains_of(ana.states[4], 7)
     assert [(c.lo, c.hi) for c in trivial] == [(52, None)]
 
 
 def test_demo_trivial_classes(demo):
     ana = analyze(demo)
-    sel = ana.states[4].selection
     for i in (0, 1, 3, 4, 6, 7):
-        chains = chains_of(demo, sel, (52 + i) % 9, ana.states[4])
+        chains = chains_of(ana.states[4], (52 + i) % 9)
         assert (len(chains) == 1) == (i in (0, 1, 3, 4, 6, 7) and i not in (2, 5, 8))
 
 
@@ -182,7 +180,7 @@ def test_chain_structure_properties():
         for q, sa in ana.states.items():
             n = v.n_states
             for r in range(sa.selection.period):
-                chains = chains_of(v, sa.selection, r, sa)
+                chains = chains_of(sa, r)
                 # exactly one unbounded tail, at the end
                 assert [c.hi for c in chains].count(None) == 1
                 assert chains[-1].hi is None
@@ -216,7 +214,7 @@ def test_chain_pumping_runs_are_valid():
             sel = sa.selection
             last_cap = max(sa.induced, default=None)
             for r in range(sel.period):
-                for c in chains_of(v, sel, r, sa):
+                for c in chains_of(sa, r):
                     if c.lo in v.guards[q]:
                         continue
                     if c.hi is not None:
@@ -239,7 +237,7 @@ def test_bounded_chains_union_is_omega_blocked_region(demo):
         }
         chain_members = set()
         for r in range(sa.selection.period):
-            for c in chains_of(demo, sa.selection, r, sa):
+            for c in chains_of(sa, r):
                 if c.hi is not None:
                     chain_members.update(range(c.lo, c.hi + 1, sa.selection.period))
         assert chain_members == {z for z in blocked_members if z < 200}

@@ -13,6 +13,7 @@ from vass import (
     defect_stats,
     fixpoint,
     normalize_guards,
+    normalize_guards_with_maps,
     objective_contains,
     parse_vass,
     saturate_step,
@@ -23,7 +24,6 @@ from vass import (
 )
 from vass.cycles import Chain
 from vass.model import Violation, lift_run
-from vass.oracle import oracle_unbounded
 
 from helpers import cnf_no_anchor, gen_vass, truly_unbounded
 
@@ -268,18 +268,21 @@ def test_stable_round_is_the_fixpoint():
 
 # --- closure memo of failed probes ---------------------------------------------
 
-def _solve(v, params):
+def _solve(v):
     """The core of ``v`` and the answer from ``(s, 0)`` for every state."""
-    core = unbounded_core(v, params)
-    answers = [fixpoint._decide_config(v, core, Configuration(s, 0), params).answer
+    core = unbounded_core(v)
+    answers = [fixpoint._decide_config(v, core, Configuration(s, 0)).answer
                for s in range(v.n_states)]
     return core, answers
 
 
-def _memo_instances(count):
+def _multi_guard_instances(count):
     rng = random.Random(31337)
-    return [normalize_guards(gen_vass(rng, multi_guards=True))
-            for _ in range(count)]
+    return [gen_vass(rng, multi_guards=True) for _ in range(count)]
+
+
+def _memo_instances(count):
+    return [normalize_guards(v) for v in _multi_guard_instances(count)]
 
 
 def test_dead_set_changes_no_result(monkeypatch):
@@ -287,18 +290,16 @@ def test_dead_set_changes_no_result(monkeypatch):
     # result must equal that of a search that ignores it
     memo_free = fixpoint._reach_uset
 
-    def reference(v, u, start, node_cap, max_depth=None, dead=None):
-        return memo_free(v, u, start, node_cap, max_depth)
+    def reference(v, u, start, node_cap, dead=None):
+        return memo_free(v, u, start, node_cap)
 
-    presets = [(v, FixpointParams.adaptive(v)) for v in _memo_instances(300)]
-    presets += [(v, FixpointParams.rigorous(v)) for v, _ in presets
-                if v.n_states <= 4]
+    cases = _memo_instances(350)
     with monkeypatch.context() as m:
         m.setattr(fixpoint, "_reach_uset", reference)
-        want = [_solve(v, p) for v, p in presets]
+        want = [_solve(v) for v in cases]
     with_rounds = 0
-    for (v, p), (ref, ref_answers) in zip(presets, want):
-        core, answers = _solve(v, p)
+    for v, (ref, ref_answers) in zip(cases, want):
+        core, answers = _solve(v)
         assert core.uset.per_chain_max == ref.uset.per_chain_max, v
         assert (core.rounds, core.status) == (ref.rounds, ref.status), v
         assert answers == ref_answers, v
@@ -321,22 +322,6 @@ def test_dead_set_misses_the_final_set():
             assert out[0] == "no", (v, c)
             checked += 1
     assert checked > 1000
-
-
-def test_step_bound_leaves_the_dead_set_empty():
-    # a depth-cut "no" proves nothing about the rest of the closure, so the
-    # rigorous preset memoises nothing, where the unbounded search does
-    memoised = 0
-    for v in _memo_instances(120):
-        if v.n_states > 4:
-            continue
-        params = FixpointParams.rigorous(v)
-        ana = analyze(v)
-        assert not saturate_step(v, ana, seed_uset(ana), params).dead
-        assert not unbounded_core(v, params).dead
-        memoised += bool(saturate_step(v, ana, seed_uset(ana),
-                                       FixpointParams.adaptive(v)).dead)
-    assert memoised > 5
 
 
 def test_cnf_anchor_work_count(monkeypatch):
@@ -425,9 +410,31 @@ def test_unboundedness_trivial_instances():
 
 
 def test_unboundedness_rejects_multi_guard_input():
+    # multi-guard states are split inside the decision; only a witness, which
+    # is a path of the split instance, needs single-guard input
     v = parse_vass("state a 1 2\nedge a a 1\n")
+    dec = decide_unboundedness(v, 0)
+    assert dec.answer is False and dec.status == "complete"
+    assert dec.core.analysis.vass.n_states == 2
+    skip = parse_vass("state a 1 2\nedge a a 3\n")
+    assert decide_unboundedness(skip, 0).answer is True
     with pytest.raises(ValueError):
-        decide_unboundedness(v, 0)
+        decide_unboundedness(v, 0, want_witness=True)
+
+
+def test_unboundedness_on_multi_guard_input_matches_the_split():
+    # asking the raw instance from `s` is asking the split instance from the
+    # entry of `s`'s chain, down to the saturated set
+    split = 0
+    for v in _multi_guard_instances(300):
+        vn, entry, _ = normalize_guards_with_maps(v)
+        split += vn.n_states > v.n_states
+        for s in range(v.n_states):
+            got = decide_unboundedness(v, s)
+            want = decide_unboundedness(vn, entry[s])
+            assert got.answer == want.answer, (v, s)
+            assert got.core.uset.per_chain_max == want.core.uset.per_chain_max
+    assert split > 100
 
 
 def test_unbounded_witness_revalidates(demo):
@@ -442,15 +449,6 @@ def test_invalid_initial_configuration_is_bounded():
     v = parse_vass("state a 0\nedge a a 1\n")
     dec = decide_unboundedness(v, 0)
     assert dec.answer is False
-
-
-def test_rigorous_mode_on_tiny_instances():
-    v = parse_vass("state a 5\nstate b\nedge a b 2\nedge b a 1\n")
-    params = FixpointParams.rigorous(v)
-    core = unbounded_core(v, params)
-    assert core.status == "complete"
-    dec = decide_unboundedness(v, 0, params=params)
-    assert dec.answer == (oracle_unbounded(v, 0).answer == "yes")
 
 
 def test_demo_coverability(demo):
