@@ -435,6 +435,11 @@ def _cmd_selftest(args) -> int:
           dec.answer is True)
     cov = fixpoint.decide_coverability(v, 0, 13)
     check("demo instance covers its target", cov.answer is True)
+    decided = [fixpoint.decide_unboundedness(inst(10**7), 0)
+               for inst in (instances.up, instances.upesc)]
+    check("guard at 10^7: up is bounded and upesc unbounded, both complete",
+          [d.answer for d in decided] == [False, True]
+          and all(d.core.status == "complete" for d in decided))
     g = instances.demo_plain()
     fam = pareto.build_families(g)
     summaries = {(e.pmin, e.smax) for e in fam.cell(0, 4)}

@@ -9,14 +9,17 @@ which can climb to it by pumping) whenever it can reach the current ``U`` by
 a valid run.  The fixpoint is exactly the set of unbounded configurations in
 the pumpable region, and the final source query reduces to bounded
 coverability of the fixpoint's disequality-objective decomposition.
+Reachability of ``U`` is searched over arithmetic runs of configurations,
+each bounded chain crossed in one step (`_reach_uset`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from math import gcd
+from typing import Iterable, Iterator, Optional
 
 from . import model, reductions
 from .cycles import (
@@ -29,8 +32,11 @@ from .cycles import (
 from .model import Configuration, Path, Vass
 from .objectives import DiseqObjective, decide_bounded_cover
 
-DEFAULT_NODE_CAP = 500_000
+DEFAULT_NODE_CAP = 500_000  # pieces per solve (see `Budget`)
 DEFAULT_MAX_ROUNDS = 100_000
+# Runs of at most this many elements are stored as singletons: the short
+# runs of CNF closures cost more as interval buckets than as ints.
+SHORT_RUN = 9
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,62 @@ class USet:
         m = self.per_chain_max.get((c.state, lo))
         return m is not None and c.counter <= m
 
+    def laps(self, q: int, lo: int, hi: int,
+             step: int) -> Optional[list[tuple[int, int, int]]]:
+        """The run ``lo, lo + step, ..., hi`` at state ``q`` with every
+        element of a bounded chain lapped up to the top of its chain, as
+        runs ``(lo, hi, step)``; ``None`` if the run holds a member.  ``hi``
+        must be an element of the run.
+
+        From an element ``z`` of a bounded chain one lap of the reference
+        cycle validly reaches ``z + W`` (see `unbounded_core`), so the
+        chain from ``z`` up to its top is reachable and replaces the run's
+        elements in that chain.  Its members are a prefix of the chain, so
+        ``z``, the run's lowest element there, decides whether it holds
+        one.  Elements below the floor or at a state without a positive
+        cycle are members of no ``USet`` and pass as they are.
+        """
+        sa = self.analysis.states.get(q)
+        if sa is None or hi < sa.floor:
+            return [(lo, hi, step)]
+        out = []
+        if lo < sa.floor:
+            k = (sa.floor - lo + step - 1) // step
+            out.append((lo, lo + (k - 1) * step, step))
+            lo += k * step
+        w = sa.selection.period
+        if lo == hi or step % w == 0:
+            classes = ((lo, hi, step),)
+        else:  # one run per residue class the run meets
+            g = gcd(step, w)
+            big = step // g * w
+            classes = [(x, x + (hi - x) // big * big, big)
+                       for x in range(lo, min(hi, lo + (w // g - 1) * step) + 1,
+                                      step)]
+        for lo, hi, step in classes:
+            caps = sa.splits.get(lo % w)
+            if not caps or hi > caps[-1]:
+                return None  # a trivial class, or the run reaches the tail
+            i = bisect_left(caps, lo)
+            while True:
+                cap = caps[i]
+                if lo == cap:  # a cut-off: no lap from it
+                    if self.per_chain_max.get((q, cap)) == cap:
+                        return None
+                    out.append((cap, cap, step))
+                    lo += step
+                else:
+                    clo = class_floor(sa, lo % w) if i == 0 else caps[i - 1] + w
+                    m = self.per_chain_max.get((q, clo))
+                    if m is not None and lo <= m:
+                        return None
+                    out.append((lo, cap - w, w))
+                    lo += (cap - lo + step - 1) // step * step
+                if lo > hi:
+                    break
+                i = bisect_left(caps, lo, i)
+        return out
+
     def with_additions(self, additions: dict) -> "USet":
         merged = dict(self.per_chain_max)
         for key, x in additions.items():
@@ -169,39 +231,284 @@ def decompose_objectives(u: USet, q: int) -> list[DiseqObjective]:
     return objs
 
 
+class Budget:
+    """The node budget of one solve.
+
+    `unbounded_core` makes one; every probe of every round, the final
+    query's run search and its depth walk draw from it, one unit per piece
+    (a run, or a configuration of the walk) they admit.  Once it is spent,
+    each later probe answers "capped", so the cap bounds the work of the
+    whole solve.
+    """
+
+    __slots__ = ("cap", "spent")
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.spent = 0
+
+
+class RunSet:
+    """A set of configurations stored as runs.
+
+    The run ``(q, lo, hi, step)`` is ``(q, lo), (q, lo + step), ..., (q,
+    hi)``.  A run of at most `SHORT_RUN` elements is kept as singletons,
+    keyed by the int ``counter * n_states + state``; a longer one as an
+    interval of the bucket ``(q, step, lo % step)``, which holds disjoint
+    intervals sorted by their ends and merges them on insertion.
+    """
+
+    def __init__(self, n_states: int):
+        self.n = n_states
+        self.ints: set[int] = set()
+        self.buckets: dict = {}  # (state, step, residue) -> ([lo], [hi])
+        self.keys_at: dict = {}  # state -> its bucket keys
+
+    def __bool__(self) -> bool:
+        return bool(self.ints or self.buckets)
+
+    def has(self, q: int, z: int) -> bool:
+        if z * self.n + q in self.ints:
+            return True
+        for key in self.keys_at.get(q, ()):
+            if z % key[1] == key[2]:
+                los, his = self.buckets[key]
+                i = bisect_right(los, z) - 1
+                if i >= 0 and z <= his[i]:
+                    return True
+        return False
+
+    def add(self, q: int, lo: int, hi: int, step: int) -> None:
+        if hi - lo < SHORT_RUN * step:
+            n = self.n
+            self.ints.update(range(lo * n + q, hi * n + q + 1, step * n))
+            return
+        key = (q, step, lo % step)
+        b = self.buckets.get(key)
+        if b is None:
+            self.buckets[key] = ([lo], [hi])
+            self.keys_at.setdefault(q, []).append(key)
+            return
+        los, his = b
+        i = bisect_left(his, lo - step)  # first interval touching lo
+        j = i
+        while j < len(los) and los[j] <= hi + step:
+            lo, hi = min(lo, los[j]), max(hi, his[j])
+            j += 1
+        los[i:j] = [lo]
+        his[i:j] = [hi]
+
+    def update(self, other: "RunSet") -> None:
+        self.ints |= other.ints
+        for (q, step, _), (los, his) in other.buckets.items():
+            for lo, hi in zip(los, his):
+                self.add(q, lo, hi, step)
+
+    def configurations(self) -> Iterator[Configuration]:
+        """Every member, singletons first (tests)."""
+        n = self.n
+        for key in sorted(self.ints):
+            yield Configuration(key % n, key // n)
+        for (q, step, _), (los, his) in sorted(self.buckets.items()):
+            for lo, hi in zip(los, his):
+                for z in range(lo, hi + 1, step):
+                    yield Configuration(q, z)
+
+
+def _uncovered(sets: tuple, q: int, lo: int, hi: int,
+               step: int) -> list[tuple[int, int]]:
+    """The maximal sub-runs of the run ``lo .. hi`` at ``q`` that none of
+    ``sets`` (one or two run sets) holds.  A long run loses the intervals of its own bucket; a
+    short run, or a short leftover, is tested element by element against
+    the singletons and every bucket of ``q``, so no element stored in
+    another step's bucket comes back."""
+    pieces = [(lo, hi)]
+    if hi - lo >= SHORT_RUN * step:
+        key = (q, step, lo % step)
+        for rs in sets:
+            b = rs.buckets.get(key)
+            if b is None:
+                continue
+            los, his = b
+            cut = []
+            for a, e in pieces:
+                i = bisect_left(his, a)
+                while i < len(los) and los[i] <= e:
+                    if los[i] > a:
+                        cut.append((a, los[i] - step))
+                    a = his[i] + step
+                    i += 1
+                if a <= e:
+                    cut.append((a, e))
+            pieces = cut
+    out = []
+    n = sets[0].n
+    first, last = sets[0].ints, sets[-1].ints
+    bucketed = [rs for rs in sets if q in rs.keys_at]
+    for a, e in pieces:
+        if e - a >= SHORT_RUN * step:
+            out.append((a, e))
+            continue
+        start = None
+        for z in range(a, e + 1, step):
+            key = z * n + q
+            if key in first or key in last or (
+                    bucketed and any(rs.has(q, z) for rs in bucketed)):
+                if start is not None:
+                    out.append((start, z - step))
+                    start = None
+            elif start is None:
+                start = z
+        if start is not None:
+            out.append((start, e))
+    return out
+
+
 def _reach_uset(
     v: Vass,
     u: USet,
     start: Configuration,
-    node_cap: int,
-    dead: Optional[set] = None,
+    budget: Budget,
+    dead: Optional[RunSet] = None,
 ) -> tuple[str, int]:
-    """Search forward from ``start`` for any member of ``u``.
+    """Search forward from ``start`` for any member of ``u``, run by run.
 
-    Returns ``("hit", depth)``, ``("no", nodes)`` or ``("capped", nodes)``.
-    Absent a hit the closure is finite: an infinite cone pumps some positive
-    cycle arbitrarily high and therefore enters an unbounded chain, all of
-    which lie in every ``USet``.  So "no" certifies a finite reachable set.
+    Returns ``("hit", pieces)``, ``("no", pieces)`` or ``("capped",
+    pieces)``.  The search visits runs ``(state, lo, hi, step)``.  An edge
+    shifts a run by its weight, drops what falls below 0 and splits the
+    rest at the guards of its destination.  What is left of it after the
+    runs already visited or dead is tested against ``u`` once, and its
+    elements in bounded chains lap up to the tops of their chains in one
+    step (`USet.laps`), so the cost of a probe does not grow with the guard
+    values.  Every configuration in a run is reachable and every reachable
+    one is covered by a run, so the answer is that of a walk over single
+    configurations.  Absent a hit the closure is finite: an infinite cone
+    pumps some positive cycle arbitrarily high and therefore enters an
+    unbounded chain, all of which lie in every ``USet``.  So "no"
+    certifies a finite reachable set.
 
-    ``dead`` memoises failed probes against this same ``u``, keyed by the
-    int ``counter * n_states + state``.  A "no" proves that its whole
-    closure misses ``u``, so it adds every configuration it visited, and
-    later probes skip those configurations (and answer "no" at once from
-    one of them).  No run into ``u`` passes through a dead configuration, so
-    skipping one changes neither the answer nor the depth of a hit.
-    ``node_cap`` counts only the configurations a probe adds that are not
-    already dead, so the memo can make a cap hit less often, never more.
-    The memo is valid only while ``u`` is unchanged.
+    ``dead`` memoises failed probes against this same ``u``.  A "no"
+    proves that every configuration of its runs has a closure missing
+    ``u``, so it adds all its runs; later probes subtract the dead runs
+    from theirs (and answer "no" at once from a dead start).  No run into
+    ``u`` passes through a dead configuration, so the subtraction changes
+    no answer.  The memo is valid only while ``u`` is unchanged.
+
+    Every piece admitted draws one unit from ``budget``; once it is spent
+    the probe answers "capped" (at once, if it was spent before).
     """
-    if not v.is_valid(start):
+    if budget.spent >= budget.cap:
+        return ("capped", 0)
+    q0, z0 = start
+    if not v.is_valid(start) or (dead is not None and dead.has(q0, z0)):
         return ("no", 0)
     n = v.n_states
-    skip = dead if dead is not None else ()
-    if start.counter * n + start.state in skip:
+    seen = RunSet(n)
+    sets = (seen,) if dead is None else (seen, dead)
+    seen_ints = seen.ints
+    dead_ints, dead_keys_at = ((dead.ints, dead.keys_at) if dead is not None
+                               else (seen_ints, seen.keys_at))
+    queue: deque = deque()
+    pieces = 0
+
+    def admit(q: int, lo: int, hi: int, step: int) -> Optional[str]:
+        """Queue what is new of a run; "hit", "capped" or None."""
+        nonlocal pieces
+        if lo == hi:
+            key = lo * n + q
+            if key in seen_ints or key in dead_ints or (
+                    (q in seen.keys_at or q in dead_keys_at)
+                    and any(rs.has(q, lo) for rs in sets)):
+                return None
+            new = ((lo, lo),)
+        else:
+            new = _uncovered(sets, q, lo, hi, step)
+        for a, e in new:
+            runs = u.laps(q, a, e, step)
+            if runs is None:
+                return "hit"
+            for a, e, s in runs:
+                if a == e:
+                    # One of the run's own elements: new, unless the lap
+                    # of an earlier piece took it.
+                    key = a * n + q
+                    if key in seen_ints or (q in seen.keys_at
+                                            and seen.has(q, a)):
+                        continue
+                    fresh = ((a, a),)
+                else:  # a lap may have added known elements
+                    fresh = _uncovered(sets, q, a, e, s)
+                for a, e in fresh:
+                    if budget.spent >= budget.cap:
+                        return "capped"
+                    budget.spent += 1
+                    pieces += 1
+                    if a == e:
+                        seen_ints.add(a * n + q)
+                    else:
+                        seen.add(q, a, e, s)
+                    queue.append((q, a, e, s))
+        return None
+
+    out = admit(q0, z0, z0, 1)
+    guards = v.guards
+    while out is None and queue:
+        q, lo, hi, s = queue.popleft()
+        for _, t in v.out_edges(q):
+            p = t.dst
+            a, e = lo + t.weight, hi + t.weight
+            if a == e:
+                if a >= 0 and a not in guards[p]:
+                    out = admit(p, a, a, s)
+            elif e >= 0:
+                if a < 0:
+                    a += (s - 1 - a) // s * s
+                for g in sorted(guards[p]):  # cut at every guard on it
+                    if a <= g <= e and (g - a) % s == 0:
+                        if g > a:
+                            out = admit(p, a, g - s, s)
+                            if out is not None:
+                                break
+                        a = g + s
+                else:
+                    if a <= e:
+                        out = admit(p, a, e, s)
+            if out is not None:
+                break
+    if out is not None:
+        return (out, pieces)
+    if dead is not None:
+        dead.update(seen)
+    return ("no", pieces)
+
+
+def _walk_uset(
+    v: Vass,
+    u: USet,
+    start: Configuration,
+    budget: Budget,
+    dead: RunSet,
+) -> tuple[str, int]:
+    """Breadth-first walk over single configurations from ``start`` to the
+    nearest member of ``u``: ``("hit", depth)``, ``("no", nodes)`` or
+    ``("capped", nodes)``.
+
+    It measures the depth the final query reports, which is also the step
+    bound of the witness search, so it runs only after `_reach_uset` found
+    a hit.  It skips ``dead`` configurations: no run into ``u`` passes
+    through one, so skipping changes neither the answer nor the depth.  A
+    "no" adds every configuration it visited to ``dead``.  Each
+    configuration admitted draws one unit from ``budget``.
+    """
+    if budget.spent >= budget.cap:
+        return ("capped", 0)
+    if not v.is_valid(start) or dead.has(start.state, start.counter):
         return ("no", 0)
     if u.contains(start):
         return ("hit", 0)
+    n = v.n_states
     seen = {start.counter * n + start.state}
+    budget.spent += 1
     queue = deque([(start.state, start.counter, 0)])
     guards = v.guards
     while queue:
@@ -211,29 +518,30 @@ def _reach_uset(
             if y < 0 or y in guards[t.dst]:
                 continue
             key = y * n + t.dst
-            if key in seen or key in skip:
+            if key in seen or dead.has(t.dst, y):
                 continue
             if u.contains(Configuration(t.dst, y)):
                 return ("hit", d + 1)
-            if len(seen) >= node_cap:
+            if budget.spent >= budget.cap:
                 return ("capped", len(seen))
+            budget.spent += 1
             seen.add(key)
             queue.append((t.dst, y, d + 1))
-    if dead is not None:
-        dead |= seen
+    dead.ints |= seen
     return ("no", len(seen))
 
 
 @dataclass(frozen=True)
 class SaturateOutcome:
     uset: USet
-    added: dict           # state -> sorted list of counter values added
-    truncated: bool = False
-    dead: set = field(default_factory=set)  # closures missing the input set
+    added: dict      # state -> sorted list of counter values added
+    truncated: bool
+    dead: RunSet     # runs whose closures miss the input set
 
 
 def saturate_step(
     v: Vass, analysis: CycleAnalysis, u: USet, params: FixpointParams,
+    budget: Optional[Budget] = None,
 ) -> SaturateOutcome:
     """One synchronous round: against the frozen ``u``, test the top
     ``candidates_per_chain`` missing elements of every bounded chain (and
@@ -241,15 +549,20 @@ def saturate_step(
     raises its chain's maximum, which closes downward soundly because lower
     chain elements pump up to it.  The result always contains ``u``.
 
-    The probes of a round share one dead set (see `_reach_uset`): the
-    closure of a "no" is finite and misses ``u``, so every configuration in
-    it can be skipped by the later probes of the round.  ``u`` grows only
+    The probes of a round share one dead run set (see `_reach_uset`): the
+    runs of a "no" cover a finite closure that misses ``u``, so later
+    probes of the round subtract them from their own runs, and a candidate
+    that is already dead is skipped without a probe.  ``u`` grows only
     between rounds, so the set is made fresh here and returned as
     ``dead``; it holds for ``uset`` too when the round added nothing.
+    The probes draw from ``budget``, a fresh `DEFAULT_NODE_CAP` if none
+    is given.
     """
+    if budget is None:
+        budget = Budget(DEFAULT_NODE_CAP)
     truncated = False
     additions: dict[tuple[int, int], int] = {}
-    dead: set = set()
+    dead = RunSet(v.n_states)
     for ch in bounded_chains(analysis):
         w = analysis.states[ch.state].selection.period
         cmax = u.per_chain_max.get((ch.state, ch.lo))
@@ -264,10 +577,10 @@ def saturate_step(
         if cands[-1] != first_missing:
             cands.append(first_missing)
         for x in cands:  # descending: first hit is the chain's new max
-            if x in v.guards[ch.state]:
-                continue  # invalid configuration heads no valid run
+            if x in v.guards[ch.state] or dead.has(ch.state, x):
+                continue  # heads no valid run, or its closure misses u
             status, _ = _reach_uset(v, u, Configuration(ch.state, x),
-                                    DEFAULT_NODE_CAP, dead)
+                                    budget, dead)
             if status == "hit":
                 additions[(ch.state, ch.lo)] = x
                 break
@@ -293,7 +606,8 @@ class CoreResult:
     uset: USet
     rounds: list  # per round: {state: [values added]}, stable round omitted
     status: str   # "complete" | "incomplete"
-    dead: set = field(default_factory=set)  # dead set of the stable round
+    dead: RunSet  # dead runs of the stable round
+    budget: Budget  # the node budget of the solve
 
 
 def unbounded_core(v: Vass, params: Optional[FixpointParams] = None) -> CoreResult:
@@ -305,39 +619,43 @@ def unbounded_core(v: Vass, params: Optional[FixpointParams] = None) -> CoreResu
     except as a singleton chain, so from any element ``z`` of a chain one
     lap of the reference cycle validly reaches ``z + W``, staying at or
     above the floor.  Hence if any missing element ``x`` reaches ``U``, the
-    lowest missing element reaches ``x`` and then ``U``.  Its closure
-    contains the closure of ``x``, so the node cap cannot hit on ``x`` when
-    it did not hit on the lowest missing element: a round that adds nothing
-    and hits no cap leaves no chain element to add, and a larger candidate
-    window would change neither the set nor the status.
+    lowest missing element reaches ``x`` and then ``U``.  A round that adds
+    nothing and hits no cap therefore leaves no chain element to add, and
+    a larger candidate window would change neither the set nor the status.
+    The same lap argument lets a probe take a whole chain in one step (see
+    `_laps`).
 
-    Each round memoises its failed probes in a fresh dead set, valid while
-    that round's ``U`` is frozen.  The stable round adds nothing, so its
-    ``U`` is the final one and its dead set still holds for the final
-    query: ``CoreResult.dead`` carries it.  When the round cap stops the
+    Each round memoises its failed probes in a fresh dead run set, valid
+    while that round's ``U`` is frozen.  The stable round adds nothing, so
+    its ``U`` is the final one and its dead runs still hold for the final
+    query: ``CoreResult.dead`` carries them.  When the round cap stops the
     loop, the last round grew ``U`` and ``dead`` is left empty.
 
-    A hit node cap or round cap degrades the status to "incomplete"; the
-    set itself stays sound either way.
+    One `Budget` of `DEFAULT_NODE_CAP` pieces serves every probe of every
+    round and the final query (``CoreResult.budget``).  A spent budget or
+    the round cap degrades the status to "incomplete"; the set itself
+    stays sound either way.
     """
     _require_normalized(v)
     if params is None:
         params = FixpointParams.adaptive(v)
     analysis = analyze(v)
     u = seed_uset(analysis)
+    budget = Budget(DEFAULT_NODE_CAP)
     rounds: list[dict] = []
     truncated = False
     while True:
-        out = saturate_step(v, analysis, u, params)
+        out = saturate_step(v, analysis, u, params, budget)
         truncated = truncated or out.truncated
         u = out.uset
         if not out.added:
             break
         rounds.append(out.added)
         if len(rounds) >= DEFAULT_MAX_ROUNDS:
-            return CoreResult(analysis, u, rounds, "incomplete")
+            return CoreResult(analysis, u, rounds, "incomplete",
+                              RunSet(v.n_states), budget)
     status = "incomplete" if truncated else "complete"
-    return CoreResult(analysis, u, rounds, status, out.dead)
+    return CoreResult(analysis, u, rounds, status, out.dead, budget)
 
 
 @dataclass(frozen=True)
@@ -363,10 +681,11 @@ def _decide_config(
         w = Path(c.state) if want_witness else None
         return Decision(True, "complete", witness=w,
                         reason="initial configuration is unbounded")
-    status, depth = _reach_uset(v, core.uset, c, DEFAULT_NODE_CAP,
-                                dead=core.dead)
+    status, _ = _reach_uset(v, core.uset, c, core.budget, core.dead)
     if status == "no":
         return Decision(False, "complete", reason="reachable set is finite")
+    if status == "hit":
+        status, depth = _walk_uset(v, core.uset, c, core.budget, core.dead)
     if status == "capped":
         return Decision(None, "incomplete", reason="node cap exhausted")
     # A run of `depth` steps into the set exists; recover it through the

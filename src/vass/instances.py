@@ -66,3 +66,28 @@ def demo_plain() -> Vass:
         initial=0,
         target=4,
     )
+
+
+def up(g: int) -> Vass:
+    """One state with a +1 loop and a guard at ``g``: the counter climbs to
+    ``g - 1`` and stops, so ``(a, 0)`` is bounded."""
+    return Vass(names=("a",), guards=(frozenset((g,)),),
+                transitions=(Transition(0, 0, 1),), initial=0)
+
+
+def updown(g: int) -> Vass:
+    """`up` plus a state that counts down from wherever it is entered:
+    bounded, and the down-counter is walked one step at a time."""
+    return Vass(names=("a", "b"), guards=(frozenset((g,)), frozenset()),
+                transitions=(Transition(0, 0, 1), Transition(0, 1, 0),
+                             Transition(1, 1, -1)),
+                initial=0)
+
+
+def upesc(g: int) -> Vass:
+    """`up` with an escape to a pumping state that opens only at counter
+    ``g - 1``: unbounded."""
+    return Vass(names=("a", "b"), guards=(frozenset((g,)), frozenset()),
+                transitions=(Transition(0, 0, 1), Transition(0, 1, -(g - 1)),
+                             Transition(1, 1, 1)),
+                initial=0)

@@ -197,6 +197,15 @@ def test_gen_cnf_roundtrip(capsys, tmp_path):
     assert meta["primes"] == [2, 3, 5] and meta["product"] == 30
 
 
+@pytest.mark.parametrize("n_vars", ("1", "2"))
+def test_gen_cnf_random_needs_three_variables(capsys, n_vars):
+    code, out, err = run(capsys, "gen", "cnf", "--random", n_vars, "1", "0")
+    assert code == 2 and out == ""
+    assert err == "input error: random 3-CNF needs at least 3 variables\n"
+    # without clauses there is nothing to sample
+    assert run(capsys, "gen", "cnf", "--random", n_vars, "0", "0")[0] == 0
+
+
 def test_gen_cnf_from_dimacs(capsys, tmp_path):
     src = tmp_path / "f.cnf"
     src.write_text("p cnf 3 1\n1 2 3 0\n")
@@ -315,6 +324,14 @@ def test_out_of_range_value_is_reported_at_its_line(capsys, tmp_path, text,
     assert err.startswith(f"input error: {where}")
     # the largest magnitude itself is accepted
     model.parse_vass(text.replace("9223372036854775808", "9223372036854775807"))
+
+
+def test_check_decides_a_guard_at_ten_million(capsys, tmp_path):
+    # the bounded chain below the guard is lapped in one step, not walked
+    f = tmp_path / "big.vass"
+    f.write_text(model.serialize_vass(instances.up(10**7)))
+    code, out, err = run(capsys, "check", str(f))
+    assert (code, out, err) == (0, "NO\n", "reachable set is finite\n")
 
 
 def test_selftest(capsys):

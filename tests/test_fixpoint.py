@@ -12,6 +12,7 @@ from vass import (
     decompose_objectives,
     defect_stats,
     fixpoint,
+    instances,
     normalize_guards,
     normalize_guards_with_maps,
     objective_contains,
@@ -259,14 +260,17 @@ def test_stable_round_is_the_fixpoint():
             m = core.uset.per_chain_max.get((ch.state, ch.lo))
             for x in range(ch.lo if m is None else m + w, ch.hi + 1, w):
                 c = Configuration(ch.state, x)
-                out = fixpoint._reach_uset(v, core.uset, c,
-                                           fixpoint.DEFAULT_NODE_CAP)
+                out = fixpoint._reach_uset(v, core.uset, c, _budget())
                 assert out[0] == "no", (v, ch, x)
                 probed += 1
     assert probed > 1000
 
 
 # --- closure memo of failed probes ---------------------------------------------
+
+def _budget():
+    return fixpoint.Budget(fixpoint.DEFAULT_NODE_CAP)
+
 
 def _solve(v):
     """The core of ``v`` and the answer from ``(s, 0)`` for every state."""
@@ -285,13 +289,21 @@ def _memo_instances(count):
     return [normalize_guards(v) for v in _multi_guard_instances(count)]
 
 
+def _large_guard_instances(count):
+    # guards far above the weights: long runs that lap many periods
+    rng = random.Random(5000)
+    return [normalize_guards(gen_vass(rng, max_weight=7, max_guard=5000,
+                                      multi_guards=True))
+            for _ in range(count)]
+
+
 def test_dead_set_changes_no_result(monkeypatch):
     # the memo only skips configurations already proved to miss U, so every
     # result must equal that of a search that ignores it
     memo_free = fixpoint._reach_uset
 
-    def reference(v, u, start, node_cap, dead=None):
-        return memo_free(v, u, start, node_cap)
+    def reference(v, u, start, budget, dead=None):
+        return memo_free(v, u, start, budget)
 
     cases = _memo_instances(350)
     with monkeypatch.context() as m:
@@ -309,19 +321,115 @@ def test_dead_set_changes_no_result(monkeypatch):
 
 
 def test_dead_set_misses_the_final_set():
-    # every memoised configuration really has a closure that misses U
+    # every configuration of every memoised run really has a closure that
+    # misses U
     checked = 0
     for v in _memo_instances(300):
         core = unbounded_core(v)
         if core.status != "complete":
             continue
-        n = v.n_states
-        for key in core.dead:
-            c = Configuration(key % n, key // n)
-            out = fixpoint._reach_uset(v, core.uset, c, fixpoint.DEFAULT_NODE_CAP)
+        for c in core.dead.configurations():
+            out = fixpoint._reach_uset(v, core.uset, c, _budget())
             assert out[0] == "no", (v, c)
             checked += 1
     assert checked > 1000
+
+
+def test_run_set_holds_exactly_its_runs():
+    # runs of every length and step against a plain set of what they hold
+    rng = random.Random(909)
+
+    def draw():
+        q, step = rng.randrange(3), rng.randint(1, 3)
+        lo = rng.randint(0, 40)
+        return q, lo, lo + step * rng.randint(0, 25), step
+
+    for _ in range(300):
+        runs, members, bucketed = fixpoint.RunSet(3), set(), set()
+        for _ in range(rng.randint(1, 12)):
+            q, lo, hi, step = draw()
+            runs.add(q, lo, hi, step)
+            members.update((q, z) for z in range(lo, hi + 1, step))
+            if hi - lo >= fixpoint.SHORT_RUN * step:
+                bucketed.update((q, step, z) for z in range(lo, hi + 1, step))
+        assert set(runs.configurations()) == members
+        for (q, step, _), (los, his) in runs.buckets.items():
+            assert all(e < a - step for e, a in zip(his, los[1:]))
+            assert all((q, step, z) in bucketed
+                       for a, e in zip(los, his) for z in range(a, e + 1, step))
+        for q in range(3):
+            for z in range(170):
+                assert runs.has(q, z) == ((q, z) in members)
+        for _ in range(20):
+            q, lo, hi, step = draw()
+            pieces = fixpoint._uncovered((runs,), q, lo, hi, step)
+            kept = [z for a, e in pieces for z in range(a, e + 1, step)]
+            assert kept == sorted(set(kept)) and set(kept) <= set(
+                range(lo, hi + 1, step))
+            # nothing missing is lost; a short piece is exact, and a long
+            # one keeps only what other steps or singletons hold
+            assert {z for z in range(lo, hi + 1, step)
+                    if (q, z) not in members} <= set(kept)
+            for a, e in pieces:
+                long = e - a >= fixpoint.SHORT_RUN * step
+                for z in range(a, e + 1, step):
+                    assert (q, z) not in members or (
+                        long and (q, step, z) not in bucketed)
+
+
+def test_run_search_matches_the_explicit_walk():
+    # from every bounded-chain element, against the seed set and the final
+    # set, the run search answers as the walk over single configurations
+    # (the walk keeps its own memo of failed walks, the search none)
+    probed = long_runs = 0
+    for v in _memo_instances(150) + _large_guard_instances(40):
+        core = unbounded_core(v)
+        if core.status != "complete":
+            continue
+        for u in (seed_uset(core.analysis), core.uset):
+            walked = fixpoint.RunSet(v.n_states)
+            for ch in fixpoint.bounded_chains(core.analysis):
+                w = core.analysis.states[ch.state].selection.period
+                for x in range(ch.lo, ch.hi + 1, w):
+                    c = Configuration(ch.state, x)
+                    got = fixpoint._reach_uset(v, u, c, _budget())
+                    want = fixpoint._walk_uset(v, u, c, _budget(), walked)
+                    assert got[0] == want[0], (v, c)
+                    probed += 1
+                    long_runs += ch.hi - ch.lo > 100 * w
+    assert probed > 5000 and long_runs > 1000
+
+
+def test_one_budget_bounds_the_whole_solve(monkeypatch):
+    # every probe draws from one budget per solve, so a spent budget ends
+    # the solve with UNKNOWN instead of granting each probe a fresh cap
+    monkeypatch.setattr(fixpoint, "DEFAULT_NODE_CAP", 2000)
+    dec = decide_unboundedness(instances.updown(10**4), 0)
+    assert dec.answer is None and dec.status == "incomplete"
+    assert dec.core.status == "incomplete"
+    assert dec.core.budget.spent <= 2000
+
+
+def test_probe_work_does_not_grow_with_the_guard(monkeypatch):
+    # laps cross a whole chain in one step: the guard value changes neither
+    # the number of probes nor the number of pieces they admit
+    probes = 0
+    search = fixpoint._reach_uset
+
+    def counted(*args):
+        nonlocal probes
+        probes += 1
+        return search(*args)
+
+    monkeypatch.setattr(fixpoint, "_reach_uset", counted)
+    work = []
+    for g in (10**3, 10**7):
+        probes = 0
+        dec = decide_unboundedness(instances.up(g), 0)
+        assert dec.answer is False and dec.status == "complete"
+        work.append((probes, dec.core.budget.spent))
+    assert work[0] == work[1], work
+    assert work[0][0] > 60
 
 
 def test_cnf_anchor_work_count(monkeypatch):
