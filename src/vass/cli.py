@@ -153,7 +153,7 @@ def _trace_json(core: fixpoint.CoreResult) -> dict:
     rounds = []
     for r in core.rounds:
         rounds.append(
-            {names[q]: vals for q, vals in sorted(r.items())}
+            {names[q]: list(vals) for q, vals in sorted(r.items())}
         )
     maxima = {}
     for (q, lo), m in sorted(core.uset.per_chain_max.items()):

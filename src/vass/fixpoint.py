@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from heapq import merge
 from math import gcd
 from typing import Iterable, Iterator, Optional
 
@@ -496,9 +498,8 @@ def _walk_uset(
     It measures the depth the final query reports, which is also the step
     bound of the witness search, so it runs only after `_reach_uset` found
     a hit.  It skips ``dead`` configurations: no run into ``u`` passes
-    through one, so skipping changes neither the answer nor the depth.  A
-    "no" adds every configuration it visited to ``dead``.  Each
-    configuration admitted draws one unit from ``budget``.
+    through one, so skipping changes neither the answer nor the depth.
+    Each configuration admitted draws one unit from ``budget``.
     """
     if budget.spent >= budget.cap:
         return ("capped", 0)
@@ -527,14 +528,45 @@ def _walk_uset(
             budget.spent += 1
             seen.add(key)
             queue.append((t.dst, y, d + 1))
-    dead.ints |= seen
     return ("no", len(seen))
+
+
+class AddedValues(Sequence):
+    """The counter values one round added at one state, in increasing
+    order.  They are kept as one range per chain (its old maximum plus one
+    period up to its new one), so the round record does not grow with the
+    guard values; the ranges are merged when the values are read.  Equal to
+    every sequence of the same values.
+    """
+
+    __slots__ = ("ranges",)
+
+    def __init__(self, ranges: list[range]):
+        self.ranges = ranges
+
+    def __len__(self) -> int:
+        return sum(map(len, self.ranges))
+
+    def __iter__(self) -> Iterator[int]:
+        return merge(*self.ranges)
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 @dataclass(frozen=True)
 class SaturateOutcome:
     uset: USet
-    added: dict      # state -> sorted list of counter values added
+    added: dict      # state -> AddedValues
     truncated: bool
     dead: RunSet     # runs whose closures miss the input set
 
@@ -588,14 +620,13 @@ def saturate_step(
                 truncated = True
 
     new_u = u.with_additions(additions)
-    added: dict[int, list[int]] = {}
+    ranges: dict[int, list[range]] = {}
     for (state, lo), x in sorted(additions.items()):
         w = analysis.states[state].selection.period
         prev = u.per_chain_max.get((state, lo))
         start = lo if prev is None else prev + w
-        added.setdefault(state, []).extend(range(start, x + 1, w))
-    for state in added:
-        added[state].sort()
+        ranges.setdefault(state, []).append(range(start, x + 1, w))
+    added = {state: AddedValues(r) for state, r in ranges.items()}
     return SaturateOutcome(uset=new_u, added=added, truncated=truncated,
                            dead=dead)
 
@@ -604,7 +635,7 @@ def saturate_step(
 class CoreResult:
     analysis: CycleAnalysis
     uset: USet
-    rounds: list  # per round: {state: [values added]}, stable round omitted
+    rounds: list  # per round: {state: AddedValues}, stable round omitted
     status: str   # "complete" | "incomplete"
     dead: RunSet  # dead runs of the stable round
     budget: Budget  # the node budget of the solve
@@ -623,7 +654,7 @@ def unbounded_core(v: Vass, params: Optional[FixpointParams] = None) -> CoreResu
     nothing and hits no cap therefore leaves no chain element to add, and
     a larger candidate window would change neither the set nor the status.
     The same lap argument lets a probe take a whole chain in one step (see
-    `_laps`).
+    `USet.laps`).
 
     Each round memoises its failed probes in a fresh dead run set, valid
     while that round's ``U`` is frozen.  The stable round adds nothing, so
@@ -686,6 +717,8 @@ def _decide_config(
         return Decision(False, "complete", reason="reachable set is finite")
     if status == "hit":
         status, depth = _walk_uset(v, core.uset, c, core.budget, core.dead)
+        if status == "no":  # both searches answer reachability exactly
+            raise AssertionError("the walk missed a run the search found")
     if status == "capped":
         return Decision(None, "incomplete", reason="node cap exhausted")
     # A run of `depth` steps into the set exists; recover it through the

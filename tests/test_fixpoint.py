@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -260,8 +261,7 @@ def test_stable_round_is_the_fixpoint():
             m = core.uset.per_chain_max.get((ch.state, ch.lo))
             for x in range(ch.lo if m is None else m + w, ch.hi + 1, w):
                 c = Configuration(ch.state, x)
-                out = fixpoint._reach_uset(v, core.uset, c, _budget())
-                assert out[0] == "no", (v, ch, x)
+                assert _walk(v, core.uset, c) == "no", (v, ch, x)
                 probed += 1
     assert probed > 1000
 
@@ -270,6 +270,40 @@ def test_stable_round_is_the_fixpoint():
 
 def _budget():
     return fixpoint.Budget(fixpoint.DEFAULT_NODE_CAP)
+
+
+def _walk(v, u, c):
+    """The answer of the explicit walk over single configurations, with no
+    memo: the reference the run search is checked against."""
+    return fixpoint._walk_uset(v, u, c, _budget(), fixpoint.RunSet(v.n_states))[0]
+
+
+def _memo_walk(v, u):
+    """An explicit walk over single configurations that skips those an
+    earlier walk of it proved to miss ``u`` (without that memo the walks
+    from every element of long chains take minutes)."""
+    dead = set()
+
+    def walk(c):
+        if not v.is_valid(c) or c in dead:
+            return "no"
+        if u.contains(c):
+            return "hit"
+        seen, queue = {c}, deque([c])
+        while queue:
+            q, z = queue.popleft()
+            for _, t in v.out_edges(q):
+                d = Configuration(t.dst, z + t.weight)
+                if d in seen or d in dead or not v.is_valid(d):
+                    continue
+                if u.contains(d):
+                    return "hit"
+                seen.add(d)
+                queue.append(d)
+        dead.update(seen)
+        return "no"
+
+    return walk
 
 
 def _solve(v):
@@ -294,6 +328,14 @@ def _large_guard_instances(count):
     rng = random.Random(5000)
     return [normalize_guards(gen_vass(rng, max_weight=7, max_guard=5000,
                                       multi_guards=True))
+            for _ in range(count)]
+
+
+def _dense_guard_instances(count):
+    # guards among small counters: runs are split at guards on the way
+    rng = random.Random(2020)
+    return [normalize_guards(gen_vass(rng, max_weight=3, max_guard=20,
+                                      guard_prob=0.8, multi_guards=True))
             for _ in range(count)]
 
 
@@ -329,8 +371,7 @@ def test_dead_set_misses_the_final_set():
         if core.status != "complete":
             continue
         for c in core.dead.configurations():
-            out = fixpoint._reach_uset(v, core.uset, c, _budget())
-            assert out[0] == "no", (v, c)
+            assert _walk(v, core.uset, c) == "no", (v, c)
             checked += 1
     assert checked > 1000
 
@@ -378,25 +419,29 @@ def test_run_set_holds_exactly_its_runs():
 
 
 def test_run_search_matches_the_explicit_walk():
-    # from every bounded-chain element, against the seed set and the final
-    # set, the run search answers as the walk over single configurations
-    # (the walk keeps its own memo of failed walks, the search none)
+    # from every bounded-chain element and every low configuration, against
+    # the seed set and the final set, the run search answers as the walk
+    # over single configurations
     probed = long_runs = 0
-    for v in _memo_instances(150) + _large_guard_instances(40):
+    cases = (_memo_instances(150) + _large_guard_instances(40)
+             + _dense_guard_instances(150))
+    for v in cases:
         core = unbounded_core(v)
         if core.status != "complete":
             continue
         for u in (seed_uset(core.analysis), core.uset):
-            walked = fixpoint.RunSet(v.n_states)
+            walk = _memo_walk(v, u)
+            starts = [(Configuration(q, z), False)
+                      for q in range(v.n_states) for z in range(30)]
             for ch in fixpoint.bounded_chains(core.analysis):
                 w = core.analysis.states[ch.state].selection.period
-                for x in range(ch.lo, ch.hi + 1, w):
-                    c = Configuration(ch.state, x)
-                    got = fixpoint._reach_uset(v, u, c, _budget())
-                    want = fixpoint._walk_uset(v, u, c, _budget(), walked)
-                    assert got[0] == want[0], (v, c)
-                    probed += 1
-                    long_runs += ch.hi - ch.lo > 100 * w
+                starts += [(Configuration(ch.state, x), ch.hi - ch.lo > 100 * w)
+                           for x in range(ch.lo, ch.hi + 1, w)]
+            for c, long in starts:
+                got = fixpoint._reach_uset(v, u, c, _budget())
+                assert got[0] == walk(c), (v, c)
+                probed += 1
+                long_runs += long
     assert probed > 5000 and long_runs > 1000
 
 
@@ -433,20 +478,23 @@ def test_probe_work_does_not_grow_with_the_guard(monkeypatch):
 
 
 def test_cnf_anchor_work_count(monkeypatch):
-    # without a closure memo every probe re-walks the same closures
+    # without the dead run set every probe re-searches the same closures
+    # (500,000 pieces, the whole budget), and without the skip of dead
+    # candidates every candidate is probed (13,838 probes)
     v, s = cnf_no_anchor()
-    calls = 0
-    contains = USet.contains
+    probes = 0
+    search = fixpoint._reach_uset
 
-    def counted(u, c):
-        nonlocal calls
-        calls += 1
-        return contains(u, c)
+    def counted(*args):
+        nonlocal probes
+        probes += 1
+        return search(*args)
 
-    monkeypatch.setattr(USet, "contains", counted)
+    monkeypatch.setattr(fixpoint, "_reach_uset", counted)
     dec = decide_unboundedness(v, s)
     assert dec.answer is False and dec.status == "complete"
-    assert calls < 100_000, calls
+    assert dec.core.budget.spent < 50_000, dec.core.budget.spent
+    assert probes < 1_000, probes
 
 
 # --- defect diagnostics ---------------------------------------------------------
