@@ -8,9 +8,13 @@ filtering through per-nadir recombination keeps every endpoint cell at most
 logarithmically many rounds.  Unboundedness from ``(s, 0)`` then reduces to
 scanning the cells for a nonnegative-prefix stem feeding a positive cycle.
 
-Guards play no role here: the decision procedures refuse guarded input, and
-the cycle-analysis module reuses only the summary algebra, where guards are
-irrelevant.
+One kernel, ``_filter_products``, does the filtering: it reads the summary
+and the nadirs of each concatenation from its two operands, by the rules of
+``concat``, and builds only the elements a cell keeps.  ``pareto_filter``
+runs it with the identity as every right operand; ``build_families`` runs it
+over the midpoint products of each level, so the doubling never builds a
+concatenation.  Guards play no role here: the decision procedures refuse
+guarded input.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ class ParetoElem:
 
     ``nadirs`` lists, in ascending order, every ``(position, state)`` of the
     witness (positions counted in states, ``0 .. len(witness)``) where its
-    prefix weight equals ``pmin``.  Every constructor here fills it in from
-    its operands in time proportional to the number of nadirs, never by
+    prefix weight equals ``pmin``.  ``empty`` and ``edge`` know it,
+    ``concat`` and the filter kernel derive it from their operands with
+    ``_pair_nadirs`` in time proportional to the number of nadirs, never by
     walking the witness; ``from_path`` walks once, for callers that start
     from a bare path.  An element built without it (``None``) is refused by
     ``concat`` and ``pareto_filter``.
@@ -94,41 +99,146 @@ def concat(a: ParetoElem, b: ParetoElem) -> ParetoElem:
     The prefix weights of the result are those of ``a``, then those of
     ``b`` raised by ``a.weight``, so its minimum is the lesser of ``a.pmin``
     and ``a.weight + b.pmin`` and its nadirs are those of the side that
-    attains it: ``a``'s as they are, ``b``'s shifted by ``len(a)``, or both
-    on a tie.  On a tie the junction is a nadir of both sides or of
-    neither (it is one of ``a`` iff ``a.weight == a.pmin``, which the tie
-    turns into ``b.pmin == 0``), and it is listed once.
+    attains it (``_pair_nadirs``).  ``build_families`` does not call it:
+    ``_filter_products`` applies the same rules to each operand pair and
+    builds only the elements a cell keeps.
     """
     if a.dst != b.src:
         raise ValueError("paths do not share an endpoint")
     if a.nadirs is None or b.nadirs is None:
         raise ValueError(_NO_NADIRS)
-    shift = len(a.witness.transitions)
-    low_b = a.weight + b.pmin
-    if a.pmin < low_b:
-        nadirs = a.nadirs
-    else:
-        tail = tuple((i + shift, q) for i, q in b.nadirs)
-        if a.pmin > low_b:
-            nadirs = tail
-        elif a.nadirs[-1][0] == shift:
-            nadirs = a.nadirs + tail[1:]
-        else:
-            nadirs = a.nadirs + tail
     return ParetoElem(
         src=a.src,
         dst=b.dst,
-        pmin=min(a.pmin, low_b),
+        pmin=min(a.pmin, a.weight + b.pmin),
         smax=max(b.smax, a.smax + b.weight),
         weight=a.weight + b.weight,
         witness=Path(a.witness.start,
                      a.witness.transitions + b.witness.transitions),
-        nadirs=nadirs,
+        nadirs=_pair_nadirs(a, b),
     )
+
+
+def _pair_nadirs(a: ParetoElem, b: ParetoElem) -> tuple:
+    """The nadirs of ``a`` followed by ``b``: ``a``'s as they are, ``b``'s
+    shifted by ``len(a)``, or both when ``a.pmin == a.weight + b.pmin``.  On
+    that tie the junction is a nadir of both sides or of neither (it is one
+    of ``a`` iff ``a.weight == a.pmin``, which the tie turns into
+    ``b.pmin == 0``), and it is listed once."""
+    shift = len(a.witness.transitions)
+    low_b = a.weight + b.pmin
+    if a.pmin < low_b:
+        return a.nadirs
+    tail = tuple((i + shift, q) for i, q in b.nadirs)
+    if a.pmin > low_b:
+        return tail
+    if a.nadirs[-1][0] == shift:
+        return a.nadirs + tail[1:]
+    return a.nadirs + tail
+
+
+def _head(a: ParetoElem, b: ParetoElem, i: int) -> tuple:
+    """The first ``i`` transitions of ``a`` followed by ``b``."""
+    at = a.witness.transitions
+    n = len(at)
+    return at[:i] if i <= n else at + b.witness.transitions[:i - n]
+
+
+def _tail(a: ParetoElem, b: ParetoElem, i: int) -> tuple:
+    """The transitions of ``a`` followed by ``b`` from position ``i`` on."""
+    at = a.witness.transitions
+    n = len(at)
+    return at[i:] + b.witness.transitions if i < n else b.witness.transitions[i - n:]
 
 
 def _witness_key(e: ParetoElem) -> tuple:
     return (len(e.witness.transitions), e.witness.transitions)
+
+
+def _partner_rows(cell) -> tuple:
+    """The rows ``(e, pmin, smax, weight, len(witness))`` of the elements of
+    ``cell``, by decreasing weight, then by witness length, then
+    lexicographically: the order in which ``_filter_products`` picks
+    partners."""
+    return tuple((e, e.pmin, e.smax, e.weight, len(e.witness.transitions))
+                 for e in sorted(cell, key=lambda e: (-e.weight,) + _witness_key(e)))
+
+
+def _offer(best: dict, piece, r: int, value: int, length: int,
+           a: ParetoElem, b: ParetoElem, pos: int) -> None:
+    """Hold the candidate ``(value, length, a, b, pos)`` for state ``r`` if
+    it beats the one held: greater value, then lesser length, then lesser
+    transitions ``piece(a, b, pos)``, which are sliced out only on a tie in
+    both value and length."""
+    cur = best.get(r)
+    if (cur is None or value > cur[0] or value == cur[0] and (
+            length < cur[1] or length == cur[1] and
+            piece(a, b, pos) < piece(*cur[2:]))):
+        best[r] = (value, length, a, b, pos)
+
+
+def _filter_products(src: int, dst: int, products) -> list[ParetoElem]:
+    """``pareto_filter`` of every concatenation ``a + b`` with ``a`` in
+    ``left`` and ``b`` in ``right``, over the ``(left, right)`` pairs of
+    ``products`` (each side given by its ``_partner_rows``), without
+    building the concatenations.
+
+    The nadirs of ``a + b`` are ``a``'s when ``a.smax + b.pmin >= 0``
+    (that is, ``a.pmin <= a.weight + b.pmin``) and ``b``'s, shifted by
+    ``len(a)``, when ``a.smax + b.pmin <= 0``.  At a nadir ``i`` of ``a``
+    the prefix is ``a[:i]`` whatever ``b`` is, and the suffix ``a[i:] + b``
+    is best with the first such ``b`` in partner order; at a nadir ``j`` of
+    ``b`` the suffix is ``b[j:]`` and the prefix ``a + b[:j]`` is best with
+    the first such ``a``.  So one partner per operand yields every prefix
+    and suffix the filter can keep.  A candidate is held as ``(value,
+    length, a, b, position)``, the position counted in the witness of
+    ``a + b``, and its transitions are sliced out only on a tie
+    (``_offer``).  The best candidate per state does not depend on the
+    order of the candidates, since two that tie in value, length and
+    transitions glue to the same element.  Only the glued elements are
+    built, before the domination prune.
+    """
+    best_prefix: dict[int, tuple] = {}
+    best_suffix: dict[int, tuple] = {}
+    for left, right in products:
+        for a, apmin, asmax, _, na in left:
+            for b, bpmin, _, bw, nb in right:
+                if asmax + bpmin >= 0:
+                    break
+            else:
+                continue
+            sw = asmax + bw
+            for i, r in a.nadirs:
+                _offer(best_prefix, _head, r, apmin, i, a, b, i)
+                _offer(best_suffix, _tail, r, sw, na + nb - i, a, b, i)
+        for b, bpmin, bsmax, _, nb in right:
+            for a, _, asmax, aw, na in left:
+                if asmax + bpmin <= 0:
+                    break
+            else:
+                continue
+            pw = aw + bpmin
+            for j, r in b.nadirs:
+                _offer(best_prefix, _head, r, pw, na + j, a, b, na + j)
+                _offer(best_suffix, _tail, r, bsmax, nb - j, a, b, na + j)
+    combined: list[ParetoElem] = []
+    for r, (pw, _, a1, b1, i1) in best_prefix.items():
+        sw, _, a2, b2, i2 = best_suffix[r]
+        shift = i1 - i2
+        nadirs = tuple(x for x in _pair_nadirs(a1, b1) if x[0] <= i1) + tuple(
+            (j + shift, q) for j, q in _pair_nadirs(a2, b2) if j > i2)
+        path = Path(src, _head(a1, b1, i1) + _tail(a2, b2, i2))
+        combined.append(ParetoElem(src, dst, pw, sw, pw + sw, path, nadirs))
+    combined.sort(key=lambda e: (-e.pmin, -e.smax) + _witness_key(e))
+    # `combined` is sorted and the prune only appends or drops, so `kept`
+    # stays sorted.
+    kept: list[ParetoElem] = []
+    for e in combined:
+        if any(dominates(f, e) for f in kept):
+            continue
+        kept = [f for f in kept if not dominates(e, f)]
+        kept.append(e)
+    return kept
 
 
 def pareto_filter(v: Vass, elems: list[ParetoElem]) -> list[ParetoElem]:
@@ -143,61 +253,28 @@ def pareto_filter(v: Vass, elems: list[ParetoElem]) -> list[ParetoElem]:
     the ``|Q|`` bound holds without it).  Ties break toward larger weight,
     then the shorter then lexicographically smaller witness.
 
-    The nadirs come from each input's ``nadirs``, so no witness is walked.
-    A best prefix or suffix is held as ``(weight, length, element,
-    position)``, and its transitions are sliced out only when a candidate
-    ties it in both weight and length.  This is exact: a lexicographic
-    order on ``(weight, length, transitions)`` looks at the transitions
-    only on such a tie, so every choice, and with it every witness, is the
-    one made by slicing each candidate up front.  The glued element of a
-    best prefix ``(a, i1)`` and a best suffix ``(b, i2)`` has pmin
-    ``a.pmin`` (``b`` never dips below its nadir after ``i2``), and its
-    nadirs are ``a``'s up to ``i1`` followed by ``b``'s after ``i2``,
-    shifted by ``i1 - i2``.
+    This is ``_filter_products`` over the pairs ``(e, empty)``: the
+    single-state summary is the identity of ``concat``, nadirs included, so
+    each input is taken as it is.  The nadirs come from each input's
+    ``nadirs``, so no witness is walked, and a prefix or suffix is sliced
+    out only when a candidate ties it in both weight and length.  This is
+    exact: a lexicographic order on ``(weight, length, transitions)`` looks
+    at the transitions only on such a tie.  The glued element of a best
+    prefix ending at position ``i1`` and a best suffix starting at ``i2``
+    has pmin the prefix's (the suffix never dips below its start), and its
+    nadirs are the prefix's up to ``i1`` followed by the suffix's after
+    ``i2``, shifted by ``i1 - i2``.
     """
     if not elems:
         return []
     src, dst = elems[0].src, elems[0].dst
-    best_prefix: dict[int, tuple] = {}
-    best_suffix: dict[int, tuple] = {}
     for e in elems:
         if (e.src, e.dst) != (src, dst):
             raise ValueError("filter inputs must share endpoints")
         if e.nadirs is None:
             raise ValueError(_NO_NADIRS)
-        pw, sw = e.pmin, e.weight - e.pmin
-        n = len(e.witness.transitions)
-        for i, r in e.nadirs:
-            cur = best_prefix.get(r)
-            if (cur is None or pw > cur[0] or pw == cur[0] and (
-                    i < cur[1] or i == cur[1] and
-                    e.witness.transitions[:i]
-                    < cur[2].witness.transitions[:cur[3]])):
-                best_prefix[r] = (pw, i, e, i)
-            cur = best_suffix.get(r)
-            if (cur is None or sw > cur[0] or sw == cur[0] and (
-                    n - i < cur[1] or n - i == cur[1] and
-                    e.witness.transitions[i:]
-                    < cur[2].witness.transitions[cur[3]:])):
-                best_suffix[r] = (sw, n - i, e, i)
-    combined: list[ParetoElem] = []
-    for r, (pw, _, a, i1) in best_prefix.items():
-        sw, _, b, i2 = best_suffix[r]
-        shift = i1 - i2
-        nadirs = tuple(x for x in a.nadirs if x[0] <= i1) + tuple(
-            (j + shift, q) for j, q in b.nadirs if j > i2)
-        path = Path(src, a.witness.transitions[:i1] + b.witness.transitions[i2:])
-        combined.append(ParetoElem(src, dst, pw, sw, pw + sw, path, nadirs))
-    combined.sort(key=lambda e: (-e.pmin, -e.smax) + _witness_key(e))
-    # `combined` is sorted and the prune only appends or drops, so `kept`
-    # stays sorted.
-    kept: list[ParetoElem] = []
-    for e in combined:
-        if any(dominates(f, e) for f in kept):
-            continue
-        kept = [f for f in kept if not dominates(e, f)]
-        kept.append(e)
-    return kept
+    identity = _partner_rows([ParetoElem.empty(v, dst)])
+    return _filter_products(src, dst, [(_partner_rows(elems), identity)])
 
 
 @dataclass(frozen=True)
@@ -226,34 +303,26 @@ def build_families(v: Vass) -> ParetoFamily:
     """Doubling construction up to level ``ceil(log2 |Q|)``: the final family
     is a Pareto set for all paths of length up to ``|Q|`` between every pair
     of states.  Each level builds its cells from the previous level only,
-    in sorted cell order.
+    in sorted cell order: cell ``(p, q)`` filters the products of the
+    ``(p, r)`` and ``(r, q)`` cells over every midpoint ``r`` in one
+    ``_filter_products`` call, which never builds a product.
     """
     cells = _level_zero(v)
     top = max(1, v.n_states)
     levels = math.ceil(math.log2(top)) if top > 1 else 0
 
-    def next_cell(p: int, q: int) -> tuple:
-        pool: list[ParetoElem] = []
-        for r in range(v.n_states):
-            left = cells.get((p, r))
-            right = cells.get((r, q))
-            if not left or not right:
-                continue
-            for a in left:
-                for b in right:
-                    pool.append(concat(a, b))
-        return tuple(pareto_filter(v, pool))
-
     for _ in range(levels):
+        rows = {pq: _partner_rows(es) for pq, es in cells.items()}
+        out_of: dict[int, list[tuple[int, tuple]]] = {}
+        for (p, r), left in rows.items():
+            out_of.setdefault(p, []).append((r, left))
         # Midpoint products can populate pairs absent from the current level.
-        into: dict[int, list[int]] = {}
-        for (p, r) in cells:
-            into.setdefault(r, []).append(p)
-        pairs = sorted(
-            {(p, q) for (r, q) in cells for p in into.get(r, ())}
-        )
-        results = {pq: next_cell(*pq) for pq in pairs}
-        cells = {pq: es for pq, es in results.items() if es}
+        products: dict[tuple[int, int], list] = {}
+        for (p, r), left in rows.items():
+            for q, right in out_of.get(r, ()):
+                products.setdefault((p, q), []).append((left, right))
+        cells = {pq: tuple(_filter_products(*pq, products[pq]))
+                 for pq in sorted(products)}
     return ParetoFamily(level=levels, cells=cells)
 
 

@@ -15,6 +15,7 @@ from vass import (
     pareto_filter,
     summarize_path,
 )
+from vass import pareto
 from vass.model import Violation
 from vass.oracle import oracle_cover, oracle_unbounded
 from vass.pareto import ParetoElem
@@ -238,6 +239,10 @@ def _dense_and_random_graphs():
     rng = random.Random(5150)
     graphs = [gen_guard_free(rng) for _ in range(300)]
     graphs += [gen_dense_guard_free(rng, 4 + k % 13) for k in range(100)]
+    # weights in -1..1: many prefixes and suffixes tie in weight and
+    # length, so the filter has to compare their transitions
+    graphs += [gen_dense_guard_free(rng, 4 + k % 13, max_weight=1)
+               for k in range(50)]
     return graphs
 
 
@@ -265,6 +270,29 @@ def test_families_walk_no_witness(monkeypatch):
     monkeypatch.setattr(Vass, "path_states", counted)
     build_families(gen_dense_guard_free(random.Random(0), 12))
     assert len(calls) == 0
+
+
+def test_families_build_only_kept_elements(monkeypatch):
+    # the doubling reads each product's summary off its operands; building
+    # every product would take 5,278 concat calls and 6,712 elements here
+    concats = []
+    built = []
+    concat_fn = pareto.concat
+    init = ParetoElem.__init__
+
+    def counted_concat(a, b):
+        concats.append(1)
+        return concat_fn(a, b)
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pareto, "concat", counted_concat)
+    monkeypatch.setattr(ParetoElem, "__init__", counted_init)
+    build_families(gen_dense_guard_free(random.Random(0), 12))
+    assert len(concats) == 0
+    assert len(built) < 2000
 
 
 # --- lasso decisions -----------------------------------------------------------------
