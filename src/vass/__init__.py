@@ -40,7 +40,6 @@ from .fixpoint import (
     CoreResult,
     Decision,
     DefectStats,
-    FixpointParams,
     USet,
     WorstCaseBounds,
     decide_coverability,

@@ -10,6 +10,7 @@ so runs can be compared byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -467,7 +468,9 @@ def _selftest_membership(v, core) -> bool:
     return True
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built once and shared by `main` calls."""
     p = _Parser(prog="vass", description=__doc__)
     p.add_argument("--format", choices=("text", "json"), default="text")
     sub = p.add_subparsers(dest="cmd", required=True)

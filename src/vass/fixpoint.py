@@ -7,10 +7,9 @@ per chain.  Seeded with the unbounded tails alone, rounds of saturation add
 a bounded-chain element (and, soundly, everything below it in its chain,
 which can climb to it by pumping) whenever it can reach the current ``U`` by
 a valid run.  The fixpoint is exactly the set of unbounded configurations in
-the pumpable region, and the final source query reduces to bounded
-coverability of the fixpoint's disequality-objective decomposition.
-Reachability of ``U`` is searched over arithmetic runs of configurations,
-each bounded chain crossed in one step (`_reach_uset`).
+the pumpable region, and the final source query asks whether the source
+reaches it.  Reachability of ``U`` is searched over arithmetic runs of
+configurations, each bounded chain crossed in one step (`_reach_uset`).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .cycles import (
     class_floor,
 )
 from .model import Configuration, Path, Vass
-from .objectives import DiseqObjective, decide_bounded_cover
+from .objectives import DiseqObjective
 
 DEFAULT_NODE_CAP = 500_000  # pieces per solve (see `Budget`)
 DEFAULT_MAX_ROUNDS = 100_000
@@ -76,16 +75,6 @@ def worstcase_bounds(n_states: int) -> WorstCaseBounds:
         run_length_bound=run_length_bound,
         round_bound=defect_bound,
     )
-
-
-@dataclass(frozen=True)
-class FixpointParams:
-    candidates_per_chain: int
-
-    @staticmethod
-    def adaptive(v: Vass) -> "FixpointParams":
-        n = v.n_states
-        return FixpointParams(candidates_per_chain=max(64, 4 * n * n))
 
 
 @dataclass(frozen=True)
@@ -490,31 +479,37 @@ def _walk_uset(
     start: Configuration,
     budget: Budget,
     dead: RunSet,
-) -> tuple[str, int]:
+    want_witness: bool = False,
+) -> tuple[str, int, Optional[Path]]:
     """Breadth-first walk over single configurations from ``start`` to the
-    nearest member of ``u``: ``("hit", depth)``, ``("no", nodes)`` or
-    ``("capped", nodes)``.
+    nearest member of ``u``: ``("hit", depth, path)``, ``("no", nodes,
+    None)`` or ``("capped", nodes, None)``.
 
-    It measures the depth the final query reports, which is also the step
-    bound of the witness search, so it runs only after `_reach_uset` found
-    a hit.  It skips ``dead`` configurations: no run into ``u`` passes
+    It measures the depth the final query reports, so it runs only after
+    `_reach_uset` found a hit.  With ``want_witness`` it keeps a parent
+    pointer (previous configuration and transition index) per
+    configuration admitted, and ``path`` is the shortest run into ``u``
+    that they spell, of exactly ``depth`` transitions; otherwise it is
+    ``None``.  It skips ``dead`` configurations: no run into ``u`` passes
     through one, so skipping changes neither the answer nor the depth.
     Each configuration admitted draws one unit from ``budget``.
     """
     if budget.spent >= budget.cap:
-        return ("capped", 0)
+        return ("capped", 0, None)
     if not v.is_valid(start) or dead.has(start.state, start.counter):
-        return ("no", 0)
+        return ("no", 0, None)
     if u.contains(start):
-        return ("hit", 0)
+        return ("hit", 0, Path(start.state) if want_witness else None)
     n = v.n_states
-    seen = {start.counter * n + start.state}
+    root = start.counter * n + start.state
+    seen = {root}
+    parents: Optional[dict] = {} if want_witness else None
     budget.spent += 1
     queue = deque([(start.state, start.counter, 0)])
     guards = v.guards
     while queue:
         q, z, d = queue.popleft()
-        for _, t in v.out_edges(q):
+        for ti, t in v.out_edges(q):
             y = z + t.weight
             if y < 0 or y in guards[t.dst]:
                 continue
@@ -522,13 +517,21 @@ def _walk_uset(
             if key in seen or dead.has(t.dst, y):
                 continue
             if u.contains(Configuration(t.dst, y)):
-                return ("hit", d + 1)
+                if parents is None:
+                    return ("hit", d + 1, None)
+                steps, at = [ti], z * n + q
+                while at != root:
+                    at, tj = parents[at]
+                    steps.append(tj)
+                return ("hit", d + 1, Path(start.state, tuple(reversed(steps))))
             if budget.spent >= budget.cap:
-                return ("capped", len(seen))
+                return ("capped", len(seen), None)
             budget.spent += 1
             seen.add(key)
+            if parents is not None:
+                parents[key] = (z * n + q, ti)
             queue.append((t.dst, y, d + 1))
-    return ("no", len(seen))
+    return ("no", len(seen), None)
 
 
 class AddedValues(Sequence):
@@ -572,14 +575,20 @@ class SaturateOutcome:
 
 
 def saturate_step(
-    v: Vass, analysis: CycleAnalysis, u: USet, params: FixpointParams,
-    budget: Optional[Budget] = None,
+    v: Vass, analysis: CycleAnalysis, u: USet, budget: Optional[Budget] = None,
 ) -> SaturateOutcome:
-    """One synchronous round: against the frozen ``u``, test the top
-    ``candidates_per_chain`` missing elements of every bounded chain (and
-    the lowest missing one) for reachability of ``u``; a successful element
-    raises its chain's maximum, which closes downward soundly because lower
-    chain elements pump up to it.  The result always contains ``u``.
+    """One synchronous round: against the frozen ``u``, raise the maximum
+    of every bounded chain to its largest element that reaches ``u``, which
+    closes downward soundly because lower chain elements pump up to it.
+    The result always contains ``u``.
+
+    The elements of a chain that reach ``u`` form a prefix of it: one lap
+    of the reference cycle validly takes an element ``z`` to ``z + W`` (see
+    `unbounded_core`), so whatever ``z + W`` reaches, ``z`` reaches too.
+    Hence the round probes the lowest missing element first; a "no" there
+    ends the chain for the round.  After a hit it probes the top, and if
+    that misses, bisects between the two for the last element that hits.
+    A "capped" probe counts as a miss and marks the round ``truncated``.
 
     The probes of a round share one dead run set (see `_reach_uset`): the
     runs of a "no" cover a finite closure that misses ``u``, so later
@@ -594,41 +603,40 @@ def saturate_step(
         budget = Budget(DEFAULT_NODE_CAP)
     truncated = False
     additions: dict[tuple[int, int], int] = {}
-    dead = RunSet(v.n_states)
-    for ch in bounded_chains(analysis):
-        w = analysis.states[ch.state].selection.period
-        cmax = u.per_chain_max.get((ch.state, ch.lo))
-        first_missing = ch.lo if cmax is None else cmax + w
-        if first_missing > ch.hi:
-            continue
-        cands = []
-        x = ch.hi
-        while x >= first_missing and len(cands) < params.candidates_per_chain:
-            cands.append(x)
-            x -= w
-        if cands[-1] != first_missing:
-            cands.append(first_missing)
-        for x in cands:  # descending: first hit is the chain's new max
-            if x in v.guards[ch.state] or dead.has(ch.state, x):
-                continue  # heads no valid run, or its closure misses u
-            status, _ = _reach_uset(v, u, Configuration(ch.state, x),
-                                    budget, dead)
-            if status == "hit":
-                additions[(ch.state, ch.lo)] = x
-                break
-            if status == "capped":
-                truncated = True
-
-    new_u = u.with_additions(additions)
     ranges: dict[int, list[range]] = {}
-    for (state, lo), x in sorted(additions.items()):
-        w = analysis.states[state].selection.period
-        prev = u.per_chain_max.get((state, lo))
-        start = lo if prev is None else prev + w
-        ranges.setdefault(state, []).append(range(start, x + 1, w))
-    added = {state: AddedValues(r) for state, r in ranges.items()}
-    return SaturateOutcome(uset=new_u, added=added, truncated=truncated,
-                           dead=dead)
+    dead = RunSet(v.n_states)
+
+    def hits(q: int, x: int) -> bool:
+        nonlocal truncated
+        if x in v.guards[q] or dead.has(q, x):
+            return False  # heads no valid run, or its closure misses u
+        status, _ = _reach_uset(v, u, Configuration(q, x), budget, dead)
+        truncated = truncated or status == "capped"
+        return status == "hit"
+
+    for ch in bounded_chains(analysis):
+        q = ch.state
+        w = analysis.states[q].selection.period
+        cmax = u.per_chain_max.get((q, ch.lo))
+        first_missing = ch.lo if cmax is None else cmax + w
+        if first_missing > ch.hi or not hits(q, first_missing):
+            continue
+        x = ch.hi  # the chain's new maximum, if the top hits
+        if first_missing < x and not hits(q, x):
+            lo, hi = first_missing, x
+            while hi - lo > w:  # lo hits, hi misses
+                mid = lo + (hi - lo) // (2 * w) * w
+                if hits(q, mid):
+                    lo = mid
+                else:
+                    hi = mid
+            x = lo
+        additions[(q, ch.lo)] = x
+        ranges.setdefault(q, []).append(range(first_missing, x + 1, w))
+
+    added = {q: AddedValues(r) for q, r in ranges.items()}
+    return SaturateOutcome(uset=u.with_additions(additions), added=added,
+                           truncated=truncated, dead=dead)
 
 
 @dataclass(frozen=True)
@@ -641,7 +649,7 @@ class CoreResult:
     budget: Budget  # the node budget of the solve
 
 
-def unbounded_core(v: Vass, params: Optional[FixpointParams] = None) -> CoreResult:
+def unbounded_core(v: Vass) -> CoreResult:
     """Saturate to the set of unbounded configurations in the pumpable
     region, stopping at the first round that adds nothing.
 
@@ -651,10 +659,9 @@ def unbounded_core(v: Vass, params: Optional[FixpointParams] = None) -> CoreResu
     lap of the reference cycle validly reaches ``z + W``, staying at or
     above the floor.  Hence if any missing element ``x`` reaches ``U``, the
     lowest missing element reaches ``x`` and then ``U``.  A round that adds
-    nothing and hits no cap therefore leaves no chain element to add, and
-    a larger candidate window would change neither the set nor the status.
-    The same lap argument lets a probe take a whole chain in one step (see
-    `USet.laps`).
+    nothing and hits no cap therefore leaves no chain element to add.  The
+    same lap argument makes the bisection of `saturate_step` exact and lets
+    a probe take a whole chain in one step (see `USet.laps`).
 
     Each round memoises its failed probes in a fresh dead run set, valid
     while that round's ``U`` is frozen.  The stable round adds nothing, so
@@ -668,15 +675,13 @@ def unbounded_core(v: Vass, params: Optional[FixpointParams] = None) -> CoreResu
     stays sound either way.
     """
     _require_normalized(v)
-    if params is None:
-        params = FixpointParams.adaptive(v)
     analysis = analyze(v)
     u = seed_uset(analysis)
     budget = Budget(DEFAULT_NODE_CAP)
     rounds: list[dict] = []
     truncated = False
     while True:
-        out = saturate_step(v, analysis, u, params, budget)
+        out = saturate_step(v, analysis, u, budget)
         truncated = truncated or out.truncated
         u = out.uset
         if not out.added:
@@ -716,23 +721,12 @@ def _decide_config(
     if status == "no":
         return Decision(False, "complete", reason="reachable set is finite")
     if status == "hit":
-        status, depth = _walk_uset(v, core.uset, c, core.budget, core.dead)
+        status, depth, witness = _walk_uset(v, core.uset, c, core.budget,
+                                            core.dead, want_witness)
         if status == "no":  # both searches answer reachability exactly
             raise AssertionError("the walk missed a run the search found")
     if status == "capped":
         return Decision(None, "incomplete", reason="node cap exhausted")
-    # A run of `depth` steps into the set exists; recover it through the
-    # bounded-coverability procedure over the objective decomposition.
-    witness = None
-    if want_witness:
-        for q in sorted(core.analysis.states):
-            for o in decompose_objectives(core.uset, q):
-                res = decide_bounded_cover(v, c, o, depth, want_witness=True)
-                if res.reachable:
-                    witness = res.witness
-                    break
-            if witness is not None:
-                break
     return Decision(True, "complete", witness=witness,
                     reason=f"reaches the unbounded core in {depth} steps")
 

@@ -77,7 +77,7 @@ def up(g: int) -> Vass:
 
 def updown(g: int) -> Vass:
     """`up` plus a state that counts down from wherever it is entered:
-    bounded, and the down-counter is walked one step at a time."""
+    bounded, and entered from the whole chain below the guard as one run."""
     return Vass(names=("a", "b"), guards=(frozenset((g,)), frozenset()),
                 transitions=(Transition(0, 0, 1), Transition(0, 1, 0),
                              Transition(1, 1, -1)),

@@ -224,6 +224,8 @@ def parse_dimacs(text: str) -> Cnf3:
 def random_cnf(num_vars: int, num_clauses: int, seed: int) -> Cnf3:
     import random
 
+    if num_clauses < 0:
+        raise ValueError("clause count must be nonnegative")
     if num_clauses > 0 and num_vars < 3:
         raise ValueError("random 3-CNF needs at least 3 variables")
     rng = random.Random(seed)

@@ -16,7 +16,6 @@ import pytest
 
 from vass import (
     Configuration,
-    FixpointParams,
     Path,
     analyze,
     blocked_omega,
@@ -268,7 +267,6 @@ def test_criterion_10_structural_invariants():
         ana = analyze(v)
         wc = worstcase_bounds(v.n_states)
         u = seed_uset(ana)
-        params = FixpointParams.adaptive(v)
         for _round in range(60):
             # prefix-closedness: each stored maximum aligns with its chain
             for (q, lo), m in u.per_chain_max.items():
@@ -283,7 +281,7 @@ def test_criterion_10_structural_invariants():
                     if not u.contains(Configuration(ch.state, z)))
                 if size > v.n_states * missing:
                     bad += 1
-            out = saturate_step(v, ana, u, params)
+            out = saturate_step(v, ana, u)
             if out.uset.per_chain_max == u.per_chain_max:
                 u = out.uset
                 break

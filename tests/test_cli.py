@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import vass
-from vass import fixpoint, instances, model, reductions
+from vass import cli, fixpoint, instances, model, reductions
 from vass.cli import main
 
 
@@ -206,6 +206,13 @@ def test_gen_cnf_random_needs_three_variables(capsys, n_vars):
     assert run(capsys, "gen", "cnf", "--random", n_vars, "0", "0")[0] == 0
 
 
+@pytest.mark.parametrize("n_vars", ("1", "3"))
+def test_gen_cnf_random_needs_a_nonnegative_clause_count(capsys, n_vars):
+    code, out, err = run(capsys, "gen", "cnf", "--random", n_vars, "-2", "0")
+    assert code == 2 and out == ""
+    assert err == "input error: clause count must be nonnegative\n"
+
+
 def test_gen_cnf_from_dimacs(capsys, tmp_path):
     src = tmp_path / "f.cnf"
     src.write_text("p cnf 3 1\n1 2 3 0\n")
@@ -326,12 +333,33 @@ def test_out_of_range_value_is_reported_at_its_line(capsys, tmp_path, text,
     model.parse_vass(text.replace("9223372036854775808", "9223372036854775807"))
 
 
-def test_check_decides_a_guard_at_ten_million(capsys, tmp_path):
-    # the bounded chain below the guard is lapped in one step, not walked
+@pytest.mark.parametrize("make", (instances.up, instances.updown),
+                         ids=("up", "updown"))
+def test_check_decides_a_guard_at_ten_million(capsys, tmp_path, make):
+    # the bounded chain below the guard is lapped in one step, not walked,
+    # and so is the down-counter entered from the whole chain at once
     f = tmp_path / "big.vass"
-    f.write_text(model.serialize_vass(instances.up(10**7)))
+    f.write_text(model.serialize_vass(make(10**7)))
     code, out, err = run(capsys, "check", str(f))
     assert (code, out, err) == (0, "NO\n", "reachable set is finite\n")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch, demo_file):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert run(capsys, "check", demo_file)[:2] == (0, "YES\n")
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("vass") == 1, built
 
 
 def test_selftest(capsys):

@@ -1,11 +1,11 @@
 import random
+import re
 from collections import deque
 
 import pytest
 
 from vass import (
     Configuration,
-    FixpointParams,
     USet,
     analyze,
     decide_coverability,
@@ -100,7 +100,7 @@ def test_membership_in_prescribed_first_round_set(demo):
 
 def test_membership_in_computed_first_round_set(demo):
     ana = analyze(demo)
-    out = saturate_step(demo, ana, seed_uset(ana), FixpointParams.adaptive(demo))
+    out = saturate_step(demo, ana, seed_uset(ana))
     assert out.uset.contains(Configuration(4, 54))
     assert not out.uset.contains(Configuration(4, 72))
 
@@ -149,7 +149,7 @@ def test_demo_first_round_additions_verified_by_oracle(demo):
     brute-force oracle; the verified additions at state s4 are a strict
     superset of the four values the historical walkthrough lists."""
     ana = analyze(demo)
-    out = saturate_step(demo, ana, seed_uset(ana), FixpointParams.adaptive(demo))
+    out = saturate_step(demo, ana, seed_uset(ana))
     added = {demo.names[q]: vals for q, vals in out.added.items()}
     assert added["s4"] == [54, 57, 60, 63, 66, 69, 75, 78, 84, 87, 93, 96]
     assert set(added) == {"s1", "s2", "s4", "s5", "s6"}
@@ -165,9 +165,8 @@ def test_demo_first_round_additions_verified_by_oracle(demo):
 def test_demo_saturation_is_monotone_and_prefix_closed(demo):
     ana = analyze(demo)
     u = seed_uset(ana)
-    params = FixpointParams.adaptive(demo)
     for _ in range(3):
-        out = saturate_step(demo, ana, u, params)
+        out = saturate_step(demo, ana, u)
         assert set(u.per_chain_max) <= set(out.uset.per_chain_max)
         for key, m in u.per_chain_max.items():
             assert out.uset.per_chain_max[key] >= m
@@ -212,37 +211,51 @@ test_fixpoint_trace_matches_historical_walkthrough = pytest.mark.xfail(
 )(test_fixpoint_trace_matches_historical_walkthrough)
 
 
-def test_saturation_window_creeps_up_over_rounds():
+def test_saturation_finds_a_chain_maximum_in_one_round():
     # chain [5, 35] step 10 at state a; only 25 escapes directly (35 is cut
     # at b, 45 is a's own guard), but 5 and 15 pump up to 25 inside the
-    # chain; with a one-element window the solver probes the top (fails) and
-    # the lowest missing element each round, so the maximum creeps up one
-    # element per round and stabilizes at 25
+    # chain; the lowest missing element hits, the top misses, and the
+    # bisection between them settles on 25 in the first round
     v = parse_vass(
         "state a 45\nstate b 35\nstate c 5\n"
         "edge a a 10\nedge a b 0\nedge b c 0\nedge c c 1\n"
     )
-    core = unbounded_core(v, FixpointParams(candidates_per_chain=1))
+    core = unbounded_core(v)
     assert core.status == "complete"
-    assert [r for r in core.rounds] == [{0: [5]}, {0: [15]}, {0: [25]}]
+    assert [r for r in core.rounds] == [{0: [5, 15, 25]}]
     assert core.uset.per_chain_max[(0, 5)] == 25
     assert not core.uset.contains(Configuration(0, 35))
     for z, want in ((5, True), (15, True), (25, True), (35, False)):
         assert truly_unbounded(v, 0, z) is want
-    # a roomier window finds the same fixpoint in one round
-    wide = unbounded_core(v)
-    assert wide.uset.per_chain_max == core.uset.per_chain_max
 
 
-def test_saturation_candidate_window_respects_budget(demo):
-    ana = analyze(demo)
-    tight = FixpointParams(candidates_per_chain=1)
-    out = saturate_step(demo, ana, seed_uset(ana), tight)
-    # with a one-element window only chain tops (plus the lowest missing
-    # element) are probed; the round still only adds sound members
-    for q, vals in out.added.items():
-        for z in vals:
-            assert truly_unbounded(demo, q, z) is True
+def test_round_maximum_is_the_last_hit_of_a_prefix():
+    # the elements of a bounded chain that reach the frozen U form a prefix
+    # of the chain, and each round raises the chain's maximum to its last
+    # element, as the explicit walk finds them
+    checked = partial = 0
+    for v in _memo_instances(300) + _dense_guard_instances(150):
+        ana = analyze(v)
+        u = seed_uset(ana)
+        while True:
+            out = saturate_step(v, ana, u)
+            if out.truncated:
+                break
+            walk = _memo_walk(v, u)
+            for ch in fixpoint.bounded_chains(ana):
+                w = ana.states[ch.state].selection.period
+                hits = [x for x in range(ch.lo, ch.hi + 1, w)
+                        if walk(Configuration(ch.state, x)) == "hit"]
+                if hits:
+                    assert hits == list(range(ch.lo, hits[-1] + 1, w)), (v, ch)
+                m = out.uset.per_chain_max.get((ch.state, ch.lo))
+                assert m == (hits[-1] if hits else None), (v, ch)
+                checked += len(hits)
+                partial += bool(hits) and m < ch.hi
+            if not out.added:
+                break
+            u = out.uset
+    assert checked > 1000 and partial > 5
 
 
 def test_stable_round_is_the_fixpoint():
@@ -449,15 +462,16 @@ def test_one_budget_bounds_the_whole_solve(monkeypatch):
     # every probe draws from one budget per solve, so a spent budget ends
     # the solve with UNKNOWN instead of granting each probe a fresh cap
     monkeypatch.setattr(fixpoint, "DEFAULT_NODE_CAP", 2000)
-    dec = decide_unboundedness(instances.updown(10**4), 0)
+    dec = decide_unboundedness(*cnf_no_anchor())
     assert dec.answer is None and dec.status == "incomplete"
     assert dec.core.status == "incomplete"
     assert dec.core.budget.spent <= 2000
 
 
 def test_probe_work_does_not_grow_with_the_guard(monkeypatch):
-    # laps cross a whole chain in one step: the guard value changes neither
-    # the number of probes nor the number of pieces they admit
+    # laps cross a whole chain in one step and the lowest missing element
+    # settles the chain: the guard value changes neither the number of
+    # probes nor the number of pieces they admit
     probes = 0
     search = fixpoint._reach_uset
 
@@ -467,20 +481,18 @@ def test_probe_work_does_not_grow_with_the_guard(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(fixpoint, "_reach_uset", counted)
-    work = []
-    for g in (10**3, 10**7):
-        probes = 0
-        dec = decide_unboundedness(instances.up(g), 0)
-        assert dec.answer is False and dec.status == "complete"
-        work.append((probes, dec.core.budget.spent))
-    assert work[0] == work[1], work
-    assert work[0][0] > 60
+    for make, want in ((instances.up, (2, 1)), (instances.updown, (2, 2))):
+        for g in (10**3, 10**7):
+            probes = 0
+            dec = decide_unboundedness(make(g), 0)
+            assert dec.answer is False and dec.status == "complete"
+            assert (probes, dec.core.budget.spent) == want, (make, g)
 
 
 def test_cnf_anchor_work_count(monkeypatch):
-    # without the dead run set every probe re-searches the same closures
-    # (500,000 pieces, the whole budget), and without the skip of dead
-    # candidates every candidate is probed (13,838 probes)
+    # 67 probes admit 4,488 pieces; without the dead run set every probe
+    # re-searches the same closures (200,658 pieces), and without the skip
+    # of dead candidates 4,487 probes are made
     v, s = cnf_no_anchor()
     probes = 0
     search = fixpoint._reach_uset
@@ -493,8 +505,8 @@ def test_cnf_anchor_work_count(monkeypatch):
     monkeypatch.setattr(fixpoint, "_reach_uset", counted)
     dec = decide_unboundedness(v, s)
     assert dec.answer is False and dec.status == "complete"
-    assert dec.core.budget.spent < 50_000, dec.core.budget.spent
-    assert probes < 1_000, probes
+    assert dec.core.budget.spent < 10_000, dec.core.budget.spent
+    assert probes < 300, probes
 
 
 # --- defect diagnostics ---------------------------------------------------------
@@ -528,7 +540,6 @@ def test_defect_bounds_on_random_suite():
         v = gen_vass(rng, max_states=6, max_weight=4, max_guard=30)
         ana = analyze(v)
         u = seed_uset(ana)
-        params = FixpointParams.adaptive(v)
         wc = worstcase_bounds(v.n_states)
         for _round in range(50):
             stats = defect_stats(u, ana)
@@ -537,7 +548,7 @@ def test_defect_bounds_on_random_suite():
                 assert size <= v.n_states * missing
             for (_q, _r), size in stats.per_class.items():
                 assert size <= wc.defect_bound
-            out = saturate_step(v, ana, u, params)
+            out = saturate_step(v, ana, u)
             if not out.added:
                 break
             u = out.uset
@@ -599,6 +610,27 @@ def test_unbounded_witness_revalidates(demo):
     run = lift_run(demo, dec.witness, 0)
     assert not isinstance(run, Violation)
     assert unbounded_core(demo).uset.contains(run[-1])
+    # every YES of the shared set carries a run from counter 0 that first
+    # enters U after exactly the number of steps its reason names
+    checked = 0
+    for v in _memo_instances(350):
+        core = unbounded_core(v)
+        for s in range(v.n_states):
+            dec = fixpoint._decide_config(v, core, Configuration(s, 0),
+                                          want_witness=True)
+            if dec.answer is not True:
+                continue
+            steps = re.fullmatch(r"reaches the unbounded core in (\d+) steps",
+                                 dec.reason)
+            assert steps or dec.reason == "initial configuration is unbounded"
+            assert dec.witness.start == s
+            assert len(dec.witness) == (int(steps[1]) if steps else 0), (v, s)
+            run = lift_run(v, dec.witness, 0)
+            assert not isinstance(run, Violation), (v, s)
+            assert core.uset.contains(run[-1])
+            assert not any(core.uset.contains(c) for c in run[:-1]), (v, s)
+            checked += bool(steps)
+    assert checked > 40
 
 
 def test_invalid_initial_configuration_is_bounded():
