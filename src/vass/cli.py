@@ -10,6 +10,7 @@ so runs can be compared byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -41,6 +42,10 @@ class InputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefixes: `check --counter 3` is not `--counter-cap 3`
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse exits 2 by default; we want 1
         raise UsageError(message)
 
@@ -87,35 +92,21 @@ def _decision_exit(answer: Optional[bool]) -> tuple[str, int]:
     return ("YES" if answer else "NO"), EXIT_OK
 
 
-def _run_oracle(args, v: model.Vass, s: int,
-                t: Optional[int]) -> tuple[str, int, list[str]]:
-    """Oracle coverability of ``t`` (unboundedness when ``t`` is None):
-    answer token, exit code and detail lines."""
-    node_cap = (oracle.DEFAULT_NODE_CAP if args.node_cap is None
-                else args.node_cap)
-    if t is not None:
-        verdict = oracle.oracle_cover(v, s, t, counter_cap=args.counter_cap,
-                                      node_cap=node_cap)
-    else:
-        verdict = oracle.oracle_unbounded(v, s, counter_cap=args.counter_cap,
-                                          node_cap=node_cap)
-    answer, code = _decision_exit(
-        verdict.answer == "yes" if verdict.definite else None)
-    return answer, code, [f"explored {verdict.states_explored} configurations",
-                          verdict.reason]
-
-
-# `check` flags that only one algorithm reads; with any other they are
-# refused rather than silently ignored.
+# Flags that only one algorithm reads, over all commands; given with any
+# other algorithm they are refused rather than silently ignored.
 _ALGO_ONLY_FLAGS = (("emit_trace", "fixpoint"), ("counter_cap", "oracle"),
-                    ("node_cap", "oracle"))
+                    ("node_cap", "oracle"), ("witness", "dp"))
+
+
+def _refuse_foreign_flags(args) -> None:
+    for flag, algo in _ALGO_ONLY_FLAGS:
+        if args.algo != algo and getattr(args, flag, None) is not None:
+            raise UsageError(f"--{flag.replace('_', '-')} applies only to "
+                             f"--algo {algo}")
 
 
 def _cmd_check(args) -> int:
-    for flag, algo in _ALGO_ONLY_FLAGS:
-        if args.algo != algo and getattr(args, flag) is not None:
-            raise UsageError(f"--{flag.replace('_', '-')} applies only to "
-                             f"--algo {algo}")
+    _refuse_foreign_flags(args)
     _nonnegative(args, "counter_cap", "node_cap")
     v = _read_instance(args.file)
     s = _resolve(v, args.source, v.initial, "source")
@@ -123,7 +114,15 @@ def _cmd_check(args) -> int:
          if args.mode == "coverability" else None)
 
     if args.algo == "oracle":
-        answer, code, detail = _run_oracle(args, v, s, t)
+        caps = {"counter_cap": args.counter_cap,
+                "node_cap": (oracle.DEFAULT_NODE_CAP if args.node_cap is None
+                             else args.node_cap)}
+        verdict = (oracle.oracle_unbounded(v, s, **caps) if t is None
+                   else oracle.oracle_cover(v, s, t, **caps))
+        answer, code = _decision_exit(
+            verdict.answer == "yes" if verdict.definite else None)
+        detail = [f"explored {verdict.states_explored} configurations",
+                  verdict.reason]
     elif args.algo == "pareto":
         if v.has_guards:
             raise InputError("pareto requires guard-free input")
@@ -143,9 +142,11 @@ def _cmd_check(args) -> int:
 
     payload = {"answer": answer, "mode": args.mode, "algo": args.algo,
                "detail": detail}
-    _emit(payload, args.format)
-    if args.emit_trace:
-        _write_trace(args.emit_trace, _trace_json(dec.core))
+    with (_create(args.emit_trace) if args.emit_trace not in (None, "-")
+          else contextlib.nullcontext(sys.stdout)) as trace:
+        _emit(payload, args.format)
+        if args.emit_trace:
+            _write_json(trace, _trace_json(dec.core))
     return code
 
 
@@ -162,30 +163,41 @@ def _trace_json(core: fixpoint.CoreResult) -> dict:
     return {"rounds": rounds, "per_chain_max": maxima, "status": core.status}
 
 
-def _write_trace(dest: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if dest == "-":
-        print(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+def _create(path: str):
+    """``path`` opened for writing.  A command opens its output file before
+    it prints anything, so an unwritable path is an input error with
+    nothing on stdout."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise InputError(str(e)) from None
+
+
+def _write_json(f, doc: dict) -> None:
+    f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_bounded_cover(args) -> int:
+    _refuse_foreign_flags(args)
     _nonnegative(args, "counter", "steps")
     v = _read_instance(args.file)
     s = _resolve(v, args.source, v.initial, "source")
     t = _resolve(v, args.target, v.target, "target")
     o = _objective(args, t)
     init = model.Configuration(s, args.counter)
-    res = objectives.decide_bounded_cover(v, init, o, args.steps,
-                                          want_witness=args.witness)
-    payload = {"answer": "YES" if res.reachable else "NO",
-               "mode": "bounded-cover", "algo": "dp",
-               "detail": [f"max layer size {res.max_layer}"]}
-    if res.witness is not None:
-        payload["witness"] = [v.names[q] for q in v.path_states(res.witness)]
-        payload["detail"].append("witness: " + " ".join(payload["witness"]))
+    payload = {"mode": "bounded-cover", "algo": args.algo, "detail": []}
+    if args.algo == "oracle":
+        reachable = oracle.oracle_bounded_cover(v, init, o, args.steps)
+    else:  # dp
+        res = objectives.decide_bounded_cover(v, init, o, args.steps,
+                                              want_witness=bool(args.witness))
+        reachable = res.reachable
+        payload["detail"].append(f"max layer size {res.max_layer}")
+        if res.witness is not None:
+            payload["witness"] = [v.names[q]
+                                  for q in v.path_states(res.witness)]
+            payload["detail"].append("witness: " + " ".join(payload["witness"]))
+    payload["answer"] = "YES" if reachable else "NO"
     _emit(payload, args.format)
     return EXIT_OK
 
@@ -340,16 +352,16 @@ def _cmd_gen(args) -> int:
         v, meta = reductions.cnf_to_vass(formula)
     except ValueError as e:
         raise InputError(str(e)) from None
-    sys.stdout.write(model.serialize_vass(v))
-    if args.meta:
-        doc = {
-            "primes": list(meta.primes),
-            "product": meta.product,
-            "clause_weights": list(meta.clause_weights),
-            "guard_windows": [list(w) for w in meta.guard_windows],
-        }
-        with open(args.meta, "w", encoding="utf-8") as f:
-            f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with (_create(args.meta) if args.meta
+          else contextlib.nullcontext()) as sidecar:
+        sys.stdout.write(model.serialize_vass(v))
+        if sidecar is not None:
+            _write_json(sidecar, {
+                "primes": list(meta.primes),
+                "product": meta.product,
+                "clause_weights": list(meta.clause_weights),
+                "guard_windows": [list(w) for w in meta.guard_windows],
+            })
     return EXIT_OK
 
 
@@ -363,45 +375,6 @@ def _cmd_reduce(args) -> int:
     sys.stdout.write(model.serialize_vass(out))
     print(f"# source {out.names[s1]}", file=sys.stderr)
     return EXIT_OK
-
-
-# `oracle` flags that only some modes read: the search caps only
-# `cover`/`unbounded`, the objective flags only `bounded-cover`, which
-# applies these defaults.  With another mode they are refused rather than
-# silently ignored.
-_ORACLE_CAP_FLAGS = ("counter_cap", "node_cap")
-_ORACLE_OBJECTIVE_DEFAULTS = {"counter": 0, "ell": 0, "period": 1,
-                              "not_res": "", "not_val": "", "steps": 0}
-
-
-def _cmd_oracle(args) -> int:
-    bounded = args.mode == "bounded-cover"
-    ignored, modes = ((_ORACLE_CAP_FLAGS, "cover|unbounded") if bounded
-                      else (_ORACLE_OBJECTIVE_DEFAULTS, "bounded-cover"))
-    for flag in ignored:
-        if getattr(args, flag) is not None:
-            raise UsageError(f"--{flag.replace('_', '-')} applies only to "
-                             f"--mode {modes}")
-    if bounded:
-        for flag, default in _ORACLE_OBJECTIVE_DEFAULTS.items():
-            if getattr(args, flag) is None:
-                setattr(args, flag, default)
-    _nonnegative(args, "counter_cap", "node_cap", "counter", "steps")
-    v = _read_instance(args.file)
-    s = _resolve(v, args.source, v.initial, "source")
-    t = (None if args.mode == "unbounded"
-         else _resolve(v, args.target, v.target, "target"))
-    if bounded:
-        ans = oracle.oracle_bounded_cover(
-            v, model.Configuration(s, args.counter), _objective(args, t),
-            args.steps)
-        answer, code = _decision_exit(ans)
-        detail = []
-    else:
-        answer, code, detail = _run_oracle(args, v, s, t)
-    _emit({"answer": answer, "mode": args.mode, "algo": "oracle",
-           "detail": detail}, args.format)
-    return code
 
 
 def _cmd_selftest(args) -> int:
@@ -495,17 +468,19 @@ def build_parser() -> _Parser:
     b = sub.add_parser("bounded-cover",
                        help="length-bounded coverability of an objective")
     add_instance_arg(b)
+    b.add_argument("--algo", choices=("dp", "oracle"), default="dp")
     b.add_argument("--counter", type=int, default=0)
     b.add_argument("--ell", type=int, required=True)
     b.add_argument("--period", type=int, required=True)
     b.add_argument("--not-res", default="", help="forbidden residues, CSV")
     b.add_argument("--not-val", default="", help="forbidden values, CSV")
     b.add_argument("--steps", type=int, required=True)
-    b.add_argument("--witness", action="store_true")
+    # None when not given, as `_ALGO_ONLY_FLAGS` reads it
+    b.add_argument("--witness", action="store_true", default=None)
     b.set_defaults(func=_cmd_bounded_cover)
 
     i = sub.add_parser("inspect", help="dump the cycle and chain analysis")
-    add_instance_arg(i)
+    i.add_argument("file", help="instance file, or - for stdin")
     i.add_argument("--cycles", action="store_true")
     i.add_argument("--chains", action="store_true")
     i.add_argument("--blocked", action="store_true")
@@ -524,20 +499,6 @@ def build_parser() -> _Parser:
     r.add_argument("kind", choices=("cov2unbound",))
     add_instance_arg(r)
     r.set_defaults(func=_cmd_reduce)
-
-    o = sub.add_parser("oracle", help="brute-force reference answers")
-    add_instance_arg(o)
-    o.add_argument("--mode", choices=("cover", "unbounded", "bounded-cover"),
-                   required=True)
-    o.add_argument("--counter-cap", type=int, default=None)
-    o.add_argument("--node-cap", type=int, default=None)
-    o.add_argument("--counter", type=int, default=None)
-    o.add_argument("--ell", type=int, default=None)
-    o.add_argument("--period", type=int, default=None)
-    o.add_argument("--not-res", default=None)
-    o.add_argument("--not-val", default=None)
-    o.add_argument("--steps", type=int, default=None)
-    o.set_defaults(func=_cmd_oracle)
 
     st = sub.add_parser("selftest", help="run the bundled golden checks")
     st.set_defaults(func=_cmd_selftest)

@@ -55,9 +55,6 @@ class CycleAnalysis:
     vass: Vass
     states: dict[int, StateAnalysis]  # domain: states with a positive cycle
 
-    def pumpable(self) -> list[int]:
-        return sorted(self.states)
-
 
 def _strongly_connected_components(v: Vass) -> list[list[int]]:
     """Tarjan's SCC, iterative to stay clear of recursion limits."""

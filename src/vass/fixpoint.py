@@ -89,20 +89,8 @@ class USet:
     per_chain_max: dict = field(default_factory=dict)  # (state, lo) -> max
 
     def contains(self, c: Configuration) -> bool:
-        sa = self.analysis.states.get(c.state)
-        if sa is None or c.counter < sa.floor:
-            return False
-        w = sa.selection.period
-        caps = sa.splits.get(c.counter % w)
-        if not caps or c.counter > caps[-1]:
-            return True
-        i = bisect_left(caps, c.counter)
-        cap = caps[i]
-        if cap == c.counter:
-            return self.per_chain_max.get((c.state, cap)) == cap
-        lo = class_floor(sa, c.counter % w) if i == 0 else caps[i - 1] + w
-        m = self.per_chain_max.get((c.state, lo))
-        return m is not None and c.counter <= m
+        """Is ``c`` a member?  The one-element run at ``c`` holds one."""
+        return self.laps(c.state, c.counter, c.counter, 1) is None
 
     def laps(self, q: int, lo: int, hi: int,
              step: int) -> Optional[list[tuple[int, int, int]]]:

@@ -128,9 +128,6 @@ class Vass:
     def out_edges(self, q: int) -> list[tuple[int, Transition]]:
         return self._out[q]
 
-    def guard_of(self, q: int) -> frozenset[int]:
-        return self.guards[q]
-
     @property
     def has_guards(self) -> bool:
         return any(self.guards)

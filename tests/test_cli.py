@@ -127,6 +127,27 @@ def test_inspect_output_is_deterministic(capsys, demo_file):
     assert out1 == out2
 
 
+def test_inspect_takes_no_source_or_target(capsys, demo_file):
+    # inspect analyses the whole instance; it reads no source or target
+    for flag in ("--source", "--target"):
+        code, out, err = run(capsys, "inspect", demo_file, flag, "nosuchstate")
+        assert code == 1 and out == "", flag
+        assert err.startswith("usage error:") and flag in err, flag
+
+
+@pytest.mark.parametrize("argv", (
+    ("check", "DEMO", "--emit-trace", "DEST"),
+    ("gen", "cnf", "--random", "3", "2", "7", "--meta", "DEST"),
+))
+def test_unwritable_output_is_an_input_error(capsys, tmp_path, demo_file, argv):
+    # the destination is opened before anything is printed
+    dest = str(tmp_path / "missing" / "out.json")
+    argv = [{"DEMO": demo_file, "DEST": dest}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and dest in err
+
+
 def _expected_trace(v: model.Vass) -> dict:
     """The trace of a fresh saturation of the normalized ``v``."""
     core = fixpoint.unbounded_core(model.normalize_guards_with_maps(v)[0])
@@ -174,8 +195,6 @@ UNKNOWN_TO_ORACLE = ("state a 1000\nstate b\nedge a a 1\nedge a b -500\n"
 @pytest.mark.parametrize("argv", (
     ("check", "--algo", "oracle"),
     ("check", "--algo", "oracle", "--mode", "coverability"),
-    ("oracle", "--mode", "unbounded"),
-    ("oracle", "--mode", "cover"),
 ))
 def test_oracle_unknown_exits_incomplete(capsys, tmp_path, argv):
     # the +1 loop climbs past the counter cap long before the guard at 1000
@@ -230,18 +249,29 @@ def test_reduce_subcommand(capsys, demo_file):
 
 
 def test_oracle_subcommand(capsys, demo_file):
-    code, out, _ = run(capsys, "oracle", demo_file, "--mode", "unbounded")
+    # the brute-force oracle answers each question through its command's
+    # --algo oracle; in bounded-cover it prints no detail lines
+    code, out, _ = run(capsys, "check", "--algo", "oracle", demo_file)
     assert code == 0 and out.splitlines()[0] == "YES"
-    code, out, _ = run(capsys, "oracle", demo_file, "--mode", "bounded-cover",
-                       "--source", "s4", "--counter", "63", "--target", "s10",
-                       "--ell", "80", "--period", "10", "--not-res", "0,3,6,9",
-                       "--steps", "10")
-    assert code == 0 and out.splitlines()[0] == "YES"
+    for algo, detail in (("dp", "max layer size 1\n"), ("oracle", "")):
+        assert run(capsys, "bounded-cover", demo_file, "--algo", algo,
+                   "--source", "s4", "--counter", "63", "--target", "s10",
+                   "--ell", "80", "--period", "10", "--not-res", "0,3,6,9",
+                   "--steps", "10") == (0, "YES\n", detail), algo
+    code, out, _ = run(capsys, "--format", "json", "bounded-cover", demo_file,
+                       "--algo", "oracle", "--source", "s4", "--counter", "72",
+                       "--target", "s10", "--ell", "80", "--period", "10",
+                       "--not-res", "0,3,6,9", "--steps", "10")
+    assert code == 0 and json.loads(out) == {
+        "answer": "NO", "mode": "bounded-cover", "algo": "oracle", "detail": []}
+    # there is no separate oracle command
+    assert run(capsys, "oracle", demo_file, "--mode", "unbounded")[:2] == (1, "")
 
 
 def test_oracle_bounded_cover_rejects_bad_objective(capsys, demo_file):
-    code, out, err = run(capsys, "oracle", demo_file, "--mode", "bounded-cover",
-                         "--source", "s4", "--target", "s10", "--period", "0")
+    code, out, err = run(capsys, "bounded-cover", demo_file, "--algo", "oracle",
+                         "--source", "s4", "--target", "s10", "--ell", "0",
+                         "--period", "0", "--steps", "0")
     assert code == 2 and out == ""
     assert err.startswith("input error:") and "period" in err
 
@@ -249,7 +279,8 @@ def test_oracle_bounded_cover_rejects_bad_objective(capsys, demo_file):
 @pytest.mark.parametrize("argv", (
     ("bounded-cover", "--source", "s4", "--target", "s10", "--ell", "80",
      "--period", "10", "--steps", "-1"),
-    ("oracle", "--mode", "bounded-cover", "--steps", "-3"),
+    ("bounded-cover", "--algo", "oracle", "--source", "s4", "--target", "s10",
+     "--ell", "0", "--period", "1", "--steps", "-3"),
 ))
 def test_negative_step_bound_is_an_input_error(capsys, demo_file, argv):
     code, out, err = run(capsys, argv[0], demo_file, *argv[1:])
@@ -270,20 +301,30 @@ def test_check_refuses_flags_its_algorithm_ignores(capsys, demo_file, argv):
     assert err.startswith("usage error:") and "applies only to" in err
 
 
+ORACLE_BOUNDED_COVER = ("bounded-cover", "--algo", "oracle", "--source", "s4",
+                        "--target", "s10", "--ell", "80", "--period", "10",
+                        "--steps", "10")
+
+
 @pytest.mark.parametrize("argv", (
-    ("bounded-cover", "--node-cap", "1"),
-    ("bounded-cover", "--counter-cap", "0"),
-    ("cover", "--counter", "3"),
-    ("cover", "--ell", "2"),
-    ("unbounded", "--period", "0"),
-    ("unbounded", "--not-res", "0"),
-    ("cover", "--not-val", "4"),
-    ("unbounded", "--steps", "5"),
+    ORACLE_BOUNDED_COVER + ("--node-cap", "1"),
+    ORACLE_BOUNDED_COVER + ("--counter-cap", "0"),
+    ("check", "--mode", "coverability", "--algo", "oracle", "--counter", "3"),
+    ("check", "--mode", "coverability", "--algo", "oracle", "--ell", "2"),
+    ("check", "--algo", "oracle", "--period", "0"),
+    ("check", "--algo", "oracle", "--not-res", "0"),
+    ("check", "--mode", "coverability", "--algo", "oracle", "--not-val", "4"),
+    ("check", "--algo", "oracle", "--steps", "5"),
+    ORACLE_BOUNDED_COVER + ("--witness",),
 ))
 def test_oracle_refuses_flags_its_mode_ignores(capsys, demo_file, argv):
-    code, out, err = run(capsys, "oracle", demo_file, "--mode", *argv)
+    # a flag of another question is unknown to the command (no prefix
+    # matching: --counter is not --counter-cap); one of another algorithm
+    # of the same question is refused by name
+    code, out, err = run(capsys, argv[0], demo_file, *argv[1:])
     assert code == 1 and out == ""
-    assert err.startswith("usage error:") and "applies only to" in err
+    flag = next(a for a in reversed(argv) if a.startswith("--"))
+    assert err.startswith("usage error:") and flag in err
 
 
 def test_check_oracle_reads_its_node_cap(capsys, demo_file):
@@ -303,11 +344,11 @@ def test_check_rigorous_is_a_usage_error(capsys, demo_file):
 @pytest.mark.parametrize("argv", (
     ("check", "--algo", "oracle", "--counter-cap"),
     ("check", "--algo", "oracle", "--node-cap"),
-    ("oracle", "--mode", "unbounded", "--counter-cap"),
-    ("oracle", "--mode", "cover", "--node-cap"),
+    ("check", "--algo", "oracle", "--mode", "coverability", "--counter-cap"),
+    ("check", "--algo", "oracle", "--mode", "coverability", "--node-cap"),
     ("bounded-cover", "--source", "s4", "--target", "s10", "--ell", "80",
      "--period", "10", "--steps", "10", "--counter"),
-    ("oracle", "--mode", "bounded-cover", "--counter"),
+    ORACLE_BOUNDED_COVER + ("--counter",),
 ))
 def test_negative_numeric_flag_is_an_input_error(capsys, demo_file, argv):
     code, out, err = run(capsys, argv[0], demo_file, *argv[1:], "-4")
