@@ -35,9 +35,6 @@ from .objectives import DiseqObjective
 
 DEFAULT_NODE_CAP = 500_000  # pieces per solve (see `Budget`)
 DEFAULT_MAX_ROUNDS = 100_000
-# Runs of at most this many elements are stored as singletons: the short
-# runs of CNF closures cost more as interval buckets than as ints.
-SHORT_RUN = 9
 
 
 @dataclass(frozen=True)
@@ -231,10 +228,10 @@ class RunSet:
     """A set of configurations stored as runs.
 
     The run ``(q, lo, hi, step)`` is ``(q, lo), (q, lo + step), ..., (q,
-    hi)``.  A run of at most `SHORT_RUN` elements is kept as singletons,
-    keyed by the int ``counter * n_states + state``; a longer one as an
-    interval of the bucket ``(q, step, lo % step)``, which holds disjoint
-    intervals sorted by their ends and merges them on insertion.
+    hi)``.  A one-element run is kept as the int ``counter * n_states +
+    state``; a longer one as an interval of its bucket ``(q, step, lo %
+    step)``, which holds disjoint intervals sorted by their ends and merges
+    them on insertion.
     """
 
     def __init__(self, n_states: int):
@@ -258,9 +255,8 @@ class RunSet:
         return False
 
     def add(self, q: int, lo: int, hi: int, step: int) -> None:
-        if hi - lo < SHORT_RUN * step:
-            n = self.n
-            self.ints.update(range(lo * n + q, hi * n + q + 1, step * n))
+        if lo == hi:
+            self.ints.add(lo * self.n + q)
             return
         key = (q, step, lo % step)
         b = self.buckets.get(key)
@@ -296,51 +292,30 @@ class RunSet:
 
 def _uncovered(sets: tuple, q: int, lo: int, hi: int,
                step: int) -> list[tuple[int, int]]:
-    """The maximal sub-runs of the run ``lo .. hi`` at ``q`` that none of
-    ``sets`` (one or two run sets) holds.  A long run loses the intervals of its own bucket; a
-    short run, or a short leftover, is tested element by element against
-    the singletons and every bucket of ``q``, so no element stored in
-    another step's bucket comes back."""
+    """The maximal sub-runs of the run ``lo .. hi`` (``lo < hi``) at ``q``
+    that the run's own bucket misses in each of ``sets``.  An element held
+    only as a singleton or in another step's bucket may come back: that
+    re-explores reachable configurations, and the run's bucket then holds
+    it."""
     pieces = [(lo, hi)]
-    if hi - lo >= SHORT_RUN * step:
-        key = (q, step, lo % step)
-        for rs in sets:
-            b = rs.buckets.get(key)
-            if b is None:
-                continue
-            los, his = b
-            cut = []
-            for a, e in pieces:
-                i = bisect_left(his, a)
-                while i < len(los) and los[i] <= e:
-                    if los[i] > a:
-                        cut.append((a, los[i] - step))
-                    a = his[i] + step
-                    i += 1
-                if a <= e:
-                    cut.append((a, e))
-            pieces = cut
-    out = []
-    n = sets[0].n
-    first, last = sets[0].ints, sets[-1].ints
-    bucketed = [rs for rs in sets if q in rs.keys_at]
-    for a, e in pieces:
-        if e - a >= SHORT_RUN * step:
-            out.append((a, e))
+    key = (q, step, lo % step)
+    for rs in sets:
+        b = rs.buckets.get(key)
+        if b is None:
             continue
-        start = None
-        for z in range(a, e + 1, step):
-            key = z * n + q
-            if key in first or key in last or (
-                    bucketed and any(rs.has(q, z) for rs in bucketed)):
-                if start is not None:
-                    out.append((start, z - step))
-                    start = None
-            elif start is None:
-                start = z
-        if start is not None:
-            out.append((start, e))
-    return out
+        los, his = b
+        cut = []
+        for a, e in pieces:
+            i = bisect_left(his, a)
+            while i < len(los) and los[i] <= e:
+                if los[i] > a:
+                    cut.append((a, los[i] - step))
+                a = his[i] + step
+                i += 1
+            if a <= e:
+                cut.append((a, e))
+        pieces = cut
+    return pieces
 
 
 def _reach_uset(
@@ -348,7 +323,7 @@ def _reach_uset(
     u: USet,
     start: Configuration,
     budget: Budget,
-    dead: Optional[RunSet] = None,
+    dead: RunSet,
 ) -> tuple[str, int]:
     """Search forward from ``start`` for any member of ``u``, run by run.
 
@@ -356,7 +331,7 @@ def _reach_uset(
     pieces)``.  The search visits runs ``(state, lo, hi, step)``.  An edge
     shifts a run by its weight, drops what falls below 0 and splits the
     rest at the guards of its destination.  What is left of it after the
-    runs already visited or dead is tested against ``u`` once, and its
+    visited and dead runs of its own bucket is tested against ``u``, and its
     elements in bounded chains lap up to the tops of their chains in one
     step (`USet.laps`), so the cost of a probe does not grow with the guard
     values.  Every configuration in a run is reachable and every reachable
@@ -379,14 +354,12 @@ def _reach_uset(
     if budget.spent >= budget.cap:
         return ("capped", 0)
     q0, z0 = start
-    if not v.is_valid(start) or (dead is not None and dead.has(q0, z0)):
+    if not v.is_valid(start) or dead.has(q0, z0):
         return ("no", 0)
     n = v.n_states
     seen = RunSet(n)
-    sets = (seen,) if dead is None else (seen, dead)
-    seen_ints = seen.ints
-    dead_ints, dead_keys_at = ((dead.ints, dead.keys_at) if dead is not None
-                               else (seen_ints, seen.keys_at))
+    sets = (seen, dead)
+    seen_ints, dead_ints = seen.ints, dead.ints
     queue: deque = deque()
     pieces = 0
 
@@ -396,7 +369,7 @@ def _reach_uset(
         if lo == hi:
             key = lo * n + q
             if key in seen_ints or key in dead_ints or (
-                    (q in seen.keys_at or q in dead_keys_at)
+                    (q in seen.keys_at or q in dead.keys_at)
                     and any(rs.has(q, lo) for rs in sets)):
                 return None
             new = ((lo, lo),)
@@ -422,10 +395,7 @@ def _reach_uset(
                         return "capped"
                     budget.spent += 1
                     pieces += 1
-                    if a == e:
-                        seen_ints.add(a * n + q)
-                    else:
-                        seen.add(q, a, e, s)
+                    seen.add(q, a, e, s)
                     queue.append((q, a, e, s))
         return None
 
@@ -456,8 +426,7 @@ def _reach_uset(
                 break
     if out is not None:
         return (out, pieces)
-    if dead is not None:
-        dead.update(seen)
+    dead.update(seen)
     return ("no", pieces)
 
 

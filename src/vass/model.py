@@ -21,6 +21,7 @@ the dense indices used throughout the library.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -210,6 +211,17 @@ class Violation:
     config: Configuration
 
 
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(tok: str) -> int:
+    """An optional sign and ASCII digits; ``int`` alone would also read
+    ``1_0`` as 10, and non-ASCII digits."""
+    if _INT.fullmatch(tok) is None:
+        raise ValueError(tok)
+    return int(tok)
+
+
 def parse_vass(text: str) -> Vass:
     """Parse the text format; raises :class:`ParseError` with a line number."""
     names: list[str] = []
@@ -239,7 +251,7 @@ def parse_vass(text: str) -> Vass:
             gs = set()
             for tok in args[1:]:
                 try:
-                    g = int(tok)
+                    g = _int(tok)
                 except ValueError:
                     raise ParseError(f"bad guard value {tok!r}", ln) from None
                 if g < 0:
@@ -256,7 +268,7 @@ def parse_vass(text: str) -> Vass:
             src = state_ref(args[0], ln)
             dst = state_ref(args[1], ln)
             try:
-                w = int(args[2])
+                w = _int(args[2])
             except ValueError:
                 raise ParseError(f"bad weight {args[2]!r}", ln) from None
             if abs(w) > MAX_MAGNITUDE:

@@ -418,6 +418,26 @@ def test_python_m_vass_runs_the_cli():
     assert "0 failures" in done.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["--format", "json", "inspect", "--chains"],
+], ids=["check", "inspect"])
+def test_closed_stdout_ends_quietly(demo_file, argv):
+    # the reader of stdout is gone before the command writes: status 1 and
+    # nothing on stderr, also for output small enough to wait in the buffer
+    src = os.path.dirname(os.path.dirname(vass.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-m", "vass", *argv, demo_file],
+                              stdout=w, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "check")[0] == 1
     assert run(capsys, "frobnicate")[0] == 1

@@ -357,8 +357,8 @@ def test_dead_set_changes_no_result(monkeypatch):
     # result must equal that of a search that ignores it
     memo_free = fixpoint._reach_uset
 
-    def reference(v, u, start, budget, dead=None):
-        return memo_free(v, u, start, budget)
+    def reference(v, u, start, budget, dead):
+        return memo_free(v, u, start, budget, fixpoint.RunSet(v.n_states))
 
     cases = _memo_instances(350)
     with monkeypatch.context() as m:
@@ -390,7 +390,8 @@ def test_dead_set_misses_the_final_set():
 
 
 def test_run_set_holds_exactly_its_runs():
-    # runs of every length and step against a plain set of what they hold
+    # runs of every length and step against plain sets of what they hold:
+    # a one-element run is an int, every longer run sits in its own bucket
     rng = random.Random(909)
 
     def draw():
@@ -399,36 +400,49 @@ def test_run_set_holds_exactly_its_runs():
         return q, lo, lo + step * rng.randint(0, 25), step
 
     for _ in range(300):
-        runs, members, bucketed = fixpoint.RunSet(3), set(), set()
-        for _ in range(rng.randint(1, 12)):
-            q, lo, hi, step = draw()
-            runs.add(q, lo, hi, step)
-            members.update((q, z) for z in range(lo, hi + 1, step))
-            if hi - lo >= fixpoint.SHORT_RUN * step:
-                bucketed.update((q, step, z) for z in range(lo, hi + 1, step))
-        assert set(runs.configurations()) == members
-        for (q, step, _), (los, his) in runs.buckets.items():
-            assert all(e < a - step for e, a in zip(his, los[1:]))
-            assert all((q, step, z) in bucketed
-                       for a, e in zip(los, his) for z in range(a, e + 1, step))
-        for q in range(3):
-            for z in range(170):
-                assert runs.has(q, z) == ((q, z) in members)
+        pair = []
+        for _ in range(2):
+            runs, members, singles, bucketed = (fixpoint.RunSet(3), set(),
+                                                set(), set())
+            for _ in range(rng.randint(1, 12)):
+                q, lo, hi, step = draw()
+                runs.add(q, lo, hi, step)
+                members.update((q, z) for z in range(lo, hi + 1, step))
+                if lo == hi:
+                    singles.add((q, lo))
+                else:
+                    bucketed.update((q, step, z)
+                                    for z in range(lo, hi + 1, step))
+            assert set(runs.configurations()) == members
+            assert {(key % 3, key // 3) for key in runs.ints} == singles
+            held = set()
+            for (q, step, r), (los, his) in runs.buckets.items():
+                assert all(a % step == r for a in los)
+                assert all(a < e for a, e in zip(los, his))
+                assert all(e < a - step for e, a in zip(his, los[1:]))
+                held.update((q, step, z) for a, e in zip(los, his)
+                            for z in range(a, e + 1, step))
+            assert held == bucketed
+            for q in range(3):
+                for z in range(170):
+                    assert runs.has(q, z) == ((q, z) in members)
+            pair.append((runs, bucketed))
         for _ in range(20):
             q, lo, hi, step = draw()
-            pieces = fixpoint._uncovered((runs,), q, lo, hi, step)
-            kept = [z for a, e in pieces for z in range(a, e + 1, step)]
-            assert kept == sorted(set(kept)) and set(kept) <= set(
-                range(lo, hi + 1, step))
-            # nothing missing is lost; a short piece is exact, and a long
-            # one keeps only what other steps or singletons hold
-            assert {z for z in range(lo, hi + 1, step)
-                    if (q, z) not in members} <= set(kept)
-            for a, e in pieces:
-                long = e - a >= fixpoint.SHORT_RUN * step
-                for z in range(a, e + 1, step):
-                    assert (q, z) not in members or (
-                        long and (q, step, z) not in bucketed)
+            if lo == hi:
+                continue
+            # the maximal sub-runs whose elements no own bucket holds
+            want, start = [], None
+            for z in range(lo, hi + step + 1, step):
+                missed = z <= hi and all((q, step, z) not in bucketed
+                                         for _, bucketed in pair)
+                if missed and start is None:
+                    start = z
+                elif not missed and start is not None:
+                    want.append((start, z - step))
+                    start = None
+            sets = tuple(runs for runs, _ in pair)
+            assert fixpoint._uncovered(sets, q, lo, hi, step) == want
 
 
 def test_run_search_matches_the_explicit_walk():
@@ -451,7 +465,8 @@ def test_run_search_matches_the_explicit_walk():
                 starts += [(Configuration(ch.state, x), ch.hi - ch.lo > 100 * w)
                            for x in range(ch.lo, ch.hi + 1, w)]
             for c, long in starts:
-                got = fixpoint._reach_uset(v, u, c, _budget())
+                got = fixpoint._reach_uset(v, u, c, _budget(),
+                                           fixpoint.RunSet(v.n_states))
                 assert got[0] == walk(c), (v, c)
                 probed += 1
                 long_runs += long

@@ -61,6 +61,24 @@ def test_parse_negative_guard_rejected():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("state a 1_0\n", "bad guard value"),
+    ("state a \u0663\n", "bad guard value"),
+    ("state a\nstate b\nedge a b 1_0\n", "bad weight"),
+    ("state a\nstate b\nedge a b -\uff11\n", "bad weight"),
+], ids=["guard-underscore", "guard-arabic-indic", "weight-underscore",
+        "weight-fullwidth"])
+def test_parse_reads_only_ascii_integers(text, message):
+    # ``int`` alone reads ``1_0`` as 10 and non-ASCII digits as numbers
+    with pytest.raises(ParseError) as exc:
+        parse_vass(text)
+    assert message in str(exc.value)
+    assert exc.value.line == text.count("\n")
+    v = parse_vass("state a +3 007\nstate b\nedge a b +2\nedge b a -05\n")
+    assert v.guards[0] == frozenset({3, 7})
+    assert [t.weight for t in v.transitions] == [2, -5]
+
+
 def test_parse_duplicate_state_rejected():
     with pytest.raises(ParseError):
         parse_vass("state a\nstate a\n")
