@@ -697,8 +697,7 @@ def decide_unboundedness(v: Vass, s: int, want_witness: bool = False) -> Decisio
     a path of the split instance, so ``want_witness`` requires single-guard
     input.
     """
-    if not (0 <= s < v.n_states):
-        raise ValueError("unknown source state")
+    model.require_states(v, model.UNKNOWN_SOURCE, s)
     if want_witness:
         _require_normalized(v)
     vn, entry, _ = model.normalize_guards_with_maps(v)
@@ -712,9 +711,6 @@ def decide_coverability(v: Vass, s: int, t: int) -> Decision:
     unboundedness (prune states that cannot reach ``t``, then let ``t`` feed
     an unguarded +1 self-loop); ``Decision.core`` is the saturation of the
     reduced instance."""
-    for q in (s, t):
-        if not (0 <= q < v.n_states):
-            raise ValueError("unknown state index")
     reduced, s1 = reductions.reduce_cov_to_unbound(v, s, t)
     return decide_unboundedness(reduced, s1)
 

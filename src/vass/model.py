@@ -149,6 +149,18 @@ class Vass:
         return [self.transitions[ti].weight for ti in p.transitions]
 
 
+UNKNOWN_SOURCE = "unknown source state"
+UNKNOWN_STATE = "unknown state index"
+
+
+def require_states(v: Vass, message: str, *states: int) -> None:
+    """Raise ``ValueError(message)`` unless every one of ``states`` is a
+    state index of ``v``: the check every decision entry point makes."""
+    for q in states:
+        if not (0 <= q < v.n_states):
+            raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class PathSummary:
     """Prefix/suffix extremes of a path: ``weight == pmin + smax`` always.

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import cycles
-from .model import Configuration, Vass
+from .model import (UNKNOWN_SOURCE, UNKNOWN_STATE, Configuration, Vass,
+                    require_states)
 from .objectives import DiseqObjective, objective_contains
 
 DEFAULT_NODE_CAP = 500_000
@@ -109,6 +110,7 @@ def oracle_cover(
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> OracleVerdict:
     """Can ``(s, 0)`` reach state ``t`` by a valid run?"""
+    require_states(v, UNKNOWN_STATE, s, t)
     cap = default_counter_cap(v) if counter_cap is None else counter_cap
     if node_cap <= 0:
         return OracleVerdict("unknown", 0, "node cap exhausted")
@@ -136,6 +138,7 @@ def oracle_unbounded(
     cycle's blocked set); reports "no" only when the closure finished
     untruncated, which by itself certifies a finite reachable set.
     """
+    require_states(v, UNKNOWN_SOURCE, s)
     cap = default_counter_cap(v) if counter_cap is None else counter_cap
     if node_cap <= 0:
         return OracleVerdict("unknown", 0, "node cap exhausted")

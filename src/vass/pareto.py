@@ -7,6 +7,9 @@ filtering through per-nadir recombination keeps every endpoint cell at most
 ``|Q|`` wide, giving Pareto sets for all paths of length up to ``|Q|`` in
 logarithmically many rounds.  Unboundedness from ``(s, 0)`` then reduces to
 scanning the cells for a nonnegative-prefix stem feeding a positive cycle.
+Every level's witnesses are real paths, so the lasso test runs that scan
+after each level and stops the doubling at the first level that holds a
+lasso (``build_families`` with ``until``); only a NO builds every level.
 
 One kernel, ``_filter_products``, does the filtering: it reads the summary
 and the nadirs of each concatenation from its two operands, by the rules of
@@ -21,10 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import reductions
-from .model import Path, Vass
+from .model import UNKNOWN_SOURCE, Path, Vass, require_states
 
 
 @dataclass(frozen=True)
@@ -280,7 +283,9 @@ def pareto_filter(v: Vass, elems: list[ParetoElem]) -> list[ParetoElem]:
 @dataclass(frozen=True)
 class ParetoFamily:
     """Per endpoint pair, a Pareto set for all paths of length up to
-    ``2**level`` (witnesses may be up to ``4**level`` long)."""
+    ``2**level`` (witnesses may be up to ``4**level`` long).  ``level`` is
+    the level the doubling reached: the last one, ``ceil(log2 |Q|)``,
+    unless ``build_families`` stopped early on its ``until``."""
 
     level: int
     cells: dict  # (p, q) -> tuple[ParetoElem, ...]
@@ -299,19 +304,28 @@ def _level_zero(v: Vass) -> dict:
     return {pq: tuple(pareto_filter(v, es)) for pq, es in cells.items()}
 
 
-def build_families(v: Vass) -> ParetoFamily:
+def build_families(v: Vass, until: Optional[Callable[[dict], bool]] = None
+                   ) -> ParetoFamily:
     """Doubling construction up to level ``ceil(log2 |Q|)``: the final family
     is a Pareto set for all paths of length up to ``|Q|`` between every pair
     of states.  Each level builds its cells from the previous level only,
     in sorted cell order: cell ``(p, q)`` filters the products of the
     ``(p, r)`` and ``(r, q)`` cells over every midpoint ``r`` in one
     ``_filter_products`` call, which never builds a product.
+
+    With ``until``, the doubling stops at the first level, level zero
+    included, whose cells satisfy it, and returns that level's family;
+    ``ParetoFamily.level`` is the level reached.  Without it, or when no
+    level satisfies it, the family is the last level's.
     """
     cells = _level_zero(v)
     top = max(1, v.n_states)
     levels = math.ceil(math.log2(top)) if top > 1 else 0
 
-    for _ in range(levels):
+    level = 0
+    while level < levels:
+        if until is not None and until(cells):
+            break
         rows = {pq: _partner_rows(es) for pq, es in cells.items()}
         out_of: dict[int, list[tuple[int, tuple]]] = {}
         for (p, r), left in rows.items():
@@ -323,7 +337,8 @@ def build_families(v: Vass) -> ParetoFamily:
                 products.setdefault((p, q), []).append((left, right))
         cells = {pq: tuple(_filter_products(*pq, products[pq]))
                  for pq in sorted(products)}
-    return ParetoFamily(level=levels, cells=cells)
+        level += 1
+    return ParetoFamily(level=level, cells=cells)
 
 
 @dataclass(frozen=True)
@@ -338,6 +353,23 @@ def _require_guard_free(v: Vass) -> None:
         raise ValueError("this procedure requires guard-free input")
 
 
+def _find_lasso(cells: dict, s: int, n_states: int
+                ) -> Optional[tuple[ParetoElem, ParetoElem]]:
+    """The first ``(stem, cycle)`` of ``cells``, by state ``q`` and then by
+    cell order, where the stem is an ``(s, q)`` element with nonnegative
+    minimal prefix and the cycle a ``(q, q)`` element of positive weight
+    that stays nonnegative after the stem's weight; ``None`` if there is
+    none."""
+    for q in range(n_states):
+        for stem in cells.get((s, q), ()):
+            if stem.pmin < 0:
+                continue
+            for cyc in cells.get((q, q), ()):
+                if cyc.weight >= 1 and stem.weight + cyc.pmin >= 0:
+                    return stem, cyc
+    return None
+
+
 def decide_unbounded_lasso(v: Vass, s: int) -> LassoDecision:
     """Is ``(s, 0)`` unbounded in a guard-free system?
 
@@ -345,17 +377,22 @@ def decide_unbounded_lasso(v: Vass, s: int) -> LassoDecision:
     a positive cycle that stays nonnegative after the stem's weight: with no
     guards, such a lasso can be pumped forever, and any unbounded run can be
     trimmed to one.
+
+    The doubling stops at the first level whose cells hold such a lasso
+    (``build_families`` with ``until``), and the stem and cycle are that
+    level's.  This is exact: every level's witnesses are real paths with
+    the summaries they record, so a lasso found early is a real one, and
+    only the last level's family is needed to answer NO.
     """
     _require_guard_free(v)
-    fam = build_families(v)
-    for q in range(v.n_states):
-        for stem in fam.cell(s, q):
-            if stem.pmin < 0:
-                continue
-            for cyc in fam.cell(q, q):
-                if cyc.weight >= 1 and stem.weight + cyc.pmin >= 0:
-                    return LassoDecision(True, stem, cyc)
-    return LassoDecision(False)
+    require_states(v, UNKNOWN_SOURCE, s)
+    n = v.n_states
+    fam = build_families(
+        v, until=lambda cells: _find_lasso(cells, s, n) is not None)
+    lasso = _find_lasso(fam.cells, s, n)
+    if lasso is None:
+        return LassoDecision(False)
+    return LassoDecision(True, *lasso)
 
 
 def decide_cover_pareto(v: Vass, s: int, t: int) -> bool:

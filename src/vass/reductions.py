@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import MAX_MAGNITUDE, Transition, Vass, _fresh_name
+from .model import (MAX_MAGNITUDE, UNKNOWN_STATE, Transition, Vass, _fresh_name,
+                    require_states)
 
 # The product of the first 15 primes is the last one below 2**63.
 MAX_CNF_VARS = 15
@@ -27,8 +28,10 @@ def reduce_cov_to_unbound(v: Vass, s: int, t: int) -> tuple[Vass, int]:
     ``t`` and pumping that loop is the only way to be unbounded using states
     that all reach ``t``.  Returns the new system and the index of ``s`` in
     it.  When ``s`` cannot reach ``t`` at all the result is a canonical
-    single-state instance with no transitions (trivially bounded).
+    single-state instance with no transitions (trivially bounded).  A
+    state index outside ``v`` raises ``ValueError``.
     """
+    require_states(v, UNKNOWN_STATE, s, t)
     n = v.n_states
     radj: dict[int, list[int]] = {q: [] for q in range(n)}
     for tr in v.transitions:

@@ -1,24 +1,29 @@
+import dataclasses
 import random
 
 import pytest
 
 from vass import (
     Path,
+    Transition,
     Vass,
     build_families,
     concat,
+    decide_coverability,
     decide_cover_pareto,
     decide_unbounded_lasso,
+    decide_unboundedness,
     dominates,
     lift_run,
     parse_vass,
     pareto_filter,
+    reduce_cov_to_unbound,
     summarize_path,
 )
 from vass import pareto
 from vass.model import Violation
 from vass.oracle import oracle_cover, oracle_unbounded
-from vass.pareto import ParetoElem
+from vass.pareto import ParetoElem, ParetoFamily
 
 from helpers import (
     build_families_reference,
@@ -246,6 +251,12 @@ def _dense_and_random_graphs():
     return graphs
 
 
+def _lifts(v, dec) -> bool:
+    stem, cyc = dec.stem.witness, dec.cycle.witness
+    run = lift_run(v, Path(stem.start, stem.transitions + cyc.transitions), 0)
+    return not isinstance(run, Violation)
+
+
 def test_families_equal_the_walking_reference():
     for v in _dense_and_random_graphs():
         fam = build_families(v)
@@ -255,6 +266,13 @@ def test_families_equal_the_walking_reference():
         for cell in fam.cells.values():
             for e in cell:
                 assert e.nadirs == elem(v, e.witness).nadirs
+        # the lasso test stops at the first level holding a lasso: it
+        # answers as a scan of the last level does, with a real lasso
+        dec = decide_unbounded_lasso(v, 0)
+        full = pareto._find_lasso(fam.cells, 0, v.n_states)
+        assert dec.answer == (full is not None)
+        if dec.answer:
+            assert _lifts(v, dec)
 
 
 def test_families_walk_no_witness(monkeypatch):
@@ -333,10 +351,81 @@ def test_lasso_witness_parts_are_sound():
         stem, cyc = dec.stem, dec.cycle
         assert stem.pmin >= 0 and cyc.weight >= 1
         assert stem.weight + cyc.pmin >= 0
-        run = lift_run(v, Path(stem.witness.start,
-                               stem.witness.transitions + cyc.witness.transitions), 0)
-        assert not isinstance(run, Violation)
+        assert _lifts(v, dec)
     assert seen_yes > 20
+
+
+def test_lasso_stops_at_the_first_level_holding_one(monkeypatch):
+    # a +1 self-loop at the source is a lasso of level zero, so no doubling
+    # level is built; the full family of this graph has level 4
+    v = gen_dense_guard_free(random.Random(0), 12)
+    v = dataclasses.replace(v, transitions=v.transitions + (Transition(0, 0, 1),))
+    families = []
+    filters = []
+    products = []
+    build = pareto.build_families
+    filter_fn = pareto.pareto_filter
+    products_fn = pareto._filter_products
+
+    def counted_build(*args, **kwargs):
+        families.append(build(*args, **kwargs))
+        return families[-1]
+
+    def counted_filter(*args):
+        filters.append(1)
+        return filter_fn(*args)
+
+    def counted_products(*args):
+        products.append(1)
+        return products_fn(*args)
+
+    monkeypatch.setattr(pareto, "build_families", counted_build)
+    monkeypatch.setattr(pareto, "pareto_filter", counted_filter)
+    monkeypatch.setattr(pareto, "_filter_products", counted_products)
+    dec = decide_unbounded_lasso(v, 0)
+    assert dec.answer is True
+    assert [f.level for f in families] == [0]
+    assert len(products) == len(filters) > 0
+    assert dec.cycle.witness.transitions == (len(v.transitions) - 1,)
+    assert build(v).level == 4
+
+
+def test_lasso_decisions_build_families_through_the_module(monkeypatch):
+    # the traced benchmark wraps `pareto.build_families` as a span and reads
+    # the `.cells` of the family it returns
+    results = []
+    build = pareto.build_families
+
+    def recorded(*args, **kwargs):
+        results.append(build(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(pareto, "build_families", recorded)
+    v = parse_vass("state a\nstate b\nedge a b -1\nedge b b 2\nedge b a 0\n")
+    assert decide_unbounded_lasso(v, 1).answer is True
+    assert len(results) == 1
+    assert decide_cover_pareto(v, 1, 0) is True
+    assert len(results) == 2
+    assert all(isinstance(f, ParetoFamily) for f in results)
+
+
+def test_every_entry_point_refuses_an_unknown_state():
+    # the same ValueError as the saturation procedure's, never a silent
+    # answer or an IndexError
+    v = parse_vass("state a\nstate b\nedge a b 1\nedge b a 0\n")
+    calls = [
+        (decide_unbounded_lasso, (v, 5), "unknown source state"),
+        (decide_unbounded_lasso, (v, -1), "unknown source state"),
+        (oracle_unbounded, (v, 5), "unknown source state"),
+        (decide_unboundedness, (v, 2), "unknown source state"),
+        (decide_cover_pareto, (v, 0, 7), "unknown state index"),
+        (reduce_cov_to_unbound, (v, 0, 9), "unknown state index"),
+        (oracle_cover, (v, 0, 9), "unknown state index"),
+        (decide_coverability, (v, -1, 0), "unknown state index"),
+    ]
+    for fn, args, message in calls:
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
 
 
 def test_lasso_agrees_with_oracle():
