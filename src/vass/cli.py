@@ -143,10 +143,13 @@ def _cmd_check(args) -> int:
 
     payload = {"answer": answer, "mode": args.mode, "algo": args.algo,
                "detail": detail}
+    if args.emit_trace == "-" and args.format == "json":
+        # stdout holds one JSON document: the trace goes inside it
+        payload["trace"] = _trace_json(dec.core)
     with (_create(args.emit_trace) if args.emit_trace not in (None, "-")
           else contextlib.nullcontext(sys.stdout)) as trace:
         _emit(payload, args.format)
-        if args.emit_trace:
+        if args.emit_trace and "trace" not in payload:
             _write_json(trace, _trace_json(dec.core))
     return code
 
@@ -227,11 +230,19 @@ def _nonnegative(args, *flags: str) -> None:
             raise InputError(f"--{flag.replace('_', '-')} must be nonnegative")
 
 
+def integer(tok: str) -> int:
+    """A numeric flag's value, read as the instance format reads integers:
+    an optional sign and ASCII digits only (``int`` alone would also take
+    ``1_0``, surrounding blanks and non-ASCII digits).  argparse names the
+    type in its error, hence the name: "invalid integer value"."""
+    return model._int(tok)
+
+
 def _csv_ints(text: Optional[str]) -> list[int]:
     if not text:
         return []
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [integer(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise InputError(f"bad integer list {text!r}") from None
 
@@ -462,20 +473,20 @@ def build_parser() -> _Parser:
                    default="fixpoint")
     c.add_argument("--emit-trace", metavar="PATH",
                    help="write the saturation trace as JSON (- for stdout)")
-    c.add_argument("--counter-cap", type=int, default=None)
-    c.add_argument("--node-cap", type=int, default=None)
+    c.add_argument("--counter-cap", type=integer, default=None)
+    c.add_argument("--node-cap", type=integer, default=None)
     c.set_defaults(func=_cmd_check)
 
     b = sub.add_parser("bounded-cover",
                        help="length-bounded coverability of an objective")
     add_instance_arg(b)
     b.add_argument("--algo", choices=("dp", "oracle"), default="dp")
-    b.add_argument("--counter", type=int, default=0)
-    b.add_argument("--ell", type=int, required=True)
-    b.add_argument("--period", type=int, required=True)
+    b.add_argument("--counter", type=integer, default=0)
+    b.add_argument("--ell", type=integer, required=True)
+    b.add_argument("--period", type=integer, required=True)
     b.add_argument("--not-res", default="", help="forbidden residues, CSV")
     b.add_argument("--not-val", default="", help="forbidden values, CSV")
-    b.add_argument("--steps", type=int, required=True)
+    b.add_argument("--steps", type=integer, required=True)
     # None when not given, as `_ALGO_ONLY_FLAGS` reads it
     b.add_argument("--witness", action="store_true", default=None)
     b.set_defaults(func=_cmd_bounded_cover)
@@ -492,7 +503,8 @@ def build_parser() -> _Parser:
     g = sub.add_parser("gen", help="generate instances")
     g.add_argument("kind", choices=("cnf",))
     g.add_argument("--dimacs", metavar="FILE")
-    g.add_argument("--random", nargs=3, type=int, metavar=("M", "N", "SEED"))
+    g.add_argument("--random", nargs=3, type=integer,
+                   metavar=("M", "N", "SEED"))
     g.add_argument("--meta", metavar="PATH", help="write the JSON sidecar here")
     g.set_defaults(func=_cmd_gen)
 

@@ -10,6 +10,7 @@ which is the combinatorial backbone of the fixpoint solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -149,6 +150,18 @@ def select_cycles(v: Vass) -> dict[int, CycleSelection]:
     Only ``delta[q]`` is scanned for the source's own cycle: ``best`` rises
     only on a strictly greater pmin, so an element scanned at an earlier
     level can never replace it later.
+
+    The search is also cut at the best cycle found so far.  Once the source
+    has a best cycle with pmin ``b``, an extension whose pmin is at most
+    ``b`` is not taken, ``delta`` keeps only elements above ``b``, and the
+    source's levels end when ``delta`` is empty; a best cycle with pmin 0
+    ends them at once.  This is exact too.  An extension's pmin is
+    ``min(pmin, weight + w) <= pmin``, so an element at or below ``b``
+    never closes a cycle above ``b``, and only such a cycle can replace
+    ``best``.  The prune orders elements by pmin descending, so whether an
+    element above ``b`` is kept depends only on the elements before it, all
+    above ``b`` as well: the frontier above ``b`` is the same with or
+    without the cut, and so are ``best`` and its tie-breaks.
     """
     selections: dict[int, CycleSelection] = {}
     for comp in _strongly_connected_components(v):
@@ -172,25 +185,39 @@ def select_cycles(v: Vass) -> dict[int, CycleSelection]:
             }
             delta = frontier
             best: Optional[tuple[int, int, tuple[int, ...]]] = None
+            floor = -math.inf  # pmin of best: nothing at or below it can win
             for level in range(1, levels + 1):
                 ext: dict[int, list] = {}
                 for p, elems in delta.items():
                     for i, dst, w in out_by_src[p]:
                         out = ext.setdefault(dst, [])
                         for pmin, wt, path in elems:
-                            out.append((min(pmin, wt + w), wt + w, path + (i,)))
+                            # pmin is above the floor already; the sum may
+                            # not be
+                            s = wt + w
+                            if s > floor:
+                                out.append((pmin if pmin < s else s, s,
+                                            path + (i,)))
                 delta = {}
                 for dst, es in ext.items():
+                    if not es:
+                        continue
                     kept = _prune_frontier(frontier.get(dst, []) + es)
                     frontier[dst] = kept
                     fresh = [e for e in kept if len(e[2]) == level]
                     if fresh:
                         delta[dst] = fresh
+                # delta[q] is sorted by pmin descending: the first positive
+                # cycle above the floor is the best one of this level
+                for pmin, wt, path in delta.get(q, ()):
+                    if wt >= 1 and pmin > floor:
+                        best = (pmin, wt, path)
+                        floor = pmin
+                        delta = {p: above for p, es in delta.items()
+                                 if (above := [e for e in es if e[0] > floor])}
+                        break
                 if not delta:
                     break
-                for pmin, wt, path in delta.get(q, ()):
-                    if wt >= 1 and (best is None or pmin > best[0]):
-                        best = (pmin, wt, path)
             if best is not None:
                 pmin, wt, path = best
                 selections[q] = CycleSelection(

@@ -188,6 +188,19 @@ def test_emit_trace_reuses_the_solve(capsys, monkeypatch, demo_file):
         assert json.loads(trace) == want, mode
 
 
+def test_json_trace_on_stdout_is_one_document(capsys, demo_file):
+    # under --format json the trace sits in the payload, so stdout parses
+    # as one JSON document; text mode keeps the token, then the trace
+    code, out, _ = run(capsys, "--format", "json", "check", demo_file,
+                       "--emit-trace", "-")
+    doc = json.loads(out)
+    assert code == 0 and doc["answer"] == "YES"
+    assert doc["trace"] == _expected_trace(instances.demo_guarded())
+    code, text, _ = run(capsys, "check", demo_file, "--emit-trace", "-")
+    token, trace = text.split("\n", 1)
+    assert (code, token) == (0, "YES") and json.loads(trace) == doc["trace"]
+
+
 UNKNOWN_TO_ORACLE = ("state a 1000\nstate b\nedge a a 1\nedge a b -500\n"
                      "init a\ntarget b\n")
 
@@ -356,6 +369,55 @@ def test_negative_numeric_flag_is_an_input_error(capsys, demo_file, argv):
     assert err.startswith("input error:") and argv[-1] in err
     # zero is a valid value of every such flag
     assert run(capsys, argv[0], demo_file, *argv[1:], "0")[0] != 2
+
+
+BOUNDED_COVER = ("bounded-cover", "--source", "s4", "--target", "s10",
+                 "--counter", "63", "--ell", "80", "--period", "10",
+                 "--steps", "10")
+
+
+def _with_flag(argv: tuple, flag: str, value: str) -> tuple:
+    i = argv.index(flag)
+    return argv[:i + 1] + (value,) + argv[i + 2:]
+
+
+@pytest.mark.parametrize("value", ("1_0", "\u0661", " 5", "5 ", "0x5", "5.0"),
+                         ids=("underscore", "arabic-indic", "lead-blank",
+                              "trail-blank", "hex", "decimal"))
+@pytest.mark.parametrize("argv, flag", (
+    (BOUNDED_COVER, "--counter"),
+    (BOUNDED_COVER, "--ell"),
+    (BOUNDED_COVER, "--period"),
+    (BOUNDED_COVER, "--steps"),
+    (("check", "--algo", "oracle", "--counter-cap", "0"), "--counter-cap"),
+    (("check", "--algo", "oracle", "--node-cap", "0"), "--node-cap"),
+    (("gen", "cnf", "--random", "3", "2", "7"), "--random"),
+), ids=("counter", "ell", "period", "steps", "counter-cap", "node-cap",
+        "random"))
+def test_numeric_flags_take_ascii_integers_only(capsys, demo_file, argv, flag,
+                                                value):
+    # numeric flags read integers as the instance format does; a refused
+    # value is a usage error, as any other bad flag value
+    file = () if argv[0] == "gen" else (demo_file,)
+    code, out, err = run(capsys, argv[0], *file,
+                         *_with_flag(argv, flag, value)[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: argument {flag}") and "integer" in err
+    # the same value in ASCII digits is accepted
+    assert run(capsys, argv[0], *file, *argv[1:])[0] in (0, 3)
+
+
+@pytest.mark.parametrize("flag", ("--not-res", "--not-val"))
+@pytest.mark.parametrize("value", ("1_0", "3,\u0661", "3, 4", "0x5"),
+                         ids=("underscore", "arabic-indic", "blank", "hex"))
+def test_csv_flags_take_ascii_integers_only(capsys, demo_file, flag, value):
+    # a bad integer list is an input error, as it always was
+    code, out, err = run(capsys, BOUNDED_COVER[0], demo_file,
+                         *BOUNDED_COVER[1:], flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"input error: bad integer list {value!r}\n"
+    assert run(capsys, BOUNDED_COVER[0], demo_file, *BOUNDED_COVER[1:], flag,
+               "0,3,")[0] == 0
 
 
 @pytest.mark.parametrize("text, where", (

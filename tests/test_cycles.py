@@ -14,7 +14,7 @@ from vass import (
     select_cycles,
     summarize_path,
 )
-from vass.model import Violation, normalize_guards
+from vass.model import Transition, Vass, Violation, normalize_guards
 from vass.reductions import Cnf3, cnf_to_vass
 
 from helpers import (
@@ -103,10 +103,8 @@ def test_cnf_selection_equals_full_leveled_dp():
         assert select_cycles(v) == select_cycles_reference(v), f
 
 
-def test_selection_extends_only_new_frontier_elements(monkeypatch):
-    # the full leveled DP feeds 83,852 elements to the frontier prune on
-    # this anchor, re-extending every old element at every level
-    v, _ = cnf_no_anchor()
+def _elements_fed_to_prune(monkeypatch, v) -> int:
+    """How many elements ``select_cycles(v)`` feeds to the frontier prune."""
     fed = 0
     prune = cycles._prune_frontier
 
@@ -117,7 +115,51 @@ def test_selection_extends_only_new_frontier_elements(monkeypatch):
 
     monkeypatch.setattr(cycles, "_prune_frontier", counted)
     select_cycles(v)
+    return fed
+
+
+def test_selection_extends_only_new_frontier_elements(monkeypatch):
+    # the full leveled DP feeds 83,852 elements to the frontier prune on
+    # this anchor, re-extending every old element at every level
+    v, _ = cnf_no_anchor()
+    fed = _elements_fed_to_prune(monkeypatch, v)
     assert fed < 10_000, fed
+
+
+def test_selection_stops_at_a_best_cycle_no_extension_can_beat(monkeypatch):
+    # a +1 self-loop at every state is a pmin-0 cycle at level 1, and no
+    # cycle has a higher pmin: each source's search ends there.  Extending
+    # every frontier element to the last level feeds 7,480 elements to the
+    # frontier prune on this graph
+    g = gen_dense_guard_free(random.Random(0), 12)
+    v = Vass(names=g.names, guards=g.guards,
+             transitions=g.transitions + tuple(
+                 Transition(q, q, 1) for q in range(g.n_states)))
+    fed = _elements_fed_to_prune(monkeypatch, v)
+    assert fed < 200, fed
+    sels = select_cycles(v)
+    assert all(len(s.gamma) == 1 and s.pmin == 0 for s in sels.values())
+    assert sels == select_cycles_reference(v)
+
+
+def test_selection_floor_rising_twice():
+    # the best cycle at a improves at levels 2, 3 and 4: pmin -3 via b,
+    # -1 via c d, and 0 via e f g; each rise of the floor cuts the frontier
+    cyc2 = "edge a b -3\nedge b a 4\n"
+    cyc3 = "edge a c -1\nedge c d 1\nedge d a 1\n"
+    cyc4 = "edge a e 1\nedge e f -1\nedge f g 0\nedge g a 1\n"
+    head = "".join(f"state {x}\n" for x in "abcdefg")
+    for edges, pmin, states in (
+            (cyc2, -3, "aba"),
+            (cyc2 + cyc3, -1, "acda"),
+            (cyc2 + cyc3 + cyc4, 0, "aefga"),
+            (cyc4 + cyc2 + cyc3, 0, "aefga")):
+        v = parse_vass(head + edges)
+        sels = select_cycles(v)
+        assert sels == select_cycles_reference(v), edges
+        assert sels[0].pmin == pmin and sels[0].period == 1, edges
+        assert "".join(v.names[q] for q in v.path_states(sels[0].gamma)) \
+            == states, edges
 
 
 def test_demo_omega_blocked_set(demo):
