@@ -102,6 +102,21 @@ def enumerate_reach(
     return seen, outcome != "closed"
 
 
+def _graph_reaches(v: Vass, s: int, t: int) -> bool:
+    """Does some path of the underlying graph, counters and guards
+    ignored, lead from ``s`` to ``t``?"""
+    seen = {s}
+    stack = [s]
+    while stack:
+        for _, e in v.out_edges(stack.pop()):
+            if e.dst == t:
+                return True
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return False
+
+
 def oracle_cover(
     v: Vass,
     s: int,
@@ -109,7 +124,11 @@ def oracle_cover(
     counter_cap: int | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> OracleVerdict:
-    """Can ``(s, 0)`` reach state ``t`` by a valid run?"""
+    """Can ``(s, 0)`` reach state ``t`` by a valid run?
+
+    A ``t`` that no path of the graph reaches from ``s`` is "no" before the
+    closure, so neither cap can leave it "unknown" (a ``node_cap`` of 0
+    still gives "unknown")."""
     require_states(v, UNKNOWN_STATE, s, t)
     cap = default_counter_cap(v) if counter_cap is None else counter_cap
     if node_cap <= 0:
@@ -119,6 +138,8 @@ def oracle_cover(
         return OracleVerdict("no", 0, "initial configuration is invalid")
     if s == t:
         return OracleVerdict("yes", 1, "empty run")
+    if not _graph_reaches(v, s, t):
+        return OracleVerdict("no", 1, "target unreachable in the graph")
     seen, outcome, _ = _closure(v, init, cap, node_cap,
                                 lambda c: c.state == t)
     return _verdict(seen, outcome, "target reached",

@@ -9,7 +9,11 @@ logarithmically many rounds.  Unboundedness from ``(s, 0)`` then reduces to
 scanning the cells for a nonnegative-prefix stem feeding a positive cycle.
 Every level's witnesses are real paths, so the lasso test runs that scan
 after each level and stops the doubling at the first level that holds a
-lasso (``build_families`` with ``until``); only a NO builds every level.
+lasso (``build_families`` with ``source``).  The scan reads only the
+``(s, q)`` and ``(q, q)`` cells, so each level above zero builds those
+first, by ``q``, up to the first lasso, and builds the rest of the level
+only when the doubling must go on.  A family that stops early, the last
+level of a NO included, holds only the cells built for the scan.
 
 One kernel, ``_filter_products``, does the filtering: it reads the summary
 and the nadirs of each concatenation from its two operands, by the rules of
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from . import reductions
 from .model import UNKNOWN_SOURCE, Path, Vass, require_states
@@ -285,7 +289,12 @@ class ParetoFamily:
     """Per endpoint pair, a Pareto set for all paths of length up to
     ``2**level`` (witnesses may be up to ``4**level`` long).  ``level`` is
     the level the doubling reached: the last one, ``ceil(log2 |Q|)``,
-    unless ``build_families`` stopped early on its ``until``."""
+    unless ``build_families`` stopped early on a lasso from its ``source``.
+
+    Without a source every cell of the level is present.  With one, a level
+    above zero holds only the cells its lasso phase built: the ``(source,
+    q)`` cells and some ``(q, q)`` cells, up to the first lasso.  A cell
+    absent from ``cells`` is empty or was not built."""
 
     level: int
     cells: dict  # (p, q) -> tuple[ParetoElem, ...]
@@ -304,8 +313,39 @@ def _level_zero(v: Vass) -> dict:
     return {pq: tuple(pareto_filter(v, es)) for pq, es in cells.items()}
 
 
-def build_families(v: Vass, until: Optional[Callable[[dict], bool]] = None
-                   ) -> ParetoFamily:
+def _next_cell(rows: dict, out_of: dict, p: int, q: int) -> tuple:
+    """Cell ``(p, q)`` of the next level: one ``_filter_products`` call over
+    the products of the ``(p, r)`` and ``(r, q)`` rows of every midpoint
+    ``r``, in the order of ``rows``; empty when no midpoint joins them."""
+    products = [(left, rows[r, q]) for r, left in out_of.get(p, ())
+                if (r, q) in rows]
+    return tuple(_filter_products(p, q, products)) if products else ()
+
+
+def _lasso_phase(rows: dict, out_of: dict, s: int, n_states: int
+                 ) -> tuple[dict, bool]:
+    """The cells of the next level that the lasso test reads, up to its
+    first lasso: by state ``q`` in ``_find_lasso``'s order, cell ``(s,
+    q)``, then cell ``(q, q)`` when ``(s, q)`` holds a stem with
+    nonnegative minimal prefix.  Returns the non-empty cells built and
+    whether they hold a lasso."""
+    cells: dict[tuple[int, int], tuple] = {}
+
+    def build(p: int, q: int) -> tuple:
+        es = _next_cell(rows, out_of, p, q)
+        if es:
+            cells[(p, q)] = es
+        return es
+
+    for q in range(n_states):
+        if any(e.pmin >= 0 for e in build(s, q)) and q != s:
+            build(q, q)
+        if _lasso_at(cells, s, q) is not None:
+            return cells, True
+    return cells, False
+
+
+def build_families(v: Vass, source: Optional[int] = None) -> ParetoFamily:
     """Doubling construction up to level ``ceil(log2 |Q|)``: the final family
     is a Pareto set for all paths of length up to ``|Q|`` between every pair
     of states.  Each level builds its cells from the previous level only,
@@ -313,31 +353,47 @@ def build_families(v: Vass, until: Optional[Callable[[dict], bool]] = None
     ``(p, r)`` and ``(r, q)`` cells over every midpoint ``r`` in one
     ``_filter_products`` call, which never builds a product.
 
-    With ``until``, the doubling stops at the first level, level zero
-    included, whose cells satisfy it, and returns that level's family;
-    ``ParetoFamily.level`` is the level reached.  Without it, or when no
-    level satisfies it, the family is the last level's.
+    With a ``source``, the doubling stops at the first level that holds a
+    lasso from it (``_find_lasso``), and builds each level above zero in
+    two phases from the full previous level.  Phase A (``_lasso_phase``)
+    builds the ``(source, q)`` and ``(q, q)`` cells the lasso test reads,
+    in its order, and stops at the first lasso.  Phase B runs only when
+    phase A found none and the level is not the last: it builds the rest
+    of the level, reusing phase A's cells.  So the level that holds the
+    lasso, and the last level of a search that finds none, hold only phase
+    A's cells, at most ``2 |Q| - 1`` of them.  Every cell built is the one
+    the full level has, so the lasso found and ``ParetoFamily.level`` are
+    those of a scan of each full level.  Without a source every level is
+    built whole and the family is the last level's.
     """
     cells = _level_zero(v)
-    top = max(1, v.n_states)
-    levels = math.ceil(math.log2(top)) if top > 1 else 0
+    n = v.n_states
+    levels = math.ceil(math.log2(n)) if n > 1 else 0
+    if source is not None:
+        require_states(v, UNKNOWN_SOURCE, source)
+        if _find_lasso(cells, source, n) is not None:
+            return ParetoFamily(level=0, cells=cells)
 
     level = 0
     while level < levels:
-        if until is not None and until(cells):
-            break
         rows = {pq: _partner_rows(es) for pq, es in cells.items()}
         out_of: dict[int, list[tuple[int, tuple]]] = {}
         for (p, r), left in rows.items():
             out_of.setdefault(p, []).append((r, left))
+        level += 1
+        built: dict[tuple[int, int], tuple] = {}
+        if source is not None:
+            built, found = _lasso_phase(rows, out_of, source, n)
+            if found or level == levels:
+                return ParetoFamily(level=level, cells=built)
         # Midpoint products can populate pairs absent from the current level.
         products: dict[tuple[int, int], list] = {}
         for (p, r), left in rows.items():
             for q, right in out_of.get(r, ()):
                 products.setdefault((p, q), []).append((left, right))
-        cells = {pq: tuple(_filter_products(*pq, products[pq]))
+        cells = {pq: built[pq] if pq in built
+                 else tuple(_filter_products(*pq, products[pq]))
                  for pq in sorted(products)}
-        level += 1
     return ParetoFamily(level=level, cells=cells)
 
 
@@ -353,20 +409,29 @@ def _require_guard_free(v: Vass) -> None:
         raise ValueError("this procedure requires guard-free input")
 
 
+def _lasso_at(cells: dict, s: int, q: int
+              ) -> Optional[tuple[ParetoElem, ParetoElem]]:
+    """The first ``(stem, cycle)`` at state ``q``, by cell order, where the
+    stem is an ``(s, q)`` element with nonnegative minimal prefix and the
+    cycle a ``(q, q)`` element of positive weight that stays nonnegative
+    after the stem's weight; ``None`` if there is none."""
+    for stem in cells.get((s, q), ()):
+        if stem.pmin < 0:
+            continue
+        for cyc in cells.get((q, q), ()):
+            if cyc.weight >= 1 and stem.weight + cyc.pmin >= 0:
+                return stem, cyc
+    return None
+
+
 def _find_lasso(cells: dict, s: int, n_states: int
                 ) -> Optional[tuple[ParetoElem, ParetoElem]]:
-    """The first ``(stem, cycle)`` of ``cells``, by state ``q`` and then by
-    cell order, where the stem is an ``(s, q)`` element with nonnegative
-    minimal prefix and the cycle a ``(q, q)`` element of positive weight
-    that stays nonnegative after the stem's weight; ``None`` if there is
-    none."""
+    """The first lasso of ``cells`` from ``s`` (``_lasso_at``), by state
+    ``q``; ``None`` if there is none."""
     for q in range(n_states):
-        for stem in cells.get((s, q), ()):
-            if stem.pmin < 0:
-                continue
-            for cyc in cells.get((q, q), ()):
-                if cyc.weight >= 1 and stem.weight + cyc.pmin >= 0:
-                    return stem, cyc
+        lasso = _lasso_at(cells, s, q)
+        if lasso is not None:
+            return lasso
     return None
 
 
@@ -378,18 +443,17 @@ def decide_unbounded_lasso(v: Vass, s: int) -> LassoDecision:
     guards, such a lasso can be pumped forever, and any unbounded run can be
     trimmed to one.
 
-    The doubling stops at the first level whose cells hold such a lasso
-    (``build_families`` with ``until``), and the stem and cycle are that
+    The doubling stops at the first level that holds such a lasso, and
+    builds of each level first, and often only, the cells the lasso test
+    reads (``build_families`` with ``source``); the stem and cycle are that
     level's.  This is exact: every level's witnesses are real paths with
     the summaries they record, so a lasso found early is a real one, and
-    only the last level's family is needed to answer NO.
+    only the last level's ``(s, q)`` and ``(q, q)`` cells are needed to
+    answer NO.
     """
     _require_guard_free(v)
-    require_states(v, UNKNOWN_SOURCE, s)
-    n = v.n_states
-    fam = build_families(
-        v, until=lambda cells: _find_lasso(cells, s, n) is not None)
-    lasso = _find_lasso(fam.cells, s, n)
+    fam = build_families(v, source=s)
+    lasso = _find_lasso(fam.cells, s, v.n_states)
     if lasso is None:
         return LassoDecision(False)
     return LassoDecision(True, *lasso)

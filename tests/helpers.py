@@ -14,7 +14,16 @@ from vass.cycles import (
 )
 from vass.model import normalize_guards_with_maps
 from vass.oracle import oracle_unbounded
-from vass.pareto import ParetoElem, ParetoFamily, _witness_key, dominates
+from vass.pareto import (
+    ParetoElem,
+    ParetoFamily,
+    _filter_products,
+    _find_lasso,
+    _level_zero,
+    _partner_rows,
+    _witness_key,
+    dominates,
+)
 from vass.reductions import Cnf3, cnf_to_vass, with_start_counter
 
 
@@ -280,3 +289,43 @@ def build_families_reference(v: Vass) -> ParetoFamily:
         results = {pq: next_cell(*pq) for pq in pairs}
         cells = {pq: es for pq, es in results.items() if es}
     return ParetoFamily(level=levels, cells=cells)
+
+
+def _full_levels(v: Vass):
+    """Every level of the doubling, level zero first, each built whole in
+    sorted cell order, as ``build_families`` builds them without a
+    source."""
+    cells = _level_zero(v)
+    levels = math.ceil(math.log2(v.n_states)) if v.n_states > 1 else 0
+    yield cells
+    for _ in range(levels):
+        rows = {pq: _partner_rows(es) for pq, es in cells.items()}
+        out_of: dict[int, list[tuple[int, tuple]]] = {}
+        for (p, r), left in rows.items():
+            out_of.setdefault(p, []).append((r, left))
+        products: dict[tuple[int, int], list] = {}
+        for (p, r), left in rows.items():
+            for q, right in out_of.get(r, ()):
+                products.setdefault((p, q), []).append((left, right))
+        cells = {pq: tuple(_filter_products(*pq, products[pq]))
+                 for pq in sorted(products)}
+        yield cells
+
+
+def lasso_reference(v: Vass, sources
+                    ) -> dict[int, tuple[int, Optional[tuple]]]:
+    """The lasso test over whole levels, for each source ``s`` of
+    ``sources``: the first level whose full cells hold a lasso from ``s``,
+    with that lasso (``_find_lasso``), or the last level and ``None``.  The
+    sources share the levels, which are built only as far as some source
+    needs.  Reference for ``decide_unbounded_lasso``."""
+    found: dict[int, tuple[int, Optional[tuple]]] = {}
+    for level, cells in enumerate(_full_levels(v)):
+        for s in sources:
+            if s not in found:
+                lasso = _find_lasso(cells, s, v.n_states)
+                if lasso is not None:
+                    found[s] = (level, lasso)
+        if len(found) == len(sources):
+            break
+    return {s: found.get(s, (level, None)) for s in sources}

@@ -41,9 +41,19 @@ def test_cover_disconnected_state():
     v = parse_vass("state a\nstate b\nedge a a 0\n")
     verdict = oracle_cover(v, 0, 1, counter_cap=30)
     assert verdict.answer == "no"
-    # with a climbing loop the capped closure cannot rule the target out
-    v2 = parse_vass("state a\nstate b\nedge a a 1\n")
+    # with a climbing loop the capped closure cannot rule out a target
+    # the graph reaches
+    v2 = parse_vass("state a\nstate b\nedge a a 1\nedge a b -100\n")
     assert oracle_cover(v2, 0, 1, counter_cap=30).answer == "unknown"
+
+
+def test_cover_graph_unreachable_target_is_no():
+    # the climbing loop makes the closure infinite, but no path of the graph
+    # leads to b, so no cap can leave the answer open
+    v = parse_vass("state a\nstate b\nedge a a 1\n")
+    assert oracle_cover(v, 0, 1, counter_cap=30).answer == "no"
+    assert oracle_cover(v, 0, 1, node_cap=1).answer == "no"
+    assert oracle_cover(v, 0, 1).answer == "no"
 
 
 def test_cover_zero_node_cap_is_unknown(demo):

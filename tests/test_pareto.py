@@ -30,6 +30,7 @@ from helpers import (
     enumerate_paths,
     gen_dense_guard_free,
     gen_guard_free,
+    lasso_reference,
 )
 
 
@@ -388,6 +389,60 @@ def test_lasso_stops_at_the_first_level_holding_one(monkeypatch):
     assert len(products) == len(filters) > 0
     assert dec.cycle.witness.transitions == (len(v.transitions) - 1,)
     assert build(v).level == 4
+
+
+def test_lasso_equals_the_full_level_reference(monkeypatch):
+    # each level builds the cells the lasso scan reads first, and the rest
+    # only when the doubling goes on: the answer, the lasso and the level
+    # reached are those of a scan of every full level
+    levels = []
+    build = pareto.build_families
+
+    def recorded(*args, **kwargs):
+        fam = build(*args, **kwargs)
+        levels.append(fam.level)
+        return fam
+
+    monkeypatch.setattr(pareto, "build_families", recorded)
+    # every source of the sparse graphs, the first of the dense ones
+    for k, v in enumerate(_dense_and_random_graphs()):
+        sources = range(v.n_states if k < 300 else 1)
+        for s, (level, lasso) in lasso_reference(v, sources).items():
+            dec = decide_unbounded_lasso(v, s)
+            assert levels.pop() == level
+            assert dec.answer == (lasso is not None)
+            assert (dec.stem, dec.cycle) == (lasso or (None, None))
+
+
+def test_lasso_last_level_builds_only_the_cells_it_reads(monkeypatch):
+    # no positive cycle, and a +1 edge from the source s to every other
+    # state: a NO that reaches the last level, where every (s, q) cell holds
+    # a stem, so the scan reads every (s, q) and (q, q) cell.  Building the
+    # whole level takes one filter call per cell, 157 here.
+    g = gen_dense_guard_free(random.Random(0), 12)
+    n = g.n_states + 1
+    edges = tuple(Transition(0, q, 1) for q in range(1, n)) + tuple(
+        Transition(t.src + 1, t.dst + 1, -abs(t.weight)) for t in g.transitions)
+    v = Vass(names=tuple(f"q{i}" for i in range(n)),
+             guards=(frozenset(),) * n, transitions=edges, initial=0, target=0)
+    events = []
+    rows_fn = pareto._partner_rows
+    products_fn = pareto._filter_products
+
+    def counted_rows(*args):
+        events.append("rows")
+        return rows_fn(*args)
+
+    def counted_products(*args):
+        events.append("filter")
+        return products_fn(*args)
+
+    monkeypatch.setattr(pareto, "_partner_rows", counted_rows)
+    monkeypatch.setattr(pareto, "_filter_products", counted_products)
+    assert decide_unbounded_lasso(v, 0).answer is False
+    # each level reads the rows of the previous one before it filters
+    last_level = events[len(events) - events[::-1].index("rows"):]
+    assert len(last_level) == 2 * n - 1
 
 
 def test_lasso_decisions_build_families_through_the_module(monkeypatch):
