@@ -108,23 +108,23 @@ def _strongly_connected_components(v: Vass) -> list[list[int]]:
     return sccs
 
 
-def _prune_frontier(elems: list[tuple[int, int, tuple[int, ...]]]) -> list:
+def _prune_frontier(elems: list[tuple[int, int, int, tuple[int, ...]]]) -> list:
     """Keep the undominated (pmin, weight) pairs, deterministically.
 
-    Order: pmin descending, then weight descending (equivalently smax),
-    then shorter then lexicographically smaller witness -- a later element
-    survives only if its weight strictly beats everything kept so far.
-    The order is total on distinct elements and dominance is transitive,
-    so pruning in stages changes nothing: ``prune(A + B) ==
-    prune(prune(A) + B)``.
+    An element is ``(-pmin, -weight, length, transitions)``, so its natural
+    tuple order is the prune order: pmin descending, then weight descending
+    (equivalently smax), then shorter then lexicographically smaller
+    witness.  A later element survives only if its negated weight is
+    strictly lower than that of everything kept so far.  The order is
+    total on distinct elements and dominance is transitive, so pruning in
+    stages changes nothing: ``prune(A + B) == prune(prune(A) + B)``.
     """
-    elems = sorted(elems, key=lambda e: (-e[0], -e[1], len(e[2]), e[2]))
-    kept: list[tuple[int, int, tuple[int, ...]]] = []
-    best_w = None
-    for e in elems:
-        if best_w is None or e[1] > best_w:
+    kept: list[tuple[int, int, int, tuple[int, ...]]] = []
+    least = math.inf  # least negated weight kept so far
+    for e in sorted(elems):
+        if e[1] < least:
             kept.append(e)
-            best_w = e[1]
+            least = e[1]
     return kept
 
 
@@ -162,6 +162,12 @@ def select_cycles(v: Vass) -> dict[int, CycleSelection]:
     element above ``b`` is kept depends only on the elements before it, all
     above ``b`` as well: the frontier above ``b`` is the same with or
     without the cut, and so are ``best`` and its tie-breaks.
+
+    A frontier element is the tuple ``(-pmin, -weight, length,
+    transitions)``, so plain ``sorted`` puts a frontier in prune order (see
+    `_prune_frontier`) with no key function; ``floor`` is the negated pmin
+    of ``best``, and an extension is taken only while its negated pmin
+    stays below it.
     """
     selections: dict[int, CycleSelection] = {}
     for comp in _strongly_connected_components(v):
@@ -177,51 +183,51 @@ def select_cycles(v: Vass) -> dict[int, CycleSelection]:
             out_by_src[t.src].append((i, t.dst, t.weight))
         levels = len(comp)
         for q in sorted(comp):
-            # frontier[p]: undominated (pmin, weight, transition tuple) over
-            # q->p paths of at most `level` transitions; delta[p]: those of
-            # exactly `level` transitions.
-            frontier: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {
-                q: [(0, 0, ())]
+            # frontier[p]: undominated (-pmin, -weight, length, transitions)
+            # over q->p paths of at most `level` transitions; delta[p]: those
+            # of exactly `level` transitions.
+            frontier: dict[int, list[tuple[int, int, int, tuple[int, ...]]]] = {
+                q: [(0, 0, 0, ())]
             }
             delta = frontier
-            best: Optional[tuple[int, int, tuple[int, ...]]] = None
-            floor = -math.inf  # pmin of best: nothing at or below it can win
+            best: Optional[tuple[int, int, int, tuple[int, ...]]] = None
+            floor = math.inf  # -pmin of best: nothing at or above it can win
             for level in range(1, levels + 1):
                 ext: dict[int, list] = {}
                 for p, elems in delta.items():
                     for i, dst, w in out_by_src[p]:
                         out = ext.setdefault(dst, [])
-                        for pmin, wt, path in elems:
-                            # pmin is above the floor already; the sum may
-                            # not be
-                            s = wt + w
-                            if s > floor:
-                                out.append((pmin if pmin < s else s, s,
-                                            path + (i,)))
+                        for npmin, nwt, _, path in elems:
+                            # npmin is below the floor already; the negated
+                            # sum may not be
+                            ns = nwt - w
+                            if ns < floor:
+                                out.append((npmin if npmin > ns else ns, ns,
+                                            level, path + (i,)))
                 delta = {}
                 for dst, es in ext.items():
                     if not es:
                         continue
                     kept = _prune_frontier(frontier.get(dst, []) + es)
                     frontier[dst] = kept
-                    fresh = [e for e in kept if len(e[2]) == level]
+                    fresh = [e for e in kept if e[2] == level]
                     if fresh:
                         delta[dst] = fresh
                 # delta[q] is sorted by pmin descending: the first positive
                 # cycle above the floor is the best one of this level
-                for pmin, wt, path in delta.get(q, ()):
-                    if wt >= 1 and pmin > floor:
-                        best = (pmin, wt, path)
-                        floor = pmin
+                for cyc in delta.get(q, ()):
+                    if cyc[1] <= -1 and cyc[0] < floor:
+                        best = cyc
+                        floor = cyc[0]
                         delta = {p: above for p, es in delta.items()
-                                 if (above := [e for e in es if e[0] > floor])}
+                                 if (above := [e for e in es if e[0] < floor])}
                         break
                 if not delta:
                     break
             if best is not None:
-                pmin, wt, path = best
+                npmin, nwt, _, path = best
                 selections[q] = CycleSelection(
-                    state=q, gamma=Path(q, path), period=wt, pmin=pmin
+                    state=q, gamma=Path(q, path), period=-nwt, pmin=-npmin
                 )
     return selections
 

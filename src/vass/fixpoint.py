@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from heapq import merge
 from math import gcd
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import model, reductions
 from .cycles import (
@@ -167,13 +167,32 @@ def u_contains(u: USet, c: Configuration) -> bool:
     return u.contains(c)
 
 
-def bounded_chains(analysis: CycleAnalysis) -> Iterable[Chain]:
-    for q in sorted(analysis.states):
-        sa = analysis.states[q]
-        for r in sorted(sa.splits):
-            for ch in chains_of(sa, r):
-                if ch.bounded:
-                    yield ch
+def _chain_bounds(analysis: CycleAnalysis) -> Iterator[tuple[int, int, int, int]]:
+    """Every bounded chain as ``(state, period, lo, hi)``, read straight off
+    ``StateAnalysis.splits``: states ascending, then residues ascending,
+    then up each class from its floor, the stretch below each cut-off (if
+    it is non-empty) before the cut-off's singleton.  The unbounded tails
+    are left out, and no `Chain` is built."""
+    states = analysis.states
+    for q in sorted(states):
+        sa = states[q]
+        w = sa.selection.period
+        splits = sa.splits
+        for r in sorted(splits):
+            start = class_floor(sa, r)
+            for cap in splits[r]:
+                if cap - w >= start:
+                    yield q, w, start, cap - w
+                yield q, w, cap, cap
+                start = cap + w
+
+
+def bounded_chains(analysis: CycleAnalysis) -> Iterator[Chain]:
+    """Every bounded chain of ``chains_of``, in the order `saturate_step`
+    walks them: one walk over ``splits`` (`_chain_bounds`), each chain
+    built from its bounds."""
+    for q, w, lo, hi in _chain_bounds(analysis):
+        yield Chain(q, lo % w, lo, hi)
 
 
 def decompose_objectives(u: USet, q: int) -> list[DiseqObjective]:
@@ -546,6 +565,9 @@ def saturate_step(
     ends the chain for the round.  After a hit it probes the top, and if
     that misses, bisects between the two for the last element that hits.
     A "capped" probe counts as a miss and marks the round ``truncated``.
+    The chains are walked as plain bounds straight off ``splits``
+    (`_chain_bounds`), in the order of `bounded_chains`; no `Chain` is
+    built.
 
     The probes of a round share one dead run set (see `_reach_uset`): the
     runs of a "no" cover a finite closure that misses ``u``, so later
@@ -571,14 +593,13 @@ def saturate_step(
         truncated = truncated or status == "capped"
         return status == "hit"
 
-    for ch in bounded_chains(analysis):
-        q = ch.state
-        w = analysis.states[q].selection.period
-        cmax = u.per_chain_max.get((q, ch.lo))
-        first_missing = ch.lo if cmax is None else cmax + w
-        if first_missing > ch.hi or not hits(q, first_missing):
+    chain_max = u.per_chain_max
+    for q, w, clo, chi in _chain_bounds(analysis):
+        cmax = chain_max.get((q, clo))
+        first_missing = clo if cmax is None else cmax + w
+        if first_missing > chi or not hits(q, first_missing):
             continue
-        x = ch.hi  # the chain's new maximum, if the top hits
+        x = chi  # the chain's new maximum, if the top hits
         if first_missing < x and not hits(q, x):
             lo, hi = first_missing, x
             while hi - lo > w:  # lo hits, hi misses
@@ -588,7 +609,7 @@ def saturate_step(
                 else:
                     hi = mid
             x = lo
-        additions[(q, ch.lo)] = x
+        additions[(q, clo)] = x
         ranges.setdefault(q, []).append(range(first_missing, x + 1, w))
 
     added = {q: AddedValues(r) for q, r in ranges.items()}

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
+from itertools import combinations
+from typing import Iterator, Optional
 
 from vass import Path, Transition, Vass
 from vass.cycles import (
+    Chain,
+    CycleAnalysis,
     CycleSelection,
-    _prune_frontier,
     _strongly_connected_components,
+    chains_of,
 )
 from vass.model import normalize_guards_with_maps
 from vass.oracle import oracle_unbounded
@@ -80,6 +83,18 @@ def cnf_no_anchor() -> tuple[Vass, int]:
     return v, entry[w0]
 
 
+def small_cnf_formulas() -> list[Cnf3]:
+    """Every single clause and every pair of distinct clauses over three
+    variables, and the two four-variable anchors of the CNF family."""
+    clauses = [tuple((var, bool(signs >> var - 1 & 1)) for var in (1, 2, 3))
+               for signs in range(8)]
+    formulas = [Cnf3(3, (c,)) for c in clauses]
+    formulas += [Cnf3(3, pair) for pair in combinations(clauses, 2)]
+    formulas += [Cnf3(4, (clauses[5],)), Cnf3(4, (clauses[5], (
+        (1, False), (2, True), (4, False))))]
+    return formulas
+
+
 def gen_guard_free(rng: random.Random, max_states: int = 6,
                    max_weight: int = 5) -> Vass:
     return gen_vass(rng, max_states=max_states, max_weight=max_weight,
@@ -138,6 +153,22 @@ def enumerate_paths(v: Vass, src: int, max_len: int):
                 stack.append((t.dst, taken + (ti,)))
 
 
+def _prune_frontier_reference(elems: list[tuple[int, int, tuple[int, ...]]]
+                              ) -> list:
+    """The undominated ``(pmin, weight, transitions)`` elements, pmin
+    descending, then weight descending, then shorter then lexicographically
+    smaller witness; a later element survives only if its weight strictly
+    beats everything kept so far."""
+    elems = sorted(elems, key=lambda e: (-e[0], -e[1], len(e[2]), e[2]))
+    kept: list[tuple[int, int, tuple[int, ...]]] = []
+    best_w = None
+    for e in elems:
+        if best_w is None or e[1] > best_w:
+            kept.append(e)
+            best_w = e[1]
+    return kept
+
+
 def select_cycles_reference(v: Vass) -> dict[int, CycleSelection]:
     """The full leveled Pareto DP: every level re-extends and re-prunes the
     whole frontier of every state.  Reference for ``select_cycles``."""
@@ -168,7 +199,8 @@ def select_cycles_reference(v: Vass) -> dict[int, CycleSelection]:
                         for pmin, wt, path in elems:
                             ext = (min(pmin, wt + w), wt + w, path + (i,))
                             new.setdefault(dst, []).append(ext)
-                frontier = {p: _prune_frontier(es) for p, es in new.items()}
+                frontier = {p: _prune_frontier_reference(es)
+                            for p, es in new.items()}
                 for pmin, wt, path in frontier.get(q, ()):
                     if wt >= 1 and path and (best is None or pmin > best[0]):
                         best = (pmin, wt, path)
@@ -178,6 +210,18 @@ def select_cycles_reference(v: Vass) -> dict[int, CycleSelection]:
                     state=q, gamma=Path(q, path), period=wt, pmin=pmin
                 )
     return selections
+
+
+def bounded_chains_reference(analysis: CycleAnalysis) -> Iterator[Chain]:
+    """Every bounded chain, states ascending, then residues ascending, then
+    up each class, read off ``chains_of``.  Reference for
+    ``bounded_chains``."""
+    for q in sorted(analysis.states):
+        sa = analysis.states[q]
+        for r in sorted(sa.splits):
+            for ch in chains_of(sa, r):
+                if ch.bounded:
+                    yield ch
 
 
 def concat_reference(a: ParetoElem, b: ParetoElem) -> ParetoElem:

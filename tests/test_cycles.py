@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 from vass import (
     Configuration,
@@ -15,7 +14,7 @@ from vass import (
     summarize_path,
 )
 from vass.model import Transition, Vass, Violation, normalize_guards
-from vass.reductions import Cnf3, cnf_to_vass
+from vass.reductions import cnf_to_vass
 
 from helpers import (
     cnf_no_anchor,
@@ -23,6 +22,7 @@ from helpers import (
     gen_vass,
     select_cycles_reference,
     simple_cycles_through,
+    small_cnf_formulas,
 )
 
 
@@ -90,15 +90,7 @@ def test_selection_equals_full_leveled_dp():
 
 
 def test_cnf_selection_equals_full_leveled_dp():
-    # every single clause and every pair of distinct clauses over three
-    # variables, and the two four-variable anchors of the CNF family
-    clauses = [tuple((var, bool(signs >> var - 1 & 1)) for var in (1, 2, 3))
-               for signs in range(8)]
-    formulas = [Cnf3(3, (c,)) for c in clauses]
-    formulas += [Cnf3(3, pair) for pair in combinations(clauses, 2)]
-    formulas += [Cnf3(4, (clauses[5],)), Cnf3(4, (clauses[5], (
-        (1, False), (2, True), (4, False))))]
-    for f in formulas:
+    for f in small_cnf_formulas():
         v = normalize_guards(cnf_to_vass(f)[0])
         assert select_cycles(v) == select_cycles_reference(v), f
 
@@ -115,6 +107,7 @@ def _elements_fed_to_prune(monkeypatch, v) -> int:
 
     monkeypatch.setattr(cycles, "_prune_frontier", counted)
     select_cycles(v)
+    assert fed > 0, "select_cycles no longer prunes through _prune_frontier"
     return fed
 
 

@@ -27,7 +27,15 @@ from vass import (
 from vass.cycles import Chain
 from vass.model import Violation, lift_run
 
-from helpers import cnf_no_anchor, gen_vass, truly_unbounded
+from vass.reductions import cnf_to_vass
+
+from helpers import (
+    bounded_chains_reference,
+    cnf_no_anchor,
+    gen_vass,
+    small_cnf_formulas,
+    truly_unbounded,
+)
 
 
 # --- worst-case bound arithmetic ------------------------------------------
@@ -350,6 +358,38 @@ def _dense_guard_instances(count):
     return [normalize_guards(gen_vass(rng, max_weight=3, max_guard=20,
                                       guard_prob=0.8, multi_guards=True))
             for _ in range(count)]
+
+
+def test_bounded_chains_walk_in_the_reference_order():
+    # one walk over the cut-offs yields the bounded chains of chains_of, in
+    # the order the saturation rounds probe them
+    cases = _memo_instances(350) + _dense_guard_instances(150)
+    cases += [normalize_guards(cnf_to_vass(f)[0]) for f in small_cnf_formulas()]
+    matched = 0
+    for v in cases:
+        ana = analyze(v)
+        chains = list(fixpoint.bounded_chains(ana))
+        assert chains == list(bounded_chains_reference(ana)), v
+        matched += len(chains)
+    assert matched > 70_000, matched
+
+
+def test_saturation_builds_no_chain(monkeypatch):
+    # the rounds read chain bounds straight off the cut-offs: building a
+    # Chain for every bounded chain cost a fifth of a CNF solve
+    def refuse(*args):
+        raise AssertionError("saturation built a Chain")
+
+    cases = [cnf_no_anchor()[0]] + [
+        normalize_guards(v) for v in _multi_guard_instances(60)
+        if any(len(g) > 1 for g in v.guards)]
+    walked = sum(len(list(bounded_chains_reference(analyze(v))))
+                 for v in cases)
+    monkeypatch.setattr(fixpoint, "chains_of", refuse)
+    monkeypatch.setattr(fixpoint, "Chain", refuse)
+    for v in cases:
+        unbounded_core(v)
+    assert len(cases) > 5 and walked > 1000, (len(cases), walked)
 
 
 def test_dead_set_changes_no_result(monkeypatch):
