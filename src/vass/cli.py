@@ -433,7 +433,7 @@ def _cmd_selftest(args) -> int:
           summaries == {(-2, 3), (-4, 6)})
     check("plain demo: the lasso test answers as a scan of the full family",
           all(pareto.decide_unbounded_lasso(g, s).answer
-              == (pareto._find_lasso(fam.cells, s, g.n_states) is not None)
+              == (pareto._find_lasso(fam.cell, s, g.n_states) is not None)
               for s in range(g.n_states)))
     print(f"{len(failures)} failures")
     return EXIT_OK if not failures else EXIT_INPUT

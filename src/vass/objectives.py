@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Configuration, Path, Vass
+from .model import UNKNOWN_STATE, Configuration, Path, Vass, require_states
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,7 @@ def decide_bounded_cover(
     """
     if steps < 0:
         raise ValueError("step bound must be nonnegative")
+    require_states(v, UNKNOWN_STATE, init.state, o.target_state)
     if o.empty or not v.is_valid(init):
         return BoundedCoverResult(False)
 

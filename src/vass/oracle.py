@@ -184,6 +184,7 @@ def oracle_bounded_cover(
 ) -> bool:
     """Exhaustive layered search for the bounded-coverability question; the
     unpruned counterpart of :func:`vass.objectives.decide_bounded_cover`."""
+    require_states(v, UNKNOWN_STATE, init.state, o.target_state)
     if not v.is_valid(init):
         return False
     frontier = {init}

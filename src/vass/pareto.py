@@ -7,19 +7,20 @@ filtering through per-nadir recombination keeps every endpoint cell at most
 ``|Q|`` wide, giving Pareto sets for all paths of length up to ``|Q|`` in
 logarithmically many rounds.  Unboundedness from ``(s, 0)`` then reduces to
 scanning the cells for a nonnegative-prefix stem feeding a positive cycle.
-Every level's witnesses are real paths, so the lasso test runs that scan
-after each level and stops the doubling at the first level that holds a
-lasso (``build_families`` with ``source``).  The scan reads only the
-``(s, q)`` and ``(q, q)`` cells, so each level above zero builds those
-first, by ``q``, up to the first lasso, and builds the rest of the level
-only when the doubling must go on.  A family that stops early, the last
-level of a NO included, holds only the cells built for the scan.
+
+Each level above zero builds its cells on demand, each once, from the whole
+previous level (``_NextLevel``).  Every level's witnesses are real paths, so
+the lasso test scans each level as it comes and stops the doubling at the
+first level that holds a lasso (``build_families`` with ``source``).  The
+scan (``_find_lasso``) asks only for the ``(s, q)`` cells and the ``(q, q)``
+cells it needs, so only those are built unless the doubling goes on; a
+level that goes on is then built whole, reusing them.
 
 One kernel, ``_filter_products``, does the filtering: it reads the summary
 and the nadirs of each concatenation from its two operands, by the rules of
 ``concat``, and builds only the elements a cell keeps.  ``pareto_filter``
-runs it with the identity as every right operand; ``build_families`` runs it
-over the midpoint products of each level, so the doubling never builds a
+runs it with the identity as every right operand; ``_NextLevel`` runs it
+over the midpoint products of one cell, so the doubling never builds a
 concatenation.  Guards play no role here: the decision procedures refuse
 guarded input.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import reductions
 from .model import UNKNOWN_SOURCE, Path, Vass, require_states
@@ -292,9 +293,10 @@ class ParetoFamily:
     unless ``build_families`` stopped early on a lasso from its ``source``.
 
     Without a source every cell of the level is present.  With one, a level
-    above zero holds only the cells its lasso phase built: the ``(source,
+    above zero holds only the cells its lasso scan built: the ``(source,
     q)`` cells and some ``(q, q)`` cells, up to the first lasso.  A cell
-    absent from ``cells`` is empty or was not built."""
+    absent from ``cells`` is empty or was not built; ``cell`` reads either
+    as empty."""
 
     level: int
     cells: dict  # (p, q) -> tuple[ParetoElem, ...]
@@ -313,88 +315,73 @@ def _level_zero(v: Vass) -> dict:
     return {pq: tuple(pareto_filter(v, es)) for pq, es in cells.items()}
 
 
-def _next_cell(rows: dict, out_of: dict, p: int, q: int) -> tuple:
-    """Cell ``(p, q)`` of the next level: one ``_filter_products`` call over
-    the products of the ``(p, r)`` and ``(r, q)`` rows of every midpoint
-    ``r``, in the order of ``rows``; empty when no midpoint joins them."""
-    products = [(left, rows[r, q]) for r, left in out_of.get(p, ())
-                if (r, q) in rows]
-    return tuple(_filter_products(p, q, products)) if products else ()
+class _NextLevel:
+    """The cells of the level above ``cells``, each built on demand and
+    once: cell ``(p, q)`` is one ``_filter_products`` call over the products
+    of the ``(p, r)`` and ``(r, q)`` rows of every midpoint ``r``, and empty
+    when no midpoint joins them.  ``built`` holds every cell asked for."""
 
+    def __init__(self, cells: dict):
+        self.out_of: dict[int, list[tuple[int, tuple]]] = {}
+        self.into: dict[int, dict[int, tuple]] = {}  # q -> r -> rows of (r, q)
+        for (r, q), es in cells.items():
+            rows = _partner_rows(es)
+            self.out_of.setdefault(r, []).append((q, rows))
+            self.into.setdefault(q, {})[r] = rows
+        self.built: dict[tuple[int, int], tuple] = {}
 
-def _lasso_phase(rows: dict, out_of: dict, s: int, n_states: int
-                 ) -> tuple[dict, bool]:
-    """The cells of the next level that the lasso test reads, up to its
-    first lasso: by state ``q`` in ``_find_lasso``'s order, cell ``(s,
-    q)``, then cell ``(q, q)`` when ``(s, q)`` holds a stem with
-    nonnegative minimal prefix.  Returns the non-empty cells built and
-    whether they hold a lasso."""
-    cells: dict[tuple[int, int], tuple] = {}
-
-    def build(p: int, q: int) -> tuple:
-        es = _next_cell(rows, out_of, p, q)
-        if es:
-            cells[(p, q)] = es
+    def cell(self, p: int, q: int) -> tuple:
+        es = self.built.get((p, q))
+        if es is None:
+            into_q = self.into.get(q, {})
+            products = [(left, into_q[r]) for r, left in self.out_of.get(p, ())
+                        if r in into_q]
+            es = tuple(_filter_products(p, q, products)) if products else ()
+            self.built[(p, q)] = es
         return es
 
-    for q in range(n_states):
-        if any(e.pmin >= 0 for e in build(s, q)) and q != s:
-            build(q, q)
-        if _lasso_at(cells, s, q) is not None:
-            return cells, True
-    return cells, False
+    def whole(self) -> dict:
+        """Every cell some midpoint joins, in sorted order."""
+        pairs = {(p, q) for p, lefts in self.out_of.items()
+                 for r, _ in lefts for q, _ in self.out_of.get(r, ())}
+        return {pq: self.cell(*pq) for pq in sorted(pairs)}
 
 
 def build_families(v: Vass, source: Optional[int] = None) -> ParetoFamily:
     """Doubling construction up to level ``ceil(log2 |Q|)``: the final family
     is a Pareto set for all paths of length up to ``|Q|`` between every pair
-    of states.  Each level builds its cells from the previous level only,
-    in sorted cell order: cell ``(p, q)`` filters the products of the
+    of states.  Each level builds its cells from the whole previous level
+    only (``_NextLevel``): cell ``(p, q)`` filters the products of the
     ``(p, r)`` and ``(r, q)`` cells over every midpoint ``r`` in one
     ``_filter_products`` call, which never builds a product.
 
     With a ``source``, the doubling stops at the first level that holds a
-    lasso from it (``_find_lasso``), and builds each level above zero in
-    two phases from the full previous level.  Phase A (``_lasso_phase``)
-    builds the ``(source, q)`` and ``(q, q)`` cells the lasso test reads,
-    in its order, and stops at the first lasso.  Phase B runs only when
-    phase A found none and the level is not the last: it builds the rest
-    of the level, reusing phase A's cells.  So the level that holds the
-    lasso, and the last level of a search that finds none, hold only phase
-    A's cells, at most ``2 |Q| - 1`` of them.  Every cell built is the one
-    the full level has, so the lasso found and ``ParetoFamily.level`` are
-    those of a scan of each full level.  Without a source every level is
-    built whole and the family is the last level's.
+    lasso from it.  Each level above zero is scanned as it is built:
+    ``_find_lasso`` asks for the ``(source, q)`` cells and the ``(q, q)``
+    cells it needs, in its order, and stops at the first lasso.  Only a
+    level that holds no lasso and is not the last is then built whole,
+    reusing the cells the scan built.  So the level that holds the lasso,
+    and the last level of a search that finds none, hold only the scan's
+    cells, at most ``2 |Q| - 1`` of them.  Every cell built is the one the
+    full level has, so the lasso found and ``ParetoFamily.level`` are those
+    of a scan of each full level.  Without a source every level is built
+    whole and the family is the last level's.
     """
-    cells = _level_zero(v)
+    family = ParetoFamily(level=0, cells=_level_zero(v))
     n = v.n_states
     levels = math.ceil(math.log2(n)) if n > 1 else 0
     if source is not None:
         require_states(v, UNKNOWN_SOURCE, source)
-        if _find_lasso(cells, source, n) is not None:
-            return ParetoFamily(level=0, cells=cells)
-
-    level = 0
-    while level < levels:
-        rows = {pq: _partner_rows(es) for pq, es in cells.items()}
-        out_of: dict[int, list[tuple[int, tuple]]] = {}
-        for (p, r), left in rows.items():
-            out_of.setdefault(p, []).append((r, left))
-        level += 1
-        built: dict[tuple[int, int], tuple] = {}
-        if source is not None:
-            built, found = _lasso_phase(rows, out_of, source, n)
-            if found or level == levels:
-                return ParetoFamily(level=level, cells=built)
-        # Midpoint products can populate pairs absent from the current level.
-        products: dict[tuple[int, int], list] = {}
-        for (p, r), left in rows.items():
-            for q, right in out_of.get(r, ()):
-                products.setdefault((p, q), []).append((left, right))
-        cells = {pq: built[pq] if pq in built
-                 else tuple(_filter_products(*pq, products[pq]))
-                 for pq in sorted(products)}
-    return ParetoFamily(level=level, cells=cells)
+        if _find_lasso(family.cell, source, n) is not None:
+            return family
+    for level in range(1, levels + 1):
+        nxt = _NextLevel(family.cells)
+        if source is not None and (
+                _find_lasso(nxt.cell, source, n) is not None or level == levels):
+            return ParetoFamily(level=level, cells={
+                pq: es for pq, es in nxt.built.items() if es})
+        family = ParetoFamily(level=level, cells=nxt.whole())
+    return family
 
 
 @dataclass(frozen=True)
@@ -409,29 +396,21 @@ def _require_guard_free(v: Vass) -> None:
         raise ValueError("this procedure requires guard-free input")
 
 
-def _lasso_at(cells: dict, s: int, q: int
-              ) -> Optional[tuple[ParetoElem, ParetoElem]]:
-    """The first ``(stem, cycle)`` at state ``q``, by cell order, where the
-    stem is an ``(s, q)`` element with nonnegative minimal prefix and the
-    cycle a ``(q, q)`` element of positive weight that stays nonnegative
-    after the stem's weight; ``None`` if there is none."""
-    for stem in cells.get((s, q), ()):
-        if stem.pmin < 0:
-            continue
-        for cyc in cells.get((q, q), ()):
-            if cyc.weight >= 1 and stem.weight + cyc.pmin >= 0:
-                return stem, cyc
-    return None
-
-
-def _find_lasso(cells: dict, s: int, n_states: int
+def _find_lasso(cell: Callable[[int, int], tuple], s: int, n_states: int
                 ) -> Optional[tuple[ParetoElem, ParetoElem]]:
-    """The first lasso of ``cells`` from ``s`` (``_lasso_at``), by state
-    ``q``; ``None`` if there is none."""
+    """The first lasso from ``s`` of the cells read through ``cell(p, q)``:
+    by state ``q``, then by cell order, a stem of cell ``(s, q)`` with
+    nonnegative minimal prefix and a cycle of cell ``(q, q)`` of positive
+    weight that stays nonnegative after the stem's weight; ``None`` if
+    there is none.  Cell ``(q, q)`` is read only once ``(s, q)`` has shown
+    such a stem, so an on-demand ``cell`` builds no other cell."""
     for q in range(n_states):
-        lasso = _lasso_at(cells, s, q)
-        if lasso is not None:
-            return lasso
+        for stem in cell(s, q):
+            if stem.pmin < 0:
+                continue
+            for cyc in cell(q, q):
+                if cyc.weight >= 1 and stem.weight + cyc.pmin >= 0:
+                    return stem, cyc
     return None
 
 
@@ -444,16 +423,16 @@ def decide_unbounded_lasso(v: Vass, s: int) -> LassoDecision:
     trimmed to one.
 
     The doubling stops at the first level that holds such a lasso, and
-    builds of each level first, and often only, the cells the lasso test
-    reads (``build_families`` with ``source``); the stem and cycle are that
-    level's.  This is exact: every level's witnesses are real paths with
-    the summaries they record, so a lasso found early is a real one, and
-    only the last level's ``(s, q)`` and ``(q, q)`` cells are needed to
-    answer NO.
+    builds of each level's cells on demand only those the lasso scan reads,
+    and the rest only when the doubling goes on (``build_families`` with
+    ``source``); the stem and cycle are that level's.  This is exact: every
+    level's witnesses are real paths with the summaries they record, so a
+    lasso found early is a real one, and only the last level's ``(s, q)``
+    and ``(q, q)`` cells are needed to answer NO.
     """
     _require_guard_free(v)
     fam = build_families(v, source=s)
-    lasso = _find_lasso(fam.cells, s, v.n_states)
+    lasso = _find_lasso(fam.cell, s, v.n_states)
     if lasso is None:
         return LassoDecision(False)
     return LassoDecision(True, *lasso)

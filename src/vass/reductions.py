@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (MAX_MAGNITUDE, UNKNOWN_STATE, Transition, Vass, _fresh_name,
-                    require_states)
+                    _int, require_states)
 
 # The product of the first 15 primes is the last one below 2**63.
 MAX_CNF_VARS = 15
@@ -199,8 +199,16 @@ def with_start_counter(v: Vass, u: int, base_state: int = 0) -> tuple[Vass, int]
     ), w0
 
 
+def _dimacs_int(tok: str) -> int:
+    try:
+        return _int(tok)
+    except ValueError:
+        raise ValueError(f"bad DIMACS integer {tok!r}") from None
+
+
 def parse_dimacs(text: str) -> Cnf3:
-    """Parse DIMACS CNF; every clause must mention three distinct variables."""
+    """Parse DIMACS CNF; every clause must mention three distinct variables.
+    Every count and literal is an optional sign and ASCII digits."""
     num_vars = 0
     clauses: list[tuple[Literal, Literal, Literal]] = []
     for raw in text.splitlines():
@@ -211,9 +219,10 @@ def parse_dimacs(text: str) -> Cnf3:
             parts = line.split()
             if len(parts) < 4 or parts[1] != "cnf":
                 raise ValueError("bad DIMACS header")
-            num_vars = int(parts[2])
+            num_vars = _dimacs_int(parts[2])
+            _dimacs_int(parts[3])  # the clause count: checked, not used
             continue
-        lits = [int(x) for x in line.split() if x != "0"]
+        lits = [_dimacs_int(x) for x in line.split() if x != "0"]
         if not lits:
             continue
         if len(lits) != 3:

@@ -21,7 +21,6 @@ from vass.pareto import (
     ParetoElem,
     ParetoFamily,
     _filter_products,
-    _find_lasso,
     _level_zero,
     _partner_rows,
     _witness_key,
@@ -356,18 +355,33 @@ def _full_levels(v: Vass):
         yield cells
 
 
+def _lasso_scan(cells: dict, s: int, n_states: int) -> Optional[tuple]:
+    """The first lasso from ``s`` in a dict of whole cells: by state ``q``,
+    then by cell order, an ``(s, q)`` stem with nonnegative minimal prefix
+    and a ``(q, q)`` cycle of positive weight that stays nonnegative after
+    the stem's weight; ``None`` if there is none."""
+    for q in range(n_states):
+        for stem in cells.get((s, q), ()):
+            if stem.pmin < 0:
+                continue
+            for cyc in cells.get((q, q), ()):
+                if cyc.weight >= 1 and stem.weight + cyc.pmin >= 0:
+                    return stem, cyc
+    return None
+
+
 def lasso_reference(v: Vass, sources
                     ) -> dict[int, tuple[int, Optional[tuple]]]:
     """The lasso test over whole levels, for each source ``s`` of
     ``sources``: the first level whose full cells hold a lasso from ``s``,
-    with that lasso (``_find_lasso``), or the last level and ``None``.  The
+    with that lasso (``_lasso_scan``), or the last level and ``None``.  The
     sources share the levels, which are built only as far as some source
     needs.  Reference for ``decide_unbounded_lasso``."""
     found: dict[int, tuple[int, Optional[tuple]]] = {}
     for level, cells in enumerate(_full_levels(v)):
         for s in sources:
             if s not in found:
-                lasso = _find_lasso(cells, s, v.n_states)
+                lasso = _lasso_scan(cells, s, v.n_states)
                 if lasso is not None:
                     found[s] = (level, lasso)
         if len(found) == len(sources):

@@ -4,11 +4,14 @@ import random
 import pytest
 
 from vass import (
+    Configuration,
+    DiseqObjective,
     Path,
     Transition,
     Vass,
     build_families,
     concat,
+    decide_bounded_cover,
     decide_coverability,
     decide_cover_pareto,
     decide_unbounded_lasso,
@@ -22,10 +25,11 @@ from vass import (
 )
 from vass import pareto
 from vass.model import Violation
-from vass.oracle import oracle_cover, oracle_unbounded
+from vass.oracle import oracle_bounded_cover, oracle_cover, oracle_unbounded
 from vass.pareto import ParetoElem, ParetoFamily
 
 from helpers import (
+    _full_levels,
     build_families_reference,
     enumerate_paths,
     gen_dense_guard_free,
@@ -270,7 +274,7 @@ def test_families_equal_the_walking_reference():
         # the lasso test stops at the first level holding a lasso: it
         # answers as a scan of the last level does, with a real lasso
         dec = decide_unbounded_lasso(v, 0)
-        full = pareto._find_lasso(fam.cells, 0, v.n_states)
+        full = pareto._find_lasso(fam.cell, 0, v.n_states)
         assert dec.answer == (full is not None)
         if dec.answer:
             assert _lifts(v, dec)
@@ -418,13 +422,17 @@ def test_lasso_last_level_builds_only_the_cells_it_reads(monkeypatch):
     # no positive cycle, and a +1 edge from the source s to every other
     # state: a NO that reaches the last level, where every (s, q) cell holds
     # a stem, so the scan reads every (s, q) and (q, q) cell.  Building the
-    # whole level takes one filter call per cell, 157 here.
+    # whole level takes one filter call per cell, 157 here.  The levels
+    # before it are built whole, each cell once, reusing the scan's cells.
     g = gen_dense_guard_free(random.Random(0), 12)
     n = g.n_states + 1
     edges = tuple(Transition(0, q, 1) for q in range(1, n)) + tuple(
         Transition(t.src + 1, t.dst + 1, -abs(t.weight)) for t in g.transitions)
     v = Vass(names=tuple(f"q{i}" for i in range(n)),
              guards=(frozenset(),) * n, transitions=edges, initial=0, target=0)
+    # one filter call per cell of level zero (pareto_filter) and of every
+    # whole level after it
+    whole = sum(len(cells) for cells in list(_full_levels(v))[:-1])
     events = []
     rows_fn = pareto._partner_rows
     products_fn = pareto._filter_products
@@ -443,6 +451,7 @@ def test_lasso_last_level_builds_only_the_cells_it_reads(monkeypatch):
     # each level reads the rows of the previous one before it filters
     last_level = events[len(events) - events[::-1].index("rows"):]
     assert len(last_level) == 2 * n - 1
+    assert events.count("filter") == whole + 2 * n - 1
 
 
 def test_lasso_decisions_build_families_through_the_module(monkeypatch):
@@ -464,9 +473,9 @@ def test_lasso_decisions_build_families_through_the_module(monkeypatch):
     assert all(isinstance(f, ParetoFamily) for f in results)
 
 
-def test_every_entry_point_refuses_an_unknown_state():
+def test_every_entry_point_refuses_an_unknown_state(demo):
     # the same ValueError as the saturation procedure's, never a silent
-    # answer or an IndexError
+    # answer, a KeyError or an IndexError
     v = parse_vass("state a\nstate b\nedge a b 1\nedge b a 0\n")
     calls = [
         (decide_unbounded_lasso, (v, 5), "unknown source state"),
@@ -478,6 +487,12 @@ def test_every_entry_point_refuses_an_unknown_state():
         (oracle_cover, (v, 0, 9), "unknown state index"),
         (decide_coverability, (v, -1, 0), "unknown state index"),
     ]
+    # bounded cover: an unknown init state, or an unknown target state
+    for init, target in ((-1, 13), (99, 13), (0, 99), (0, -1)):
+        objective = DiseqObjective(target, 0, 1)
+        for fn in (decide_bounded_cover, oracle_bounded_cover):
+            calls.append((fn, (demo, Configuration(init, 0), objective, 5),
+                          "unknown state index"))
     for fn, args, message in calls:
         with pytest.raises(ValueError, match=message):
             fn(*args)

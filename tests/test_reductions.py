@@ -182,3 +182,14 @@ def test_parse_dimacs_roundtrip():
 def test_parse_dimacs_rejects_wide_clauses():
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 2 1\n1 -2 0\n")
+
+
+@pytest.mark.parametrize("text, token", [
+    ("p cnf 30 1\n3_0 1 2 0\n", "3_0"),
+    ("p cnf \uff13 1\n1 2 3 0\n", "\uff13"),
+    ("p cnf 3 0x1\n1 2 3 0\n", "0x1"),
+    ("p cnf 3 1\n1 \u0662 3 0\n", "\u0662"),
+], ids=["underscore-literal", "wide-digit-header", "hex-count", "arabic-indic-literal"])
+def test_parse_dimacs_reads_ascii_integers_only(text, token):
+    with pytest.raises(ValueError, match=f"bad DIMACS integer '{token}'"):
+        parse_dimacs(text)
