@@ -273,9 +273,10 @@ def _cmd_inspect(args) -> int:
                 "floor": sa.floor,
             }
             if sections["blocked"]:
-                entry["blocked_low"] = sa.blocked.low_all
+                caps = sorted(c for cs in sa.splits.values() for c in cs)
+                entry["blocked_low"] = sa.floor
                 entry["blocked_families"] = [
-                    {"cap": cap, "step": step} for cap, step in sa.blocked.families
+                    {"cap": cap, "step": sa.selection.period} for cap in caps
                 ]
             cyc.append(entry)
         doc["cycles"] = cyc

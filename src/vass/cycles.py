@@ -44,11 +44,12 @@ class Chain:
 
 @dataclass(frozen=True)
 class StateAnalysis:
+    """Pumping the selected cycle from ``z >= floor`` dies iff ``z`` is a
+    cut-off in ``splits`` less a multiple of the period (`blocked_omega`)."""
+
     selection: CycleSelection
-    floor: int                           # least counter admitted at this state
-    induced: tuple[int, ...]             # guard cut-off values, ascending
-    splits: dict                         # residue -> sorted cut-offs in class
-    blocked: BlockedSet                  # counters from which pumping dies
+    floor: int    # -pmin: least counter admitted at this state
+    splits: dict  # residue -> ascending guard cut-offs in the class
 
 
 @dataclass(frozen=True)
@@ -261,28 +262,19 @@ def blocked_omega(v: Vass, sel: CycleSelection) -> BlockedSet:
     period-progressions hanging from a guard cut-off.  No enumeration: the
     raw set has on the order of ``guard / period`` members.
     """
-    low = -sel.pmin
-    caps = _cutoff_caps(v, sel)
-    fams = tuple(sorted((cap, sel.period) for cap in caps))
-    return BlockedSet(low_all=low, extras=frozenset(), families=fams)
+    fams = tuple((cap, sel.period) for cap in sorted(_cutoff_caps(v, sel)))
+    return BlockedSet(low_all=-sel.pmin, families=fams)
 
 
 def analyze(v: Vass) -> CycleAnalysis:
-    """Full per-state cycle analysis for every state on a positive cycle."""
+    """Per state on a positive cycle: its selected cycle, floor ``-pmin`` and
+    guard cut-offs grouped by residue class, ascending in each class."""
     states: dict[int, StateAnalysis] = {}
     for q, sel in select_cycles(v).items():
-        blocked = blocked_omega(v, sel)
-        caps = tuple(cap for cap, _ in blocked.families)
         splits: dict[int, list[int]] = {}
-        for cap in caps:
+        for cap in sorted(_cutoff_caps(v, sel)):
             splits.setdefault(cap % sel.period, []).append(cap)
-        states[q] = StateAnalysis(
-            selection=sel,
-            floor=blocked.low_all,
-            induced=caps,
-            splits=splits,
-            blocked=blocked,
-        )
+        states[q] = StateAnalysis(selection=sel, floor=-sel.pmin, splits=splits)
     return CycleAnalysis(vass=v, states=states)
 
 

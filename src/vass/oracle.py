@@ -155,8 +155,8 @@ def oracle_unbounded(
     """Is the set of configurations reachable from ``(s, 0)`` infinite?
 
     Fires "yes" as soon as the closure reaches a configuration from which
-    the local positive cycle can be pumped forever (counter outside the
-    cycle's blocked set); reports "no" only when the closure finished
+    the state's selected cycle pumps forever (counter outside its
+    `cycles.blocked_omega`); reports "no" only when the closure finished
     untruncated, which by itself certifies a finite reachable set.
     """
     require_states(v, UNKNOWN_SOURCE, s)
@@ -166,11 +166,12 @@ def oracle_unbounded(
     init = Configuration(s, 0)
     if not v.is_valid(init):
         return OracleVerdict("no", 0, "initial configuration is invalid")
-    analysis = cycles.analyze(v)
+    blocked = {q: cycles.blocked_omega(v, sel)
+               for q, sel in cycles.select_cycles(v).items()}
 
     def pumps(c: Configuration) -> bool:
-        sa = analysis.states.get(c.state)
-        return sa is not None and c.counter not in sa.blocked
+        b = blocked.get(c.state)
+        return b is not None and c.counter not in b
 
     if pumps(init):
         return OracleVerdict("yes", 1, "initial configuration pumps")

@@ -238,14 +238,14 @@ def _filter_products(src: int, dst: int, products) -> list[ParetoElem]:
         path = Path(src, _head(a1, b1, i1) + _tail(a2, b2, i2))
         combined.append(ParetoElem(src, dst, pw, sw, pw + sw, path, nadirs))
     combined.sort(key=lambda e: (-e.pmin, -e.smax) + _witness_key(e))
-    # `combined` is sorted and the prune only appends or drops, so `kept`
-    # stays sorted.
+    # Sorted by pmin descending, a candidate is dominated iff a kept element
+    # has smax at least its own; kept smax rises, so the last one decides.
+    # A candidate never dominates a kept element: with equal pmin and smax
+    # the kept one came first and dominated it.
     kept: list[ParetoElem] = []
     for e in combined:
-        if any(dominates(f, e) for f in kept):
-            continue
-        kept = [f for f in kept if not dominates(e, f)]
-        kept.append(e)
+        if not kept or e.smax > kept[-1].smax:
+            kept.append(e)
     return kept
 
 
@@ -422,13 +422,13 @@ def decide_unbounded_lasso(v: Vass, s: int) -> LassoDecision:
     guards, such a lasso can be pumped forever, and any unbounded run can be
     trimmed to one.
 
-    The doubling stops at the first level that holds such a lasso, and
-    builds of each level's cells on demand only those the lasso scan reads,
-    and the rest only when the doubling goes on (``build_families`` with
-    ``source``); the stem and cycle are that level's.  This is exact: every
-    level's witnesses are real paths with the summaries they record, so a
-    lasso found early is a real one, and only the last level's ``(s, q)``
-    and ``(q, q)`` cells are needed to answer NO.
+    The doubling stops at the first level that holds such a lasso.  Each
+    level builds on demand only the cells its lasso scan reads, and the rest
+    only when the doubling goes on (``build_families`` with ``source``); the
+    stem and cycle are that level's.  This is exact: every level's
+    witnesses are real paths with the summaries they record, so a lasso
+    found early is a real one, and only the last level's ``(s, q)`` and
+    ``(q, q)`` cells are needed to answer NO.
     """
     _require_guard_free(v)
     fam = build_families(v, source=s)

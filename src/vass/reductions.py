@@ -12,6 +12,7 @@ start configuration is bounded iff the assignment satisfies every clause.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .model import (MAX_MAGNITUDE, UNKNOWN_STATE, Transition, Vass, _fresh_name,
                     _int, require_states)
@@ -208,7 +209,8 @@ def _dimacs_int(tok: str) -> int:
 
 def parse_dimacs(text: str) -> Cnf3:
     """Parse DIMACS CNF; every clause must mention three distinct variables.
-    Every count and literal is an optional sign and ASCII digits."""
+    Every count and literal is an optional sign and ASCII digits; a literal
+    of value 0 (``0``, ``00``, ``-0``) or the end of a line ends a clause."""
     num_vars = 0
     clauses: list[tuple[Literal, Literal, Literal]] = []
     for raw in text.splitlines():
@@ -222,14 +224,17 @@ def parse_dimacs(text: str) -> Cnf3:
             num_vars = _dimacs_int(parts[2])
             _dimacs_int(parts[3])  # the clause count: checked, not used
             continue
-        lits = [_dimacs_int(x) for x in line.split() if x != "0"]
-        if not lits:
-            continue
-        if len(lits) != 3:
-            raise ValueError("only 3-literal clauses are supported")
-        clause = tuple((abs(l), l > 0) for l in lits)
-        clauses.append(clause)  # type: ignore[arg-type]
-        num_vars = max(num_vars, *(abs(l) for l in lits))
+        # the runs of nonzero literals between zeros are the clauses
+        for nonzero, run in groupby(map(_dimacs_int, line.split()), bool):
+            lits = list(run)
+            if not nonzero:
+                continue
+            if len(lits) != 3:
+                raise ValueError(f"clause '{' '.join(map(str, lits))}': "
+                                 "only 3-literal clauses are supported")
+            clause = tuple((abs(l), l > 0) for l in lits)
+            clauses.append(clause)  # type: ignore[arg-type]
+            num_vars = max(num_vars, *(abs(l) for l in lits))
     return Cnf3(num_vars=num_vars, clauses=tuple(clauses))
 
 

@@ -58,6 +58,12 @@ def gen_vass(
                 initial=0, target=rng.randrange(n))
 
 
+def multi_guard_instances(count: int) -> list[Vass]:
+    """A shared seeded set with guard sets (no `normalize_guards`)."""
+    rng = random.Random(31337)
+    return [gen_vass(rng, multi_guards=True) for _ in range(count)]
+
+
 def gen_dense_guard_free(rng: random.Random, n: int,
                          max_weight: int = 5) -> Vass:
     """A guard-free graph on ``n`` states with three out-edges per state."""

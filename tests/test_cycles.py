@@ -20,6 +20,7 @@ from helpers import (
     cnf_no_anchor,
     gen_dense_guard_free,
     gen_vass,
+    multi_guard_instances,
     select_cycles_reference,
     simple_cycles_through,
     small_cnf_formulas,
@@ -247,7 +248,8 @@ def test_chain_pumping_runs_are_valid():
         ana = analyze(v)
         for q, sa in ana.states.items():
             sel = sa.selection
-            last_cap = max(sa.induced, default=None)
+            last_cap = max((c for cs in sa.splits.values() for c in cs),
+                           default=None)
             for r in range(sel.period):
                 for c in chains_of(sa, r):
                     if c.lo in v.guards[q]:
@@ -265,17 +267,22 @@ def test_chain_pumping_runs_are_valid():
 
 
 def test_bounded_chains_union_is_omega_blocked_region(demo):
-    ana = analyze(demo)
-    for q, sa in ana.states.items():
-        blocked_members = {
-            z for z in range(sa.floor, 200) if z in sa.blocked
-        }
-        chain_members = set()
-        for r in range(sa.selection.period):
-            for c in chains_of(sa, r):
-                if c.hi is not None:
-                    chain_members.update(range(c.lo, c.hi + 1, sa.selection.period))
-        assert chain_members == {z for z in blocked_members if z < 200}
+    # the solver's chains come from `splits` and the oracle's pumping test
+    # from `blocked_omega`: above the floor both must be the same set
+    checked = 0
+    for v in [demo] + multi_guard_instances(300):
+        for q, sa in analyze(v).states.items():
+            bo = blocked_omega(v, sa.selection)
+            assert bo.low_all == sa.floor, v
+            blocked_members = {z for z in range(sa.floor, 200) if z in bo}
+            chain_members = set()
+            for r in range(sa.selection.period):
+                for c in chains_of(sa, r):
+                    if c.hi is not None:
+                        chain_members.update(range(c.lo, c.hi + 1, sa.selection.period))
+            assert chain_members == blocked_members, v
+            checked += bool(blocked_members)
+    assert checked > 100, checked
 
 
 def test_conf_plus_membership(demo):

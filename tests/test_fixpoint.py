@@ -8,6 +8,7 @@ from vass import (
     Configuration,
     USet,
     analyze,
+    cycles,
     decide_coverability,
     decide_unboundedness,
     decompose_objectives,
@@ -33,6 +34,7 @@ from helpers import (
     bounded_chains_reference,
     cnf_no_anchor,
     gen_vass,
+    multi_guard_instances,
     small_cnf_formulas,
     truly_unbounded,
 )
@@ -335,13 +337,8 @@ def _solve(v):
     return core, answers
 
 
-def _multi_guard_instances(count):
-    rng = random.Random(31337)
-    return [gen_vass(rng, multi_guards=True) for _ in range(count)]
-
-
 def _memo_instances(count):
-    return [normalize_guards(v) for v in _multi_guard_instances(count)]
+    return [normalize_guards(v) for v in multi_guard_instances(count)]
 
 
 def _large_guard_instances(count):
@@ -376,19 +373,25 @@ def test_bounded_chains_walk_in_the_reference_order():
 
 def test_saturation_builds_no_chain(monkeypatch):
     # the rounds read chain bounds straight off the cut-offs: building a
-    # Chain for every bounded chain cost a fifth of a CNF solve
-    def refuse(*args):
-        raise AssertionError("saturation built a Chain")
+    # Chain for every bounded chain cost a fifth of a CNF solve; and no
+    # solve builds a cycle's blocked set, which only the oracle reads
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve built a Chain or a blocked set")
 
-    cases = [cnf_no_anchor()[0]] + [
-        normalize_guards(v) for v in _multi_guard_instances(60)
-        if any(len(g) > 1 for g in v.guards)]
+    multi = [v for v in multi_guard_instances(60)
+             if any(len(g) > 1 for g in v.guards)]
+    cases = [cnf_no_anchor()[0]] + [normalize_guards(v) for v in multi]
     walked = sum(len(list(bounded_chains_reference(analyze(v))))
                  for v in cases)
     monkeypatch.setattr(fixpoint, "chains_of", refuse)
     monkeypatch.setattr(fixpoint, "Chain", refuse)
+    monkeypatch.setattr(cycles, "blocked_omega", refuse)
+    monkeypatch.setattr(cycles, "BlockedSet", refuse)
     for v in cases:
         unbounded_core(v)
+    for v in multi:
+        decide_unboundedness(v, 0)
+        decide_coverability(v, 0, v.n_states - 1)
     assert len(cases) > 5 and walked > 1000, (len(cases), walked)
 
 
@@ -648,7 +651,7 @@ def test_unboundedness_on_multi_guard_input_matches_the_split():
     # asking the raw instance from `s` is asking the split instance from the
     # entry of `s`'s chain, down to the saturated set
     split = 0
-    for v in _multi_guard_instances(300):
+    for v in multi_guard_instances(300):
         vn, entry, _ = normalize_guards_with_maps(v)
         split += vn.n_states > v.n_states
         for s in range(v.n_states):

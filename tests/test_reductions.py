@@ -193,3 +193,24 @@ def test_parse_dimacs_rejects_wide_clauses():
 def test_parse_dimacs_reads_ascii_integers_only(text, token):
     with pytest.raises(ValueError, match=f"bad DIMACS integer '{token}'"):
         parse_dimacs(text)
+
+
+@pytest.mark.parametrize("text, clauses", [
+    ("p cnf 3 1\n1 2 3 00\n", [(1, 2, 3)]),
+    ("p cnf 3 1\n1 2 3 -0\n", [(1, 2, 3)]),
+    ("p cnf 3 1\n1 2 3\n", [(1, 2, 3)]),
+    ("p cnf 3 2\n1 2 3 0 -1 -2 -3 0\n", [(1, 2, 3), (-1, -2, -3)]),
+], ids=["double-zero", "negative-zero", "line-end", "two-per-line"])
+def test_parse_dimacs_ends_a_clause_at_every_zero(text, clauses):
+    want = tuple(tuple((abs(l), l > 0) for l in c) for c in clauses)
+    assert parse_dimacs(text).clauses == want
+
+
+@pytest.mark.parametrize("text, lits", [
+    ("p cnf 3 1\n1 2 -0 0\n", "1 2"),
+    ("p cnf 3 1\n1 0 2 3\n", "1"),
+    ("p cnf 4 1\n1 2 3 4 0\n", "1 2 3 4"),
+], ids=["negative-zero-ends-early", "zero-mid-line", "four-literals"])
+def test_parse_dimacs_refuses_clauses_not_of_three_literals(text, lits):
+    with pytest.raises(ValueError, match=f"clause '{lits}'"):
+        parse_dimacs(text)
