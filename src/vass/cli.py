@@ -2,7 +2,7 @@
 
 Answers go to stdout as a single token on the first line (YES / NO /
 UNKNOWN); diagnostics go to stderr.  Exit codes: 0 answered, 1 usage error,
-2 input error, 3 incomplete (a node, round or counter cap cut the search
+2 input error, 3 incomplete (a node or counter cap cut the search
 before the answer was certain).  All output is deterministically ordered
 so runs can be compared byte for byte.
 """
@@ -184,6 +184,8 @@ def _write_json(f, doc: dict) -> None:
 def _cmd_bounded_cover(args) -> int:
     _refuse_foreign_flags(args)
     _nonnegative(args, "counter", "steps")
+    for flag in ("counter", "ell", "period"):
+        _at_most_max(flag, getattr(args, flag))
     v = _read_instance(args.file)
     s = _resolve(v, args.source, v.initial, "source")
     t = _resolve(v, args.target, v.target, "target")
@@ -209,13 +211,15 @@ def _cmd_bounded_cover(args) -> int:
 def _objective(args, t: int) -> objectives.DiseqObjective:
     """The disequality objective at state ``t`` given by the ``--ell``,
     ``--period``, ``--not-res`` and ``--not-val`` flags."""
+    not_val = _csv_ints(args.not_val)
+    _at_most_max("not-val", *not_val)
     try:
         return objectives.DiseqObjective(
             target_state=t,
             ell=args.ell,
             period=args.period,
             forbidden_residues=frozenset(_csv_ints(args.not_res)),
-            forbidden_values=frozenset(_csv_ints(args.not_val)),
+            forbidden_values=frozenset(not_val),
         )
     except ValueError as e:
         raise InputError(str(e)) from None
@@ -228,6 +232,13 @@ def _nonnegative(args, *flags: str) -> None:
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise InputError(f"--{flag.replace('_', '-')} must be nonnegative")
+
+
+def _at_most_max(flag: str, *values: int) -> None:
+    """Refuse a value of ``--flag`` above `model.MAX_MAGNITUDE`: counters
+    are 64-bit inputs, as in the instance format."""
+    if any(x > model.MAX_MAGNITUDE for x in values):
+        raise InputError(f"--{flag} must be at most {model.MAX_MAGNITUDE}")
 
 
 def integer(tok: str) -> int:

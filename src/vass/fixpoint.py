@@ -3,13 +3,14 @@
 The solver maintains a compact set ``U`` of configurations known to be
 unbounded: implicitly every unbounded chain tail and trivial residue class,
 plus a downward-closed prefix of each bounded chain, stored as one maximum
-per chain.  Seeded with the unbounded tails alone, rounds of saturation add
-a bounded-chain element (and, soundly, everything below it in its chain,
-which can climb to it by pumping) whenever it can reach the current ``U`` by
-a valid run.  The fixpoint is exactly the set of unbounded configurations in
-the pumpable region, and the final source query asks whether the source
-reaches it.  Reachability of ``U`` is searched over arithmetic runs of
-configurations, each bounded chain crossed in one step (`_reach_uset`).
+per chain.  Seeded with the unbounded tails alone, one round of saturation
+adds every bounded-chain element (and, soundly, everything below it in its
+chain, which can climb to it by pumping) that can reach the seed by a valid
+run.  That round is already the fixpoint: exactly the set of unbounded
+configurations in the pumpable region (see `unbounded_core`), and the final
+source query asks whether the source reaches it.  Reachability of ``U`` is
+searched over arithmetic runs of configurations, each bounded chain crossed
+in one step (`_reach_uset`).
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ from .model import Configuration, Path, Vass
 from .objectives import DiseqObjective
 
 DEFAULT_NODE_CAP = 500_000  # pieces per solve (see `Budget`)
-DEFAULT_MAX_ROUNDS = 100_000
 
 
 @dataclass(frozen=True)
 class WorstCaseBounds:
-    """The chain of pessimistic polynomial bounds behind the termination
-    argument.  They certify convergence but are astronomically loose.  The
-    solver needs none of them, because its first round that adds nothing is
-    already the fixpoint (see `unbounded_core`).
+    """The chain of pessimistic polynomial bounds behind the paper's
+    termination argument, which counts saturation rounds because its escape
+    runs have bounded length.  They are astronomically loose, and the
+    solver needs none of them: its probe is an exact run search, so one
+    round is already the fixpoint (see `unbounded_core`).
     """
 
     gap_window: int        # consecutive chain elements forcing an escape
@@ -50,7 +51,7 @@ class WorstCaseBounds:
     defect_bound: int      # missing elements per class, any round
     prefix_pool: int       # pigeonhole pool for run shortening
     run_length_bound: int  # length of a shortest escape run
-    round_bound: int       # rounds until the saturation stabilizes
+    round_bound: int       # the paper's rounds until saturation stabilizes
 
 
 def worstcase_bounds(n_states: int) -> WorstCaseBounds:
@@ -229,7 +230,7 @@ def decompose_objectives(u: USet, q: int) -> list[DiseqObjective]:
 class Budget:
     """The node budget of one solve.
 
-    `unbounded_core` makes one; every probe of every round, the final
+    `unbounded_core` makes one; every probe of its round, the final
     query's run search and its depth walk draw from it, one unit per piece
     (a run, or a configuration of the walk) they admit.  Once it is spent,
     each later probe answers "capped", so the cap bounds the work of the
@@ -572,9 +573,10 @@ def saturate_step(
     The probes of a round share one dead run set (see `_reach_uset`): the
     runs of a "no" cover a finite closure that misses ``u``, so later
     probes of the round subtract them from their own runs, and a candidate
-    that is already dead is skipped without a probe.  ``u`` grows only
-    between rounds, so the set is made fresh here and returned as
-    ``dead``; it holds for ``uset`` too when the round added nothing.
+    that is already dead is skipped without a probe.  The set is made
+    fresh here, against the frozen ``u``, and returned as ``dead``; when
+    ``u`` is the seed set it holds for ``uset`` too (see
+    `unbounded_core`).
     The probes draw from ``budget``, a fresh `DEFAULT_NODE_CAP` if none
     is given.
     """
@@ -621,55 +623,45 @@ def saturate_step(
 class CoreResult:
     analysis: CycleAnalysis
     uset: USet
-    rounds: list  # per round: {state: AddedValues}, stable round omitted
+    rounds: list  # the round's {state: AddedValues}, if it added anything
     status: str   # "complete" | "incomplete"
-    dead: RunSet  # dead runs of the stable round
+    dead: RunSet  # dead runs of the round: their closures miss ``uset``
     budget: Budget  # the node budget of the solve
 
 
 def unbounded_core(v: Vass) -> CoreResult:
     """Saturate to the set of unbounded configurations in the pumpable
-    region, stopping at the first round that adds nothing.
+    region in one round of `saturate_step` from the seed set.
 
-    That round is the fixpoint.  Every round probes the lowest missing
-    element of every bounded chain.  A bounded chain holds no guard cut-off
+    One round is the fixpoint.  A bounded chain holds no guard cut-off
     except as a singleton chain, so from any element ``z`` of a chain one
     lap of the reference cycle validly reaches ``z + W``, staying at or
-    above the floor.  Hence if any missing element ``x`` reaches ``U``, the
-    lowest missing element reaches ``x`` and then ``U``.  A round that adds
-    nothing and hits no cap therefore leaves no chain element to add.  The
-    same lap argument makes the bisection of `saturate_step` exact and lets
-    a probe take a whole chain in one step (see `USet.laps`).
+    above the floor.  The same lap argument lets a probe take a whole
+    chain in one step (see `USet.laps`).  Then:
 
-    Each round memoises its failed probes in a fresh dead run set, valid
-    while that round's ``U`` is frozen.  The stable round adds nothing, so
-    its ``U`` is the final one and its dead runs still hold for the final
-    query: ``CoreResult.dead`` carries them.  When the round cap stops the
-    loop, the last round grew ``U`` and ``dead`` is left empty.
+    (a) Absent a cap, the round adds exactly the prefix of each chain that
+        reaches the seed set.  Those elements are a prefix, since whatever
+        ``z + W`` reaches ``z`` reaches too; the round probes the lowest
+        element first, and its bisection between a hit and a miss is exact.
+    (b) A second round adds nothing: an element added in (a) reaches the
+        seed set, so a chain element that reaches an added one reaches the
+        seed set too, and (a) already added it.
+    (c) The round's dead runs (see `_reach_uset`) have closures that miss
+        the seed set.  By (b) a closure that meets an added element meets
+        the seed set as well, so they miss the final set too, and
+        ``CoreResult.dead`` carries them to the final query.
 
-    One `Budget` of `DEFAULT_NODE_CAP` pieces serves every probe of every
-    round and the final query (``CoreResult.budget``).  A spent budget or
-    the round cap degrades the status to "incomplete"; the set itself
-    stays sound either way.
+    One `Budget` of `DEFAULT_NODE_CAP` pieces serves every probe and the
+    final query (``CoreResult.budget``).  A spent budget degrades the
+    status to "incomplete"; the set itself stays sound.
     """
     _require_normalized(v)
     analysis = analyze(v)
-    u = seed_uset(analysis)
     budget = Budget(DEFAULT_NODE_CAP)
-    rounds: list[dict] = []
-    truncated = False
-    while True:
-        out = saturate_step(v, analysis, u, budget)
-        truncated = truncated or out.truncated
-        u = out.uset
-        if not out.added:
-            break
-        rounds.append(out.added)
-        if len(rounds) >= DEFAULT_MAX_ROUNDS:
-            return CoreResult(analysis, u, rounds, "incomplete",
-                              RunSet(v.n_states), budget)
-    status = "incomplete" if truncated else "complete"
-    return CoreResult(analysis, u, rounds, status, out.dead, budget)
+    out = saturate_step(v, analysis, seed_uset(analysis), budget)
+    return CoreResult(analysis, out.uset, [out.added] if out.added else [],
+                      "incomplete" if out.truncated else "complete",
+                      out.dead, budget)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,12 @@ The module also defines the line-oriented text format used by the CLI::
     init <name>                    # at most one
     target <name>                  # at most one
 
-Tokens are separated by ASCII whitespace; state declaration order defines
-the dense indices used throughout the library.
+Lines end at ``\n``, ``\r\n`` or ``\r`` only, so a comment runs to one of
+them whatever other characters it holds.  Within a line, tokens are
+separated by runs of whitespace as ``str.split`` finds them, Unicode
+whitespace included: ``state a<NBSP>5`` declares state ``a`` with guard 5.
+Integers are an optional sign and ASCII digits.  State declaration order
+defines the dense indices used throughout the library.
 """
 
 from __future__ import annotations
@@ -224,6 +228,9 @@ class Violation:
 
 
 _INT = re.compile(r"[+-]?[0-9]+")
+# Lines end at \n, \r\n or \r alone: str.splitlines also ends one at U+2028,
+# U+0085, a form feed and more, and would read the rest of a comment as input.
+_LINE_END = re.compile(r"\r\n|\r|\n")
 
 
 def _int(tok: str) -> int:
@@ -248,7 +255,7 @@ def parse_vass(text: str) -> Vass:
             raise ParseError(f"undeclared state {tok!r}", ln)
         return index[tok]
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(_LINE_END.split(text), start=1):
         line = raw.split("#", 1)[0]
         tokens = line.split()
         if not tokens:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from .model import (MAX_MAGNITUDE, UNKNOWN_STATE, Transition, Vass, _fresh_name,
-                    _int, require_states)
+from .model import (MAX_MAGNITUDE, UNKNOWN_STATE, Transition, Vass, _LINE_END,
+                    _fresh_name, _int, require_states)
 
 # The product of the first 15 primes is the last one below 2**63.
 MAX_CNF_VARS = 15
@@ -139,8 +139,10 @@ def cnf_to_vass(f: Cnf3) -> tuple[Vass, CnfVassMeta]:
     state per clause; clause ``i`` has a self-loop of weight ``c_i`` (the
     product of its variables' primes) and guards on every value in
     ``[P, P + c_i)`` whose assignment satisfies the clause.  Clause states
-    carry many guards: run the result through ``normalize_guards`` before
-    any cycle analysis.
+    carry many guards.  `analyze`, `select_cycles` and the ``decide_*``
+    procedures take them as they are; only `fixpoint.unbounded_core` needs
+    single guards, so pass the result through ``normalize_guards`` before
+    it.
     """
     primes = first_primes(f.num_vars)
     product = 1
@@ -210,10 +212,14 @@ def _dimacs_int(tok: str) -> int:
 def parse_dimacs(text: str) -> Cnf3:
     """Parse DIMACS CNF; every clause must mention three distinct variables.
     Every count and literal is an optional sign and ASCII digits; a literal
-    of value 0 (``0``, ``00``, ``-0``) or the end of a line ends a clause."""
+    of value 0 (``0``, ``00``, ``-0``) or the end of a line ends a clause.
+    Lines end as in the instance format.  A ``p cnf V C`` header holds the
+    file to ``C`` clauses over variables up to ``V``; without one, the
+    variables are those up to the largest literal."""
     num_vars = 0
+    header = None  # (line, V, C)
     clauses: list[tuple[Literal, Literal, Literal]] = []
-    for raw in text.splitlines():
+    for raw in _LINE_END.split(text):
         line = raw.strip()
         if not line or line.startswith(("c", "%")):
             continue
@@ -221,8 +227,9 @@ def parse_dimacs(text: str) -> Cnf3:
             parts = line.split()
             if len(parts) < 4 or parts[1] != "cnf":
                 raise ValueError("bad DIMACS header")
-            num_vars = _dimacs_int(parts[2])
-            _dimacs_int(parts[3])  # the clause count: checked, not used
+            header = (line, _dimacs_int(parts[2]), _dimacs_int(parts[3]))
+            if min(header[1:]) < 0:
+                raise ValueError(f"negative count in the header '{line}'")
             continue
         # the runs of nonzero literals between zeros are the clauses
         for nonzero, run in groupby(map(_dimacs_int, line.split()), bool):
@@ -235,6 +242,16 @@ def parse_dimacs(text: str) -> Cnf3:
             clause = tuple((abs(l), l > 0) for l in lits)
             clauses.append(clause)  # type: ignore[arg-type]
             num_vars = max(num_vars, *(abs(l) for l in lits))
+    if header is not None:
+        line, declared_vars, declared_clauses = header
+        if num_vars > declared_vars:
+            raise ValueError(f"variable {num_vars} exceeds the header "
+                             f"'{line}'")
+        if len(clauses) != declared_clauses:
+            raise ValueError(f"the header '{line}' declares "
+                             f"{declared_clauses} clauses, the file has "
+                             f"{len(clauses)}")
+        num_vars = declared_vars
     return Cnf3(num_vars=num_vars, clauses=tuple(clauses))
 
 

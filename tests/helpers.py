@@ -7,7 +7,7 @@ import random
 from itertools import combinations
 from typing import Iterator, Optional
 
-from vass import Path, Transition, Vass
+from vass import Path, Transition, Vass, fixpoint
 from vass.cycles import (
     Chain,
     CycleAnalysis,
@@ -74,6 +74,43 @@ def gen_dense_guard_free(rng: random.Random, n: int,
     return Vass(names=tuple(f"q{i}" for i in range(n)),
                 guards=(frozenset(),) * n, transitions=edges,
                 initial=0, target=n - 1)
+
+
+def two_state_instances() -> Iterator[Vass]:
+    """Every 2-state instance with at most 2 distinct edges of weight
+    -2..2 and each state's guards one of {}, {0}, {1}, {2}, {1, 2}: a
+    slice of the bounded-exhaustive enumeration (unsplit guards)."""
+    menu = (frozenset(), frozenset({0}), frozenset({1}), frozenset({2}),
+            frozenset({1, 2}))
+    edges = [Transition(p, q, w) for p in range(2) for q in range(2)
+             for w in range(-2, 3)]
+    edge_sets = [()] + [(e,) for e in edges] + list(combinations(edges, 2))
+    for g0 in menu:
+        for g1 in menu:
+            for es in edge_sets:
+                yield Vass(names=("q0", "q1"), guards=(g0, g1),
+                           transitions=es, initial=0, target=1)
+
+
+def unbounded_core_reference(v: Vass) -> tuple[dict, list, str]:
+    """The saturation loop of `fixpoint.unbounded_core` before one round was
+    shown to be the fixpoint, frozen: rounds of `saturate_step` from the
+    seed set under one budget, until a round adds nothing.  Returns
+    ``(per_chain_max, rounds, status)``."""
+    analysis = fixpoint.analyze(v)
+    u = fixpoint.seed_uset(analysis)
+    budget = fixpoint.Budget(fixpoint.DEFAULT_NODE_CAP)
+    rounds: list = []
+    truncated = False
+    while True:
+        out = fixpoint.saturate_step(v, analysis, u, budget)
+        truncated = truncated or out.truncated
+        u = out.uset
+        if not out.added:
+            break
+        rounds.append(out.added)
+    return (u.per_chain_max, rounds,
+            "incomplete" if truncated else "complete")
 
 
 def cnf_no_anchor() -> tuple[Vass, int]:

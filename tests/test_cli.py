@@ -254,6 +254,14 @@ def test_gen_cnf_from_dimacs(capsys, tmp_path):
     assert sorted(v.guards[1])[0] == 30
 
 
+def test_gen_cnf_from_dimacs_holds_the_file_to_its_header(capsys, tmp_path):
+    src = tmp_path / "f.cnf"
+    src.write_text("p cnf 3 5\n1 2 4 0\n")
+    code, out, err = run(capsys, "gen", "cnf", "--dimacs", str(src))
+    assert (code, out) == (2, "")
+    assert err == "input error: variable 4 exceeds the header 'p cnf 3 5'\n"
+
+
 def test_reduce_subcommand(capsys, demo_file):
     code, out, _ = run(capsys, "reduce", "cov2unbound", demo_file)
     assert code == 0
@@ -420,6 +428,25 @@ def test_csv_flags_take_ascii_integers_only(capsys, demo_file, flag, value):
                "0,3,")[0] == 0
 
 
+@pytest.mark.parametrize("argv, flag", (
+    (BOUNDED_COVER, "--counter"),
+    (BOUNDED_COVER, "--ell"),
+    (BOUNDED_COVER, "--period"),
+    (BOUNDED_COVER + ("--not-val", "3,0"), "--not-val"),
+), ids=("counter", "ell", "period", "not-val"))
+def test_bounded_cover_value_above_64_bits_is_an_input_error(capsys, demo_file,
+                                                             argv, flag):
+    # counters are 64-bit inputs, as in the instance format
+    big = _with_flag(argv, flag, "9223372036854775808,3"
+                     if flag == "--not-val" else "9223372036854775808")
+    code, out, err = run(capsys, big[0], demo_file, *big[1:])
+    assert (code, out) == (2, "")
+    assert err == f"input error: {flag} must be at most 9223372036854775807\n"
+    # the largest magnitude itself is accepted
+    top = _with_flag(argv, flag, "9223372036854775807")
+    assert run(capsys, top[0], demo_file, *top[1:])[0] == 0
+
+
 @pytest.mark.parametrize("text, where", (
     ("state a\nedge a a 9223372036854775808\n", "line 2: weight"),
     ("state a\nedge a a -9223372036854775808\n", "line 2: weight"),
@@ -434,6 +461,17 @@ def test_out_of_range_value_is_reported_at_its_line(capsys, tmp_path, text,
     assert err.startswith(f"input error: {where}")
     # the largest magnitude itself is accepted
     model.parse_vass(text.replace("9223372036854775808", "9223372036854775807"))
+
+
+def test_comment_ends_only_at_a_newline(capsys, tmp_path):
+    # a line separator inside a comment does not end it: the edge after it
+    # is not read, so b is not coverable
+    f = tmp_path / "sep.vass"
+    f.write_text("state a\nstate b\n# old edge removed:\u2028edge a b 1\n"
+                 "init a\n", encoding="utf-8")
+    code, out, _ = run(capsys, "check", "--mode", "coverability", "--target",
+                       "b", str(f))
+    assert (code, out) == (0, "NO\n")
 
 
 @pytest.mark.parametrize("make", (instances.up, instances.updown),

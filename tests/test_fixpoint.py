@@ -37,6 +37,8 @@ from helpers import (
     multi_guard_instances,
     small_cnf_formulas,
     truly_unbounded,
+    two_state_instances,
+    unbounded_core_reference,
 )
 
 
@@ -221,15 +223,19 @@ test_fixpoint_trace_matches_historical_walkthrough = pytest.mark.xfail(
 )(test_fixpoint_trace_matches_historical_walkthrough)
 
 
-def test_saturation_finds_a_chain_maximum_in_one_round():
+def _bisection_instance():
     # chain [5, 35] step 10 at state a; only 25 escapes directly (35 is cut
     # at b, 45 is a's own guard), but 5 and 15 pump up to 25 inside the
     # chain; the lowest missing element hits, the top misses, and the
     # bisection between them settles on 25 in the first round
-    v = parse_vass(
+    return parse_vass(
         "state a 45\nstate b 35\nstate c 5\n"
         "edge a a 10\nedge a b 0\nedge b c 0\nedge c c 1\n"
     )
+
+
+def test_saturation_finds_a_chain_maximum_in_one_round():
+    v = _bisection_instance()
     core = unbounded_core(v)
     assert core.status == "complete"
     assert [r for r in core.rounds] == [{0: [5, 15, 25]}]
@@ -269,9 +275,8 @@ def test_round_maximum_is_the_last_hit_of_a_prefix():
 
 
 def test_stable_round_is_the_fixpoint():
-    # unbounded_core stops at the first round that adds nothing; that round
-    # is final because the lowest missing element of a bounded chain pumps
-    # up to every other missing one, so none of them can reach the set
+    # the one round of unbounded_core is final: no chain element it left
+    # out reaches the set it returns, by the explicit walk
     rng = random.Random(20190218)
     probed = 0
     for _ in range(300):
@@ -287,6 +292,24 @@ def test_stable_round_is_the_fixpoint():
                 assert _walk(v, core.uset, c) == "no", (v, ch, x)
                 probed += 1
     assert probed > 1000
+
+
+def test_one_round_is_the_fixpoint():
+    # a second round from the set of unbounded_core adds nothing, and the
+    # old loop of rounds until one adds nothing ends in the same set, with
+    # the same rounds and status
+    cases = [_bisection_instance()]
+    cases += _memo_instances(300) + _dense_guard_instances(150)
+    cases += [normalize_guards(v) for v in two_state_instances()]
+    adding = 0
+    for v in cases:
+        core = unbounded_core(v)
+        assert core.status == "complete", v
+        assert not saturate_step(v, core.analysis, core.uset).added, v
+        assert (core.uset.per_chain_max, core.rounds,
+                core.status) == unbounded_core_reference(v), v
+        adding += bool(core.rounds)
+    assert len(cases) > 5000 and adding > 50, (len(cases), adding)
 
 
 # --- closure memo of failed probes ---------------------------------------------

@@ -79,6 +79,28 @@ def test_parse_reads_only_ascii_integers(text, message):
     assert [t.weight for t in v.transitions] == [2, -5]
 
 
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c",
+                                 "\x1c", "\x1d", "\x1e"],
+                         ids=["ls", "ps", "nel", "vt", "ff", "fs", "gs", "rs"])
+def test_parse_ends_lines_only_at_newlines(sep):
+    # str.splitlines would end the comment at ``sep`` and report the bad
+    # weight one line late
+    with pytest.raises(ParseError) as exc:
+        parse_vass(f"state a\n# caf{sep}\nedge a a x\n")
+    assert exc.value.line == 3
+    # text after ``sep`` stays in its comment
+    v = parse_vass(f"state a\nstate b\n# old edge:{sep}edge a b 1\ninit a\n")
+    assert v.transitions == ()
+    # \r\n and a lone \r end a line
+    assert parse_vass("state a\r\nstate b\redge a b 1").transitions == (
+        Transition(0, 1, 1),)
+
+
+def test_parse_separates_tokens_at_unicode_whitespace():
+    # str.split: a no-break space separates the name from the guard
+    assert parse_vass("state a\u00a05\n").guards == (frozenset({5}),)
+
+
 def test_parse_duplicate_state_rejected():
     with pytest.raises(ParseError):
         parse_vass("state a\nstate a\n")

@@ -206,6 +206,39 @@ def test_parse_dimacs_ends_a_clause_at_every_zero(text, clauses):
     assert parse_dimacs(text).clauses == want
 
 
+@pytest.mark.parametrize("sep", ["\u2028", "\x85", "\x0c"],
+                         ids=["ls", "nel", "ff"])
+def test_parse_dimacs_keeps_a_comment_to_its_newline(sep):
+    # str.splitlines would read the clause after ``sep`` as input
+    f = parse_dimacs(f"p cnf 3 1\nc dropped clause:{sep}1 2 3 0\n-1 -2 -3 0\n")
+    assert f.clauses == (((1, False), (2, False), (3, False)),)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 3 5\n1 2 4 0\n", "variable 4 exceeds the header 'p cnf 3 5'"),
+    ("p cnf 3 2\n1 2 -4 0\n-1 2 3 0\n",
+     "variable 4 exceeds the header 'p cnf 3 2'"),
+    ("p cnf 4 5\n1 2 4 0\n",
+     "the header 'p cnf 4 5' declares 5 clauses, the file has 1"),
+    ("p cnf 3 0\n1 2 3 0\n",
+     "the header 'p cnf 3 0' declares 0 clauses, the file has 1"),
+    ("p cnf 3 2\n", "the header 'p cnf 3 2' declares 2 clauses, the file has 0"),
+    ("p cnf -3 0\n", "negative count in the header 'p cnf -3 0'"),
+], ids=["variable-above", "negated-variable-above", "too-few-clauses",
+        "too-many-clauses", "no-clauses", "negative-count"])
+def test_parse_dimacs_holds_a_file_to_its_header(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_dimacs(text)
+
+
+@pytest.mark.parametrize("text, num_vars", [
+    ("p cnf 5 1\n1 2 3 0\n", 5),  # unused variables are declared ones
+    ("1 2 4 0\n-1 2 3 0\n", 4),   # no header: up to the largest literal
+], ids=["header", "no-header"])
+def test_parse_dimacs_variable_count(text, num_vars):
+    assert parse_dimacs(text).num_vars == num_vars
+
+
 @pytest.mark.parametrize("text, lits", [
     ("p cnf 3 1\n1 2 -0 0\n", "1 2"),
     ("p cnf 3 1\n1 0 2 3\n", "1"),
