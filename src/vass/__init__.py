@@ -7,7 +7,6 @@ from .model import (
     ModelError,
     ParseError,
     Path,
-    PathSummary,
     Transition,
     Vass,
     Violation,
@@ -17,8 +16,6 @@ from .model import (
     normalize_guards_with_maps,
     parse_vass,
     serialize_vass,
-    successors,
-    summarize_path,
 )
 from .cycles import (
     Chain,
@@ -27,7 +24,6 @@ from .cycles import (
     analyze,
     blocked_omega,
     chains_of,
-    conf_plus_contains,
     select_cycles,
 )
 from .objectives import (
@@ -39,18 +35,12 @@ from .objectives import (
 from .fixpoint import (
     CoreResult,
     Decision,
-    DefectStats,
     USet,
-    WorstCaseBounds,
     decide_coverability,
     decide_unboundedness,
-    decompose_objectives,
-    defect_stats,
     saturate_step,
     seed_uset,
-    u_contains,
     unbounded_core,
-    worstcase_bounds,
 )
 from .pareto import (
     LassoDecision,
@@ -65,7 +55,6 @@ from .pareto import (
 )
 from .oracle import (
     OracleVerdict,
-    enumerate_reach,
     oracle_bounded_cover,
     oracle_cover,
     oracle_unbounded,

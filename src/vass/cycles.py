@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import BlockedSet, Configuration, Path, Vass
+from .model import BlockedSet, Path, Vass
 
 
 @dataclass(frozen=True)
@@ -308,9 +308,3 @@ def chains_of(sa: StateAnalysis, residue: int) -> list[Chain]:
     chains.append(Chain(sel.state, residue, start, None))
     return chains
 
-
-def conf_plus_contains(analysis: CycleAnalysis, c: Configuration) -> bool:
-    """Is the configuration in the pumpable region (state on a positive
-    cycle, counter high enough that one cycle lap cannot go negative)?"""
-    sa = analysis.states.get(c.state)
-    return sa is not None and c.counter >= sa.floor

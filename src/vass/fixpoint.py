@@ -24,55 +24,10 @@ from math import gcd
 from typing import Iterator, Optional
 
 from . import model, reductions
-from .cycles import (
-    Chain,
-    CycleAnalysis,
-    analyze,
-    chains_of,
-    class_floor,
-)
+from .cycles import Chain, CycleAnalysis, analyze, class_floor
 from .model import Configuration, Path, Vass
-from .objectives import DiseqObjective
 
 DEFAULT_NODE_CAP = 500_000  # pieces per solve (see `Budget`)
-
-
-@dataclass(frozen=True)
-class WorstCaseBounds:
-    """The chain of pessimistic polynomial bounds behind the paper's
-    termination argument, which counts saturation rounds because its escape
-    runs have bounded length.  They are astronomically loose, and the
-    solver needs none of them: its probe is an exact run search, so one
-    round is already the fixpoint (see `unbounded_core`).
-    """
-
-    gap_window: int        # consecutive chain elements forcing an escape
-    class_step: int        # per-round growth of a class defect
-    defect_bound: int      # missing elements per class, any round
-    prefix_pool: int       # pigeonhole pool for run shortening
-    run_length_bound: int  # length of a shortest escape run
-    round_bound: int       # the paper's rounds until saturation stabilizes
-
-
-def worstcase_bounds(n_states: int) -> WorstCaseBounds:
-    if n_states < 1:
-        raise ValueError("need at least one state")
-    x = n_states
-    gap_window = (x * x + 2) * (x + 1) + 1
-    class_step = 2 * x * x * (x * x + 2) * (x + 1) + 2 * x * (
-        (x * x + 2) + (2 * x + 1) * x * gap_window
-    )
-    defect_bound = 2 * x * x * class_step
-    prefix_pool = x * x + x + 3 + x * defect_bound
-    run_length_bound = x * prefix_pool * prefix_pool + x * x + 4
-    return WorstCaseBounds(
-        gap_window=gap_window,
-        class_step=class_step,
-        defect_bound=defect_bound,
-        prefix_pool=prefix_pool,
-        run_length_bound=run_length_bound,
-        round_bound=defect_bound,
-    )
 
 
 @dataclass(frozen=True)
@@ -153,19 +108,12 @@ class USet:
                 merged[key] = x
         return USet(self.analysis, merged)
 
-    def members_at(self, q: int, limit: int) -> list[int]:
-        """Counter values of members at one state, up to ``limit`` (tests)."""
-        return [z for z in range(limit + 1) if self.contains(Configuration(q, z))]
 
 
 def seed_uset(analysis: CycleAnalysis) -> USet:
     """The starting set: exactly the unbounded chains (all of every trivial
     class, the climbing tail of every other)."""
     return USet(analysis, {})
-
-
-def u_contains(u: USet, c: Configuration) -> bool:
-    return u.contains(c)
 
 
 def _chain_bounds(analysis: CycleAnalysis) -> Iterator[tuple[int, int, int, int]]:
@@ -194,37 +142,6 @@ def bounded_chains(analysis: CycleAnalysis) -> Iterator[Chain]:
     built from its bounds."""
     for q, w, lo, hi in _chain_bounds(analysis):
         yield Chain(q, lo % w, lo, hi)
-
-
-def decompose_objectives(u: USet, q: int) -> list[DiseqObjective]:
-    """Write ``{z : (q, z) in u}`` as at most ``|Q| + 1`` disequality
-    objectives: one for the trivial residue classes, one per non-trivial
-    class listing its finitely many missing values explicitly."""
-    sa = u.analysis.states.get(q)
-    if sa is None:
-        raise ValueError("state has no positive cycle")
-    w = sa.selection.period
-    nontrivial = frozenset(sa.splits)
-    objs = [DiseqObjective(q, sa.floor, w, nontrivial)]
-    for r in sorted(nontrivial):
-        chains = chains_of(sa, r)
-        ell = None
-        for ch in chains:
-            if not ch.bounded or u.per_chain_max.get((q, ch.lo)) is not None:
-                ell = ch.lo
-                break
-        missing = []
-        for ch in chains:
-            if not ch.bounded:
-                continue
-            m = u.per_chain_max.get((q, ch.lo))
-            start = ch.lo if m is None else m + w
-            for x in range(max(start, ell), ch.hi + 1, w):
-                missing.append(x)
-        objs.append(
-            DiseqObjective(q, ell, w, nontrivial - {r}, frozenset(missing))
-        )
-    return objs
 
 
 class Budget:
@@ -299,15 +216,6 @@ class RunSet:
             for lo, hi in zip(los, his):
                 self.add(q, lo, hi, step)
 
-    def configurations(self) -> Iterator[Configuration]:
-        """Every member, singletons first (tests)."""
-        n = self.n
-        for key in sorted(self.ints):
-            yield Configuration(key % n, key // n)
-        for (q, step, _), (los, his) in sorted(self.buckets.items()):
-            for lo, hi in zip(los, his):
-                for z in range(lo, hi + 1, step):
-                    yield Configuration(q, z)
 
 
 def _uncovered(sets: tuple, q: int, lo: int, hi: int,
@@ -511,12 +419,12 @@ def _walk_uset(
     return ("no", len(seen), None)
 
 
-class AddedValues(Sequence):
+class AddedValues:
     """The counter values one round added at one state, in increasing
     order.  They are kept as one range per chain (its old maximum plus one
     period up to its new one), so the round record does not grow with the
     guard values; the ranges are merged when the values are read.  Equal to
-    every sequence of the same values.
+    every `AddedValues` and every sequence of the same values.
     """
 
     __slots__ = ("ranges",)
@@ -530,11 +438,9 @@ class AddedValues(Sequence):
     def __iter__(self) -> Iterator[int]:
         return merge(*self.ranges)
 
-    def __getitem__(self, i):
-        return list(self)[i]
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+        if (not isinstance(other, (AddedValues, Sequence))
+                or isinstance(other, (str, bytes))):
             return NotImplemented
         return len(self) == len(other) and all(
             a == b for a, b in zip(self, other))
@@ -726,48 +632,3 @@ def decide_coverability(v: Vass, s: int, t: int) -> Decision:
     reduced instance."""
     reduced, s1 = reductions.reduce_cov_to_unbound(v, s, t)
     return decide_unboundedness(reduced, s1)
-
-
-@dataclass(frozen=True)
-class DefectStats:
-    per_chain: dict   # Chain -> size of its defect interval
-    per_class: dict   # (state, residue) -> total over active chains
-
-
-def defect_stats(u: USet, analysis: Optional[CycleAnalysis] = None) -> DefectStats:
-    """Sizes of the per-chain defect sets: configurations missing from ``u``
-    between the extremes of each active chain's missing part, including the
-    off-chain configurations caught in between.  Diagnostics for the
-    polynomial defect bounds; no decision depends on it."""
-    analysis = analysis or u.analysis
-    per_chain: dict[Chain, int] = {}
-    per_class: dict[tuple[int, int], int] = {}
-    for q in sorted(analysis.states):
-        sa = analysis.states[q]
-        w = sa.selection.period
-        for r in sorted(sa.splits):
-            chains = chains_of(sa, r)
-            min_u = None
-            for ch in chains:
-                if not ch.bounded or u.per_chain_max.get((q, ch.lo)) is not None:
-                    min_u = ch.lo
-                    break
-            total = 0
-            for ch in chains:
-                if not ch.bounded:
-                    continue
-                cmax = u.per_chain_max.get((q, ch.lo))
-                m1 = ch.lo if cmax is None else cmax + w
-                if m1 > ch.hi:
-                    continue
-                if min_u is None or min_u > ch.hi:
-                    continue  # not active: nothing in u sits below this chain
-                size = sum(
-                    1
-                    for x in range(m1, ch.hi + 1)
-                    if x >= sa.floor and not u.contains(Configuration(q, x))
-                )
-                per_chain[ch] = size
-                total += size
-            per_class[(q, r)] = total
-    return DefectStats(per_chain=per_chain, per_class=per_class)

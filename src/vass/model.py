@@ -166,22 +166,6 @@ def require_states(v: Vass, message: str, *states: int) -> None:
 
 
 @dataclass(frozen=True)
-class PathSummary:
-    """Prefix/suffix extremes of a path: ``weight == pmin + smax`` always.
-
-    ``pmin`` is the least weight over all (possibly empty) prefixes, ``smax``
-    the greatest over all suffixes, and ``nadir_index`` the first position
-    (0-based, counted in states) where a minimal prefix ends.
-    """
-
-    pmin: int
-    smax: int
-    weight: int
-    nadir_index: int
-    witness: Optional[Path] = None
-
-
-@dataclass(frozen=True)
 class BlockedSet:
     """Counter values from which a path does not lift to a valid run.
 
@@ -400,20 +384,6 @@ def normalize_guards_with_maps(v: Vass) -> tuple[Vass, list[int], list[int]]:
     return vn, entry, exit_
 
 
-def summarize_path(v: Vass, p: Path) -> PathSummary:
-    """Minimal prefix weight, maximal suffix weight, and total weight."""
-    prefix = 0
-    pmin = 0
-    nadir = 0
-    for i, w in enumerate(v.path_weights(p)):
-        prefix += w
-        if prefix < pmin:
-            pmin = prefix
-            nadir = i + 1
-    return PathSummary(pmin=pmin, smax=prefix - pmin, weight=prefix,
-                       nadir_index=nadir, witness=p)
-
-
 def blocked_set(v: Vass, p: Path) -> BlockedSet:
     """Starting counter values from which ``p`` does not lift to a valid run.
 
@@ -463,12 +433,3 @@ def lift_run(v: Vass, p: Path, z0: int) -> list[Configuration] | Violation:
         run.append(c)
     return run
 
-
-def successors(v: Vass, c: Configuration) -> list[Configuration]:
-    """Valid one-step successors, sorted and deduplicated."""
-    out = set()
-    for _, t in v.out_edges(c.state):
-        z = c.counter + t.weight
-        if z >= 0 and z not in v.guards[t.dst]:
-            out.add(Configuration(t.dst, z))
-    return sorted(out)

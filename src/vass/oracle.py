@@ -87,21 +87,6 @@ def _verdict(seen: set, outcome: str, yes: str, no: str) -> OracleVerdict:
     return OracleVerdict("no", len(seen), no)
 
 
-def enumerate_reach(
-    v: Vass,
-    init: Configuration,
-    counter_cap: int,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> tuple[set[Configuration], bool]:
-    """Breadth-first closure under valid steps, discarding counters above
-    ``counter_cap``.  Returns the configurations found and whether anything
-    was cut off (by either cap)."""
-    if not v.is_valid(init) or init.counter > counter_cap:
-        return set(), init.counter > counter_cap
-    seen, outcome, _ = _closure(v, init, counter_cap, node_cap)
-    return seen, outcome != "closed"
-
-
 def _graph_reaches(v: Vass, s: int, t: int) -> bool:
     """Does some path of the underlying graph, counters and guards
     ignored, lead from ``s`` to ``t``?"""

@@ -213,9 +213,9 @@ def parse_dimacs(text: str) -> Cnf3:
     """Parse DIMACS CNF; every clause must mention three distinct variables.
     Every count and literal is an optional sign and ASCII digits; a literal
     of value 0 (``0``, ``00``, ``-0``) or the end of a line ends a clause.
-    Lines end as in the instance format.  A ``p cnf V C`` header holds the
-    file to ``C`` clauses over variables up to ``V``; without one, the
-    variables are those up to the largest literal."""
+    Lines end as in the instance format.  At most one header, exactly
+    ``p cnf V C``, holds the file to ``C`` clauses over variables up to
+    ``V``; without one, the variables are those up to the largest literal."""
     num_vars = 0
     header = None  # (line, V, C)
     clauses: list[tuple[Literal, Literal, Literal]] = []
@@ -225,8 +225,11 @@ def parse_dimacs(text: str) -> Cnf3:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) < 4 or parts[1] != "cnf":
-                raise ValueError("bad DIMACS header")
+            if header is not None:
+                raise ValueError(f"a second DIMACS header '{line}'")
+            if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
+                raise ValueError(f"bad DIMACS header '{line}': "
+                                 "expected 'p cnf V C'")
             header = (line, _dimacs_int(parts[2]), _dimacs_int(parts[3]))
             if min(header[1:]) < 0:
                 raise ValueError(f"negative count in the header '{line}'")

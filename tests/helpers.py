@@ -1,13 +1,15 @@
-"""Shared test utilities: seeded random instances and brute-force baselines."""
+"""Shared test utilities: seeded random instances, brute-force baselines,
+frozen references and the diagnostics only the tests call."""
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from vass import Path, Transition, Vass, fixpoint
+from vass import Configuration, Path, Transition, Vass, fixpoint, oracle
 from vass.cycles import (
     Chain,
     CycleAnalysis,
@@ -15,7 +17,9 @@ from vass.cycles import (
     _strongly_connected_components,
     chains_of,
 )
+from vass.fixpoint import RunSet, USet
 from vass.model import normalize_guards_with_maps
+from vass.objectives import DiseqObjective
 from vass.oracle import oracle_unbounded
 from vass.pareto import (
     ParetoElem,
@@ -430,3 +434,198 @@ def lasso_reference(v: Vass, sources
         if len(found) == len(sources):
             break
     return {s: found.get(s, (level, None)) for s in sources}
+
+
+# --- Diagnostics and reference walks: only the tests call these ------------
+
+@dataclass(frozen=True)
+class PathSummary:
+    """Prefix/suffix extremes of a path: ``weight == pmin + smax`` always.
+
+    ``pmin`` is the least weight over all (possibly empty) prefixes, ``smax``
+    the greatest over all suffixes, and ``nadir_index`` the first position
+    (0-based, counted in states) where a minimal prefix ends.
+    """
+
+    pmin: int
+    smax: int
+    weight: int
+    nadir_index: int
+    witness: Optional[Path] = None
+
+
+def summarize_path(v: Vass, p: Path) -> PathSummary:
+    """Minimal prefix weight, maximal suffix weight, and total weight, by
+    one walk along ``p``.  Reference for ``ParetoElem.from_path``."""
+    prefix = 0
+    pmin = 0
+    nadir = 0
+    for i, w in enumerate(v.path_weights(p)):
+        prefix += w
+        if prefix < pmin:
+            pmin = prefix
+            nadir = i + 1
+    return PathSummary(pmin=pmin, smax=prefix - pmin, weight=prefix,
+                       nadir_index=nadir, witness=p)
+
+
+def successors(v: Vass, c: Configuration) -> list[Configuration]:
+    """Valid one-step successors, sorted and deduplicated."""
+    out = set()
+    for _, t in v.out_edges(c.state):
+        z = c.counter + t.weight
+        if z >= 0 and z not in v.guards[t.dst]:
+            out.add(Configuration(t.dst, z))
+    return sorted(out)
+
+
+def enumerate_reach(
+    v: Vass,
+    init: Configuration,
+    counter_cap: int,
+    node_cap: int = oracle.DEFAULT_NODE_CAP,
+) -> tuple[set[Configuration], bool]:
+    """Breadth-first closure under valid steps, discarding counters above
+    ``counter_cap``.  Returns the configurations found and whether anything
+    was cut off (by either cap)."""
+    if not v.is_valid(init) or init.counter > counter_cap:
+        return set(), init.counter > counter_cap
+    seen, outcome, _ = oracle._closure(v, init, counter_cap, node_cap)
+    return seen, outcome != "closed"
+
+
+def conf_plus_contains(analysis: CycleAnalysis, c: Configuration) -> bool:
+    """Is the configuration in the pumpable region (state on a positive
+    cycle, counter high enough that one cycle lap cannot go negative)?"""
+    sa = analysis.states.get(c.state)
+    return sa is not None and c.counter >= sa.floor
+
+
+def members_at(u: USet, q: int, limit: int) -> list[int]:
+    """Counter values of members of ``u`` at one state, up to ``limit``."""
+    return [z for z in range(limit + 1) if u.contains(Configuration(q, z))]
+
+
+def configurations(runs: RunSet) -> Iterator[Configuration]:
+    """Every member of ``runs``, singletons first."""
+    n = runs.n
+    for key in sorted(runs.ints):
+        yield Configuration(key % n, key // n)
+    for (q, step, _), (los, his) in sorted(runs.buckets.items()):
+        for lo, hi in zip(los, his):
+            for z in range(lo, hi + 1, step):
+                yield Configuration(q, z)
+
+
+@dataclass(frozen=True)
+class WorstCaseBounds:
+    """The chain of pessimistic polynomial bounds behind the paper's
+    termination argument, which counts saturation rounds because its escape
+    runs have bounded length.  They are astronomically loose, and the
+    solver needs none of them: its probe is an exact run search, so one
+    round is already the fixpoint (see `fixpoint.unbounded_core`).
+    """
+
+    gap_window: int        # consecutive chain elements forcing an escape
+    class_step: int        # per-round growth of a class defect
+    defect_bound: int      # missing elements per class, any round
+    prefix_pool: int       # pigeonhole pool for run shortening
+    run_length_bound: int  # length of a shortest escape run
+    round_bound: int       # the paper's rounds until saturation stabilizes
+
+
+def worstcase_bounds(n_states: int) -> WorstCaseBounds:
+    if n_states < 1:
+        raise ValueError("need at least one state")
+    x = n_states
+    gap_window = (x * x + 2) * (x + 1) + 1
+    class_step = 2 * x * x * (x * x + 2) * (x + 1) + 2 * x * (
+        (x * x + 2) + (2 * x + 1) * x * gap_window
+    )
+    defect_bound = 2 * x * x * class_step
+    prefix_pool = x * x + x + 3 + x * defect_bound
+    run_length_bound = x * prefix_pool * prefix_pool + x * x + 4
+    return WorstCaseBounds(
+        gap_window=gap_window,
+        class_step=class_step,
+        defect_bound=defect_bound,
+        prefix_pool=prefix_pool,
+        run_length_bound=run_length_bound,
+        round_bound=defect_bound,
+    )
+
+
+def decompose_objectives(u: USet, q: int) -> list[DiseqObjective]:
+    """Write ``{z : (q, z) in u}`` as at most ``|Q| + 1`` disequality
+    objectives: one for the trivial residue classes, one per non-trivial
+    class listing its finitely many missing values explicitly."""
+    sa = u.analysis.states.get(q)
+    if sa is None:
+        raise ValueError("state has no positive cycle")
+    w = sa.selection.period
+    nontrivial = frozenset(sa.splits)
+    objs = [DiseqObjective(q, sa.floor, w, nontrivial)]
+    for r in sorted(nontrivial):
+        chains = chains_of(sa, r)
+        ell = None
+        for ch in chains:
+            if not ch.bounded or u.per_chain_max.get((q, ch.lo)) is not None:
+                ell = ch.lo
+                break
+        missing = []
+        for ch in chains:
+            if not ch.bounded:
+                continue
+            m = u.per_chain_max.get((q, ch.lo))
+            start = ch.lo if m is None else m + w
+            for x in range(max(start, ell), ch.hi + 1, w):
+                missing.append(x)
+        objs.append(
+            DiseqObjective(q, ell, w, nontrivial - {r}, frozenset(missing))
+        )
+    return objs
+
+
+@dataclass(frozen=True)
+class DefectStats:
+    per_chain: dict   # Chain -> size of its defect interval
+    per_class: dict   # (state, residue) -> total over active chains
+
+
+def defect_stats(u: USet, analysis: Optional[CycleAnalysis] = None) -> DefectStats:
+    """Sizes of the per-chain defect sets: configurations missing from ``u``
+    between the extremes of each active chain's missing part, including the
+    off-chain configurations caught in between.  Diagnostics for the
+    polynomial defect bounds; no decision depends on it."""
+    analysis = analysis or u.analysis
+    per_chain: dict[Chain, int] = {}
+    per_class: dict[tuple[int, int], int] = {}
+    for q in sorted(analysis.states):
+        sa = analysis.states[q]
+        w = sa.selection.period
+        for r in sorted(sa.splits):
+            chains = chains_of(sa, r)
+            min_u = None
+            for ch in chains:
+                if not ch.bounded or u.per_chain_max.get((q, ch.lo)) is not None:
+                    min_u = ch.lo
+                    break
+            total = 0
+            for ch in chains:
+                if not ch.bounded:
+                    continue
+                cmax = u.per_chain_max.get((q, ch.lo))
+                m1 = ch.lo if cmax is None else cmax + w
+                if m1 > ch.hi:
+                    continue
+                if min_u is None or min_u > ch.hi:
+                    continue  # not active: nothing in u sits below this chain
+                size = sum(
+                    1
+                    for x in range(m1, ch.hi + 1)
+                    if x >= sa.floor and not u.contains(Configuration(q, x))
+                )
+                per_chain[ch] = size
+                total += size
+            per_class[(q, r)] = total
+    return DefectStats(per_chain=per_chain, per_class=per_class)

@@ -27,23 +27,27 @@ from vass import (
     decide_coverability,
     decide_unbounded_lasso,
     decide_unboundedness,
-    defect_stats,
     dominates,
     random_cnf,
     saturate_step,
     seed_uset,
     select_cycles,
-    summarize_path,
     unbounded_core,
     val_u,
     with_start_counter,
-    worstcase_bounds,
 )
 from vass.cycles import Chain
 from vass.oracle import oracle_bounded_cover, oracle_cover, oracle_unbounded
 from vass.pareto import ParetoElem
 
-from helpers import enumerate_paths, gen_guard_free, gen_vass
+from helpers import (
+    defect_stats,
+    enumerate_paths,
+    gen_guard_free,
+    gen_vass,
+    summarize_path,
+    worstcase_bounds,
+)
 
 
 def report(number: str, name: str, ok: bool, note: str = "") -> bool:

@@ -6,24 +6,24 @@ from vass import (
     analyze,
     blocked_omega,
     chains_of,
-    conf_plus_contains,
     cycles,
     lift_run,
     parse_vass,
     select_cycles,
-    summarize_path,
 )
 from vass.model import Transition, Vass, Violation, normalize_guards
 from vass.reductions import cnf_to_vass
 
 from helpers import (
     cnf_no_anchor,
+    conf_plus_contains,
     gen_dense_guard_free,
     gen_vass,
     multi_guard_instances,
     select_cycles_reference,
     simple_cycles_through,
     small_cnf_formulas,
+    summarize_path,
 )
 
 

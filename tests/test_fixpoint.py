@@ -11,8 +11,6 @@ from vass import (
     cycles,
     decide_coverability,
     decide_unboundedness,
-    decompose_objectives,
-    defect_stats,
     fixpoint,
     instances,
     normalize_guards,
@@ -21,9 +19,7 @@ from vass import (
     parse_vass,
     saturate_step,
     seed_uset,
-    u_contains,
     unbounded_core,
-    worstcase_bounds,
 )
 from vass.cycles import Chain
 from vass.model import Violation, lift_run
@@ -33,12 +29,17 @@ from vass.reductions import cnf_to_vass
 from helpers import (
     bounded_chains_reference,
     cnf_no_anchor,
+    configurations,
+    decompose_objectives,
+    defect_stats,
     gen_vass,
+    members_at,
     multi_guard_instances,
     small_cnf_formulas,
     truly_unbounded,
     two_state_instances,
     unbounded_core_reference,
+    worstcase_bounds,
 )
 
 
@@ -72,7 +73,6 @@ def test_bounds_reject_empty_system():
 
 def test_seed_set_demo_membership(demo):
     u = seed_uset(analyze(demo))
-    assert u_contains(u, Configuration(4, 97))
     assert u.contains(Configuration(4, 97))
     assert not u.contains(Configuration(4, 96))     # cut off by a guard family
     assert u.contains(Configuration(4, 52))         # trivial class
@@ -84,7 +84,7 @@ def test_seed_set_empty_when_nothing_pumps():
     v = parse_vass("state a\nedge a a -1\n")
     u = seed_uset(analyze(v))
     assert not u.contains(Configuration(0, 5))
-    assert u.members_at(0, 50) == []
+    assert members_at(u, 0, 50) == []
 
 
 def test_seed_set_member_enumeration(demo):
@@ -92,7 +92,7 @@ def test_seed_set_member_enumeration(demo):
     # guarded classes above their last cut-off (99 for the class cut at 90)
     u = seed_uset(analyze(demo))
     trivial = [z for z in range(52, 101) if z % 9 not in (0, 3, 6)]
-    assert u.members_at(4, 100) == sorted(trivial + [99])
+    assert members_at(u, 4, 100) == sorted(trivial + [99])
 
 
 # --- membership after staged construction ------------------------------------
@@ -406,7 +406,7 @@ def test_saturation_builds_no_chain(monkeypatch):
     cases = [cnf_no_anchor()[0]] + [normalize_guards(v) for v in multi]
     walked = sum(len(list(bounded_chains_reference(analyze(v))))
                  for v in cases)
-    monkeypatch.setattr(fixpoint, "chains_of", refuse)
+    monkeypatch.setattr(cycles, "chains_of", refuse)
     monkeypatch.setattr(fixpoint, "Chain", refuse)
     monkeypatch.setattr(cycles, "blocked_omega", refuse)
     monkeypatch.setattr(cycles, "BlockedSet", refuse)
@@ -449,7 +449,7 @@ def test_dead_set_misses_the_final_set():
         core = unbounded_core(v)
         if core.status != "complete":
             continue
-        for c in core.dead.configurations():
+        for c in configurations(core.dead):
             assert _walk(v, core.uset, c) == "no", (v, c)
             checked += 1
     assert checked > 1000
@@ -479,7 +479,7 @@ def test_run_set_holds_exactly_its_runs():
                 else:
                     bucketed.update((q, step, z)
                                     for z in range(lo, hi + 1, step))
-            assert set(runs.configurations()) == members
+            assert set(configurations(runs)) == members
             assert {(key % 3, key // 3) for key in runs.ints} == singles
             held = set()
             for (q, step, r), (los, his) in runs.buckets.items():

@@ -7,6 +7,7 @@ from vass import (
     Configuration,
     ModelError,
     ParseError,
+    ParetoElem,
     Path,
     Transition,
     Vass,
@@ -16,12 +17,10 @@ from vass import (
     normalize_guards,
     parse_vass,
     serialize_vass,
-    successors,
-    summarize_path,
 )
 from vass.oracle import oracle_unbounded
 
-from helpers import gen_vass, random_path
+from helpers import gen_vass, random_path, successors, summarize_path
 
 
 # --- parsing and serialization -------------------------------------------
@@ -229,6 +228,11 @@ def test_summary_concatenation_law(v, seed):
     assert s.pmin == min(s1.pmin, s1.weight + s2.pmin)
     assert s.smax == max(s2.smax, s1.smax + s2.weight)
     assert s.weight == s1.weight + s2.weight == s.pmin + s.smax
+    # the package's one summary type agrees with the reference walk
+    for p, ref in ((p1, s1), (p2, s2), (joint, s)):
+        e = ParetoElem.from_path(v, p)
+        assert (e.pmin, e.smax, e.weight) == (ref.pmin, ref.smax, ref.weight)
+        assert e.nadirs[0][0] == ref.nadir_index
 
 
 # --- blocked sets and lifting -------------------------------------------------

@@ -4,13 +4,12 @@ from vass import Configuration, parse_vass
 from vass.objectives import DiseqObjective
 from vass.oracle import (
     default_counter_cap,
-    enumerate_reach,
     oracle_bounded_cover,
     oracle_cover,
     oracle_unbounded,
 )
 
-from helpers import gen_vass
+from helpers import enumerate_reach, gen_vass
 
 
 def test_enumerate_reach_two_steps(demo):

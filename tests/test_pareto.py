@@ -21,7 +21,6 @@ from vass import (
     parse_vass,
     pareto_filter,
     reduce_cov_to_unbound,
-    summarize_path,
 )
 from vass import pareto
 from vass.model import Violation
@@ -35,6 +34,7 @@ from helpers import (
     gen_dense_guard_free,
     gen_guard_free,
     lasso_reference,
+    summarize_path,
 )
 
 

@@ -224,8 +224,14 @@ def test_parse_dimacs_keeps_a_comment_to_its_newline(sep):
      "the header 'p cnf 3 0' declares 0 clauses, the file has 1"),
     ("p cnf 3 2\n", "the header 'p cnf 3 2' declares 2 clauses, the file has 0"),
     ("p cnf -3 0\n", "negative count in the header 'p cnf -3 0'"),
+    ("p cnf 3 1\n1 2 3 0\np cnf 5 1\n",
+     "a second DIMACS header 'p cnf 5 1'"),
+    ("p cnf 3 1 junk\n1 2 3 0\n",
+     "bad DIMACS header 'p cnf 3 1 junk': expected 'p cnf V C'"),
+    ("p cnf 3\n1 2 3 0\n", "bad DIMACS header 'p cnf 3': expected"),
 ], ids=["variable-above", "negated-variable-above", "too-few-clauses",
-        "too-many-clauses", "no-clauses", "negative-count"])
+        "too-many-clauses", "no-clauses", "negative-count", "second-header",
+        "trailing-token-header", "short-header"])
 def test_parse_dimacs_holds_a_file_to_its_header(text, message):
     with pytest.raises(ValueError, match=message):
         parse_dimacs(text)
