@@ -156,11 +156,8 @@ def _cmd_check(args) -> int:
 
 def _trace_json(core: fixpoint.CoreResult) -> dict:
     names = core.analysis.vass.names
-    rounds = []
-    for r in core.rounds:
-        rounds.append(
-            {names[q]: list(vals) for q, vals in sorted(r.items())}
-        )
+    rounds = [{names[q]: vals for q, vals in sorted(r.items())}
+              for r in core.rounds]
     maxima = {}
     for (q, lo), m in sorted(core.uset.per_chain_max.items()):
         maxima.setdefault(names[q], []).append({"chain_lo": lo, "max": m})

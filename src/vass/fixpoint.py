@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from heapq import merge
 from math import gcd
 from typing import Iterator, Optional
 
@@ -100,14 +98,6 @@ class USet:
                     break
                 i = bisect_left(caps, lo, i)
         return out
-
-    def with_additions(self, additions: dict) -> "USet":
-        merged = dict(self.per_chain_max)
-        for key, x in additions.items():
-            if key not in merged or merged[key] < x:
-                merged[key] = x
-        return USet(self.analysis, merged)
-
 
 
 def seed_uset(analysis: CycleAnalysis) -> USet:
@@ -419,40 +409,10 @@ def _walk_uset(
     return ("no", len(seen), None)
 
 
-class AddedValues:
-    """The counter values one round added at one state, in increasing
-    order.  They are kept as one range per chain (its old maximum plus one
-    period up to its new one), so the round record does not grow with the
-    guard values; the ranges are merged when the values are read.  Equal to
-    every `AddedValues` and every sequence of the same values.
-    """
-
-    __slots__ = ("ranges",)
-
-    def __init__(self, ranges: list[range]):
-        self.ranges = ranges
-
-    def __len__(self) -> int:
-        return sum(map(len, self.ranges))
-
-    def __iter__(self) -> Iterator[int]:
-        return merge(*self.ranges)
-
-    def __eq__(self, other) -> bool:
-        if (not isinstance(other, (AddedValues, Sequence))
-                or isinstance(other, (str, bytes))):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
 @dataclass(frozen=True)
 class SaturateOutcome:
     uset: USet
-    added: dict      # state -> AddedValues
+    added: dict      # (state, chain lo) -> the chain's new maximum
     truncated: bool
     dead: RunSet     # runs whose closures miss the input set
 
@@ -463,7 +423,8 @@ def saturate_step(
     """One synchronous round: against the frozen ``u``, raise the maximum
     of every bounded chain to its largest element that reaches ``u``, which
     closes downward soundly because lower chain elements pump up to it.
-    The result always contains ``u``.
+    The result always contains ``u``: a raised maximum lies above the old
+    one, so the new maxima simply overwrite the old (``added``).
 
     The elements of a chain that reach ``u`` form a prefix of it: one lap
     of the reference cycle validly takes an element ``z`` to ``z + W`` (see
@@ -490,7 +451,6 @@ def saturate_step(
         budget = Budget(DEFAULT_NODE_CAP)
     truncated = False
     additions: dict[tuple[int, int], int] = {}
-    ranges: dict[int, list[range]] = {}
     dead = RunSet(v.n_states)
 
     def hits(q: int, x: int) -> bool:
@@ -518,21 +478,30 @@ def saturate_step(
                     hi = mid
             x = lo
         additions[(q, clo)] = x
-        ranges.setdefault(q, []).append(range(first_missing, x + 1, w))
 
-    added = {q: AddedValues(r) for q, r in ranges.items()}
-    return SaturateOutcome(uset=u.with_additions(additions), added=added,
-                           truncated=truncated, dead=dead)
+    return SaturateOutcome(USet(u.analysis, {**chain_max, **additions}),
+                           additions, truncated, dead)
 
 
 @dataclass(frozen=True)
 class CoreResult:
     analysis: CycleAnalysis
     uset: USet
-    rounds: list  # the round's {state: AddedValues}, if it added anything
     status: str   # "complete" | "incomplete"
     dead: RunSet  # dead runs of the round: their closures miss ``uset``
     budget: Budget  # the node budget of the solve
+
+    @property
+    def rounds(self) -> list:
+        """The trace's record of the round: ``[{state: the values it
+        added, ascending}]``, or ``[]`` if it added nothing.  The round
+        starts from the seed set, which holds no chain maximum, so chain
+        ``(q, lo)`` gained ``lo, lo + W, ..., per_chain_max[(q, lo)]``."""
+        added: dict = {}
+        for (q, lo), m in sorted(self.uset.per_chain_max.items()):
+            w = self.analysis.states[q].selection.period
+            added.setdefault(q, []).extend(range(lo, m + 1, w))
+        return [{q: sorted(vals) for q, vals in added.items()}] if added else []
 
 
 def unbounded_core(v: Vass) -> CoreResult:
@@ -565,7 +534,7 @@ def unbounded_core(v: Vass) -> CoreResult:
     analysis = analyze(v)
     budget = Budget(DEFAULT_NODE_CAP)
     out = saturate_step(v, analysis, seed_uset(analysis), budget)
-    return CoreResult(analysis, out.uset, [out.added] if out.added else [],
+    return CoreResult(analysis, out.uset,
                       "incomplete" if out.truncated else "complete",
                       out.dead, budget)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Optional
 
 from vass import Configuration, Path, Transition, Vass, fixpoint, oracle
@@ -80,27 +80,67 @@ def gen_dense_guard_free(rng: random.Random, n: int,
                 initial=0, target=n - 1)
 
 
-def two_state_instances() -> Iterator[Vass]:
-    """Every 2-state instance with at most 2 distinct edges of weight
-    -2..2 and each state's guards one of {}, {0}, {1}, {2}, {1, 2}: a
-    slice of the bounded-exhaustive enumeration (unsplit guards)."""
+def small_instances(n_states: int, max_weight: int,
+                    max_edges: int) -> Iterator[Vass]:
+    """Every instance on ``n_states`` states with at most ``max_edges``
+    distinct edges of weight ``-max_weight..max_weight`` and each state's
+    guards one of {}, {0}, {1}, {2}, {1, 2} (unsplit): the sets of the
+    bounded-exhaustive check.  Guards vary slowest, then the edge sets by
+    size; the target is the last state."""
     menu = (frozenset(), frozenset({0}), frozenset({1}), frozenset({2}),
             frozenset({1, 2}))
-    edges = [Transition(p, q, w) for p in range(2) for q in range(2)
-             for w in range(-2, 3)]
-    edge_sets = [()] + [(e,) for e in edges] + list(combinations(edges, 2))
-    for g0 in menu:
-        for g1 in menu:
-            for es in edge_sets:
-                yield Vass(names=("q0", "q1"), guards=(g0, g1),
-                           transitions=es, initial=0, target=1)
+    edges = [Transition(p, q, w) for p in range(n_states)
+             for q in range(n_states)
+             for w in range(-max_weight, max_weight + 1)]
+    edge_sets = [es for k in range(max_edges + 1)
+                 for es in combinations(edges, k)]
+    names = tuple(f"q{i}" for i in range(n_states))
+    for guards in product(menu, repeat=n_states):
+        for es in edge_sets:
+            yield Vass(names=names, guards=guards, transitions=es,
+                       initial=0, target=n_states - 1)
+
+
+def two_state_instances() -> Iterator[Vass]:
+    """The 5,275 instances of `small_instances` on 2 states with at most 2
+    edges of weight -2..2: the slice of the bounded-exhaustive check that
+    the tier-1 suite runs."""
+    return small_instances(2, 2, 2)
+
+
+def oracle_queries(v: Vass) -> Iterator[tuple[tuple, Optional[bool],
+                                               oracle.OracleVerdict]]:
+    """Unboundedness from every state and coverability of every state from
+    every state of ``v``, each as ``(query, solver answer, oracle
+    verdict)``; ``query`` is ``(s,)`` or ``(s, t)``.  The oracles run with
+    their default caps."""
+    for s in range(v.n_states):
+        yield ((s,), fixpoint.decide_unboundedness(v, s).answer,
+               oracle_unbounded(v, s))
+        for t in range(v.n_states):
+            yield ((s, t), fixpoint.decide_coverability(v, s, t).answer,
+                   oracle.oracle_cover(v, s, t))
+
+
+def added_values(u: USet, out: fixpoint.SaturateOutcome) -> dict:
+    """The counter values one round of `saturate_step` from ``u`` added, as
+    ``{state: values, ascending}``: in each chain the round raised, from
+    one period above its old maximum (its lowest element, if it had none)
+    up to its new maximum ``out.added[chain]``."""
+    added: dict = {}
+    for (q, lo), x in out.added.items():
+        w = u.analysis.states[q].selection.period
+        m = u.per_chain_max.get((q, lo))
+        added.setdefault(q, []).extend(
+            range(lo if m is None else m + w, x + 1, w))
+    return {q: sorted(vals) for q, vals in added.items()}
 
 
 def unbounded_core_reference(v: Vass) -> tuple[dict, list, str]:
     """The saturation loop of `fixpoint.unbounded_core` before one round was
     shown to be the fixpoint, frozen: rounds of `saturate_step` from the
     seed set under one budget, until a round adds nothing.  Returns
-    ``(per_chain_max, rounds, status)``."""
+    ``(per_chain_max, rounds, status)``, each round as `added_values`."""
     analysis = fixpoint.analyze(v)
     u = fixpoint.seed_uset(analysis)
     budget = fixpoint.Budget(fixpoint.DEFAULT_NODE_CAP)
@@ -109,10 +149,10 @@ def unbounded_core_reference(v: Vass) -> tuple[dict, list, str]:
     while True:
         out = fixpoint.saturate_step(v, analysis, u, budget)
         truncated = truncated or out.truncated
-        u = out.uset
         if not out.added:
             break
-        rounds.append(out.added)
+        rounds.append(added_values(u, out))
+        u = out.uset
     return (u.per_chain_max, rounds,
             "incomplete" if truncated else "complete")
 

@@ -17,6 +17,7 @@ import pytest
 from vass import (
     Configuration,
     Path,
+    USet,
     analyze,
     blocked_omega,
     blocked_set,
@@ -129,7 +130,7 @@ def test_criterion_03b_fixpoint_trace_verified(demo):
 
 
 def test_criterion_04_defect_of_prescribed_set(demo):
-    u = seed_uset(analyze(demo)).with_additions({(4, 54): 63, (4, 60): 69})
+    u = USet(analyze(demo), {(4, 54): 63, (4, 60): 69})
     stats = defect_stats(u)
     got = stats.per_chain.get(Chain(4, 0, 54, 81))
     members = [z for z in range(72, 82)

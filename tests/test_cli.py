@@ -201,6 +201,53 @@ def test_json_trace_on_stdout_is_one_document(capsys, demo_file):
     assert (code, token) == (0, "YES") and json.loads(trace) == doc["trace"]
 
 
+def test_u_trace_text_is_pinned(capsys, demo_file):
+    # the round at s4 holds three residue classes (54, 57, 60, ...), so
+    # this pins the ascending merge of the values across chains
+    code, out, _ = run(capsys, "inspect", demo_file, "--u-trace")
+    assert (code, out) == (0, (
+        "# saturation rounds\n"
+        "round 1: s1: [12, 18, 24, 30, 36, 42, 48, 54]; "
+        "s2: [0, 6, 12, 18, 24, 30, 36]; "
+        "s4: [54, 57, 60, 63, 66, 69, 75, 78, 84, 87, 93, 96]; "
+        "s5: [2, 5, 8, 14, 17, 23, 26, 32, 35]; "
+        "s6: [45, 48, 51, 54, 57, 60, 66, 69, 75, 78, 84, 87]\n"
+        "status: complete\n"))
+
+
+def test_emit_trace_json_is_pinned(capsys, tmp_path):
+    # the chain [5, 35] step 10 at a: the lowest element hits, the top
+    # misses, and the round bisects to 25 (the one instance of the suite
+    # whose round bisects a chain)
+    path = tmp_path / "bisect.vass"
+    path.write_text("state a 45\nstate b 35\nstate c 5\n"
+                    "edge a a 10\nedge a b 0\nedge b c 0\nedge c c 1\n")
+    code, out, _ = run(capsys, "check", str(path), "--source", "a",
+                       "--emit-trace", "-")
+    assert (code, out) == (0, (
+        'YES\n'
+        '{\n'
+        '  "per_chain_max": {\n'
+        '    "a": [\n'
+        '      {\n'
+        '        "chain_lo": 5,\n'
+        '        "max": 25\n'
+        '      }\n'
+        '    ]\n'
+        '  },\n'
+        '  "rounds": [\n'
+        '    {\n'
+        '      "a": [\n'
+        '        5,\n'
+        '        15,\n'
+        '        25\n'
+        '      ]\n'
+        '    }\n'
+        '  ],\n'
+        '  "status": "complete"\n'
+        '}\n'))
+
+
 UNKNOWN_TO_ORACLE = ("state a 1000\nstate b\nedge a a 1\nedge a b -500\n"
                      "init a\ntarget b\n")
 

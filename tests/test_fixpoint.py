@@ -27,6 +27,7 @@ from vass.model import Violation, lift_run
 from vass.reductions import cnf_to_vass
 
 from helpers import (
+    added_values,
     bounded_chains_reference,
     cnf_no_anchor,
     configurations,
@@ -35,6 +36,7 @@ from helpers import (
     gen_vass,
     members_at,
     multi_guard_instances,
+    oracle_queries,
     small_cnf_formulas,
     truly_unbounded,
     two_state_instances,
@@ -100,8 +102,7 @@ def test_seed_set_member_enumeration(demo):
 def golden_first_round_uset(demo) -> USet:
     """The set used by the worked-delta example: the seed plus prefixes up
     to 63 and 69 of the two non-singleton bounded chains at state s4."""
-    u = seed_uset(analyze(demo))
-    return u.with_additions({(4, 54): 63, (4, 60): 69})
+    return USet(analyze(demo), {(4, 54): 63, (4, 60): 69})
 
 
 def test_membership_in_prescribed_first_round_set(demo):
@@ -161,8 +162,10 @@ def test_demo_first_round_additions_verified_by_oracle(demo):
     brute-force oracle; the verified additions at state s4 are a strict
     superset of the four values the historical walkthrough lists."""
     ana = analyze(demo)
-    out = saturate_step(demo, ana, seed_uset(ana))
-    added = {demo.names[q]: vals for q, vals in out.added.items()}
+    u = seed_uset(ana)
+    out = saturate_step(demo, ana, u)
+    added = {demo.names[q]: vals
+             for q, vals in added_values(u, out).items()}
     assert added["s4"] == [54, 57, 60, 63, 66, 69, 75, 78, 84, 87, 93, 96]
     assert set(added) == {"s1", "s2", "s4", "s5", "s6"}
     for name, vals in added.items():
@@ -310,6 +313,23 @@ def test_one_round_is_the_fixpoint():
                 core.status) == unbounded_core_reference(v), v
         adding += bool(core.rounds)
     assert len(cases) > 5000 and adding > 50, (len(cases), adding)
+
+
+def test_two_state_slice_matches_both_oracles():
+    """From each state of every instance of the two-state slice: the
+    unboundedness decision against `oracle_unbounded`, and coverability of
+    both states against `oracle_cover`, with every oracle verdict definite.
+    `oracle_unbounded` still builds its pumping test from `select_cycles`
+    and `blocked_omega`, which it shares with the solver; `oracle_cover` is
+    a plain closure and shares no code with it."""
+    cases = list(two_state_instances())
+    queries = 0
+    for v in cases:
+        for query, answer, verdict in oracle_queries(v):
+            assert verdict.definite, (v, query, verdict)
+            assert answer == (verdict.answer == "yes"), (v, query)
+            queries += 1
+    assert (len(cases), queries) == (5275, 31650)
 
 
 # --- closure memo of failed probes ---------------------------------------------
