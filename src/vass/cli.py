@@ -80,7 +80,7 @@ def _resolve(v: model.Vass, name: Optional[str], marker: Optional[int],
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _write_json(sys.stdout, payload)
     else:
         print(payload["answer"])
         for line in payload.get("detail", ()):
@@ -316,7 +316,7 @@ def _cmd_inspect(args) -> int:
         doc["pareto"] = {"level": fam.level, "cells": cells}
 
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _write_json(sys.stdout, doc)
     else:
         _print_inspect_text(doc)
     return EXIT_OK
@@ -548,10 +548,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (model.ParseError, model.ModelError) as e:
+    except (InputError, model.ParseError, model.ModelError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

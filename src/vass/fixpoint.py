@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 
 from . import model, reductions
 from .cycles import Chain, CycleAnalysis, analyze, class_floor
-from .model import Configuration, Path, Vass
+from .model import Configuration, Vass
 
 DEFAULT_NODE_CAP = 500_000  # pieces per solve (see `Budget`)
 
@@ -237,13 +237,10 @@ def _uncovered(sets: tuple, q: int, lo: int, hi: int,
 
 
 def _reach_uset(
-    v: Vass,
-    u: USet,
-    start: Configuration,
-    budget: Budget,
-    dead: RunSet,
+    u: USet, start: Configuration, budget: Budget, dead: RunSet,
 ) -> tuple[str, int]:
-    """Search forward from ``start`` for any member of ``u``, run by run.
+    """Search forward from ``start`` for any member of ``u``, run by run,
+    over the instance ``u`` was built on.
 
     Returns ``("hit", pieces)``, ``("no", pieces)`` or ``("capped",
     pieces)``.  The search visits runs ``(state, lo, hi, step)``.  An edge
@@ -271,6 +268,7 @@ def _reach_uset(
     """
     if budget.spent >= budget.cap:
         return ("capped", 0)
+    v = u.analysis.vass
     q0, z0 = start
     if not v.is_valid(start) or dead.has(q0, z0):
         return ("no", 0)
@@ -349,42 +347,33 @@ def _reach_uset(
 
 
 def _walk_uset(
-    v: Vass,
-    u: USet,
-    start: Configuration,
-    budget: Budget,
-    dead: RunSet,
-    want_witness: bool = False,
-) -> tuple[str, int, Optional[Path]]:
+    u: USet, start: Configuration, budget: Budget, dead: RunSet,
+) -> tuple[str, int]:
     """Breadth-first walk over single configurations from ``start`` to the
-    nearest member of ``u``: ``("hit", depth, path)``, ``("no", nodes,
-    None)`` or ``("capped", nodes, None)``.
+    nearest member of ``u``: ``("hit", depth)``, ``("no", nodes)`` or
+    ``("capped", nodes)``.
 
     It measures the depth the final query reports, so it runs only after
-    `_reach_uset` found a hit.  With ``want_witness`` it keeps a parent
-    pointer (previous configuration and transition index) per
-    configuration admitted, and ``path`` is the shortest run into ``u``
-    that they spell, of exactly ``depth`` transitions; otherwise it is
-    ``None``.  It skips ``dead`` configurations: no run into ``u`` passes
-    through one, so skipping changes neither the answer nor the depth.
-    Each configuration admitted draws one unit from ``budget``.
+    `_reach_uset` found a hit.  It skips ``dead`` configurations: no run
+    into ``u`` passes through one, so skipping changes neither the answer
+    nor the depth.  Each configuration admitted draws one unit from
+    ``budget``.
     """
     if budget.spent >= budget.cap:
-        return ("capped", 0, None)
+        return ("capped", 0)
+    v = u.analysis.vass
     if not v.is_valid(start) or dead.has(start.state, start.counter):
-        return ("no", 0, None)
+        return ("no", 0)
     if u.contains(start):
-        return ("hit", 0, Path(start.state) if want_witness else None)
+        return ("hit", 0)
     n = v.n_states
-    root = start.counter * n + start.state
-    seen = {root}
-    parents: Optional[dict] = {} if want_witness else None
+    seen = {start.counter * n + start.state}
     budget.spent += 1
     queue = deque([(start.state, start.counter, 0)])
     guards = v.guards
     while queue:
         q, z, d = queue.popleft()
-        for ti, t in v.out_edges(q):
+        for _, t in v.out_edges(q):
             y = z + t.weight
             if y < 0 or y in guards[t.dst]:
                 continue
@@ -392,21 +381,13 @@ def _walk_uset(
             if key in seen or dead.has(t.dst, y):
                 continue
             if u.contains(Configuration(t.dst, y)):
-                if parents is None:
-                    return ("hit", d + 1, None)
-                steps, at = [ti], z * n + q
-                while at != root:
-                    at, tj = parents[at]
-                    steps.append(tj)
-                return ("hit", d + 1, Path(start.state, tuple(reversed(steps))))
+                return ("hit", d + 1)
             if budget.spent >= budget.cap:
-                return ("capped", len(seen), None)
+                return ("capped", len(seen))
             budget.spent += 1
             seen.add(key)
-            if parents is not None:
-                parents[key] = (z * n + q, ti)
             queue.append((t.dst, y, d + 1))
-    return ("no", len(seen), None)
+    return ("no", len(seen))
 
 
 @dataclass(frozen=True)
@@ -417,12 +398,11 @@ class SaturateOutcome:
     dead: RunSet     # runs whose closures miss the input set
 
 
-def saturate_step(
-    v: Vass, analysis: CycleAnalysis, u: USet, budget: Optional[Budget] = None,
-) -> SaturateOutcome:
-    """One synchronous round: against the frozen ``u``, raise the maximum
-    of every bounded chain to its largest element that reaches ``u``, which
-    closes downward soundly because lower chain elements pump up to it.
+def saturate_step(u: USet, budget: Budget) -> SaturateOutcome:
+    """One synchronous round over the instance and analysis ``u`` holds:
+    against the frozen ``u``, raise the maximum of every bounded chain to
+    its largest element that reaches ``u``, which closes downward soundly
+    because lower chain elements pump up to it.
     The result always contains ``u``: a raised maximum lies above the old
     one, so the new maxima simply overwrite the old (``added``).
 
@@ -443,12 +423,9 @@ def saturate_step(
     that is already dead is skipped without a probe.  The set is made
     fresh here, against the frozen ``u``, and returned as ``dead``; when
     ``u`` is the seed set it holds for ``uset`` too (see
-    `unbounded_core`).
-    The probes draw from ``budget``, a fresh `DEFAULT_NODE_CAP` if none
-    is given.
+    `unbounded_core`).  The probes draw from ``budget``.
     """
-    if budget is None:
-        budget = Budget(DEFAULT_NODE_CAP)
+    v = u.analysis.vass
     truncated = False
     additions: dict[tuple[int, int], int] = {}
     dead = RunSet(v.n_states)
@@ -457,12 +434,12 @@ def saturate_step(
         nonlocal truncated
         if x in v.guards[q] or dead.has(q, x):
             return False  # heads no valid run, or its closure misses u
-        status, _ = _reach_uset(v, u, Configuration(q, x), budget, dead)
+        status, _ = _reach_uset(u, Configuration(q, x), budget, dead)
         truncated = truncated or status == "capped"
         return status == "hit"
 
     chain_max = u.per_chain_max
-    for q, w, clo, chi in _chain_bounds(analysis):
+    for q, w, clo, chi in _chain_bounds(u.analysis):
         cmax = chain_max.get((q, clo))
         first_missing = clo if cmax is None else cmax + w
         if first_missing > chi or not hits(q, first_missing):
@@ -485,11 +462,15 @@ def saturate_step(
 
 @dataclass(frozen=True)
 class CoreResult:
-    analysis: CycleAnalysis
     uset: USet
     status: str   # "complete" | "incomplete"
     dead: RunSet  # dead runs of the round: their closures miss ``uset``
     budget: Budget  # the node budget of the solve
+
+    @property
+    def analysis(self) -> CycleAnalysis:
+        """The cycle analysis the set was built on."""
+        return self.uset.analysis
 
     @property
     def rounds(self) -> list:
@@ -533,9 +514,8 @@ def unbounded_core(v: Vass) -> CoreResult:
     _require_normalized(v)
     analysis = analyze(v)
     budget = Budget(DEFAULT_NODE_CAP)
-    out = saturate_step(v, analysis, seed_uset(analysis), budget)
-    return CoreResult(analysis, out.uset,
-                      "incomplete" if out.truncated else "complete",
+    out = saturate_step(seed_uset(analysis), budget)
+    return CoreResult(out.uset, "incomplete" if out.truncated else "complete",
                       out.dead, budget)
 
 
@@ -543,7 +523,6 @@ def unbounded_core(v: Vass) -> CoreResult:
 class Decision:
     answer: Optional[bool]      # None: could not decide under the caps
     status: str                 # "complete" | "incomplete"
-    witness: Optional[Path] = None
     reason: str = ""
     core: Optional[CoreResult] = None  # the saturation decided against
 
@@ -553,45 +532,38 @@ def _require_normalized(v: Vass) -> None:
         raise ValueError("multi-guard states present: apply normalize_guards first")
 
 
-def _decide_config(
-    v: Vass, core: CoreResult, c: Configuration, want_witness: bool = False,
-) -> Decision:
-    if not v.is_valid(c):
-        return Decision(False, "complete", reason="initial configuration is invalid")
-    if core.uset.contains(c):
-        w = Path(c.state) if want_witness else None
-        return Decision(True, "complete", witness=w,
-                        reason="initial configuration is unbounded")
-    status, _ = _reach_uset(v, core.uset, c, core.budget, core.dead)
+def _decide_config(core: CoreResult, c: Configuration) -> Decision:
+    """Is ``c``, a configuration of ``core``'s instance, unbounded?"""
+    u = core.uset
+    if not u.analysis.vass.is_valid(c):
+        return Decision(False, "complete", "initial configuration is invalid")
+    if u.contains(c):
+        return Decision(True, "complete", "initial configuration is unbounded")
+    status, _ = _reach_uset(u, c, core.budget, core.dead)
     if status == "no":
-        return Decision(False, "complete", reason="reachable set is finite")
+        return Decision(False, "complete", "reachable set is finite")
     if status == "hit":
-        status, depth, witness = _walk_uset(v, core.uset, c, core.budget,
-                                            core.dead, want_witness)
+        status, depth = _walk_uset(u, c, core.budget, core.dead)
         if status == "no":  # both searches answer reachability exactly
             raise AssertionError("the walk missed a run the search found")
     if status == "capped":
-        return Decision(None, "incomplete", reason="node cap exhausted")
-    return Decision(True, "complete", witness=witness,
-                    reason=f"reaches the unbounded core in {depth} steps")
+        return Decision(None, "incomplete", "node cap exhausted")
+    return Decision(True, "complete",
+                    f"reaches the unbounded core in {depth} steps")
 
 
-def decide_unboundedness(v: Vass, s: int, want_witness: bool = False) -> Decision:
+def decide_unboundedness(v: Vass, s: int) -> Decision:
     """Is ``(s, 0)`` unbounded?
 
     Multi-guard states are split first (`model.normalize_guards_with_maps`)
     and the question is asked at the entry of the chain that replaces ``s``.
-    ``Decision.core`` is the saturation of the split instance.  A witness is
-    a path of the split instance, so ``want_witness`` requires single-guard
-    input.
+    ``Decision.core`` is the saturation of the split instance.
     """
     model.require_states(v, model.UNKNOWN_SOURCE, s)
-    if want_witness:
-        _require_normalized(v)
     vn, entry, _ = model.normalize_guards_with_maps(v)
     core = unbounded_core(vn)
-    dec = _decide_config(vn, core, Configuration(entry[s], 0), want_witness)
-    return Decision(dec.answer, dec.status, dec.witness, dec.reason, core)
+    dec = _decide_config(core, Configuration(entry[s], 0))
+    return Decision(dec.answer, dec.status, dec.reason, core)
 
 
 def decide_coverability(v: Vass, s: int, t: int) -> Decision:

@@ -88,7 +88,7 @@ def decide_bounded_cover(
     parents: list[dict[tuple[int, int], tuple[int, int, int]]] = [{}]
     max_layer = 0  # largest pruned layer; the seed layer is not pruned
 
-    def accepted_at(k: int) -> Optional[Configuration]:
+    def accepted() -> Optional[Configuration]:  # in the current layer
         for x in layers.get(o.target_state, ()):
             c = Configuration(o.target_state, x)
             if objective_contains(o, c):
@@ -104,7 +104,7 @@ def decide_bounded_cover(
             cur = (src, x)
         return Path(cur[0], tuple(reversed(rev)))
 
-    hit = accepted_at(0)
+    hit = accepted()
     if hit is not None:
         return BoundedCoverResult(True, Path(init.state) if want_witness else None, 0)
 
@@ -140,7 +140,7 @@ def decide_bounded_cover(
             parents.append(back)
         if not layers:
             break
-        hit = accepted_at(k)
+        hit = accepted()
         if hit is not None:
             w = build_witness(k, hit) if want_witness else None
             return BoundedCoverResult(True, w, max_layer)

@@ -8,9 +8,15 @@ Every instance of three small sets (`helpers.small_instances`):
 
 For each, `decide_unboundedness` from every state is compared with
 `oracle_unbounded`, and `decide_coverability` for every pair of states with
-`oracle_cover` (`helpers.oracle_queries`).  It prints the counts and exits
-1 on any disagreement or unknown oracle verdict.  It takes a minute or two,
-so pytest does not collect it; run it from the repository root with
+`oracle_cover` (`helpers.oracle_queries`).  The saturated set itself is
+checked too: at every pumpable state ``q`` of the split instance, each
+non-guard counter ``z`` from the floor up to 11 above it is in
+``unbounded_core(...).uset`` iff `oracle_unbounded` finds ``(q, z)``
+unbounded.  The answers alone cannot show which chain maxima the round
+raised, since a query reaches the saturated set iff it reaches the seed
+set (`unbounded_core`, step (b)).  It prints the counts and exits 1 on any
+disagreement or unknown oracle verdict.  It takes about two minutes, so
+pytest does not collect it; run it from the repository root with
 
     PYTHONPATH=src python tests/exhaustive.py
 """
@@ -21,13 +27,29 @@ import sys
 import time
 
 from helpers import oracle_queries, small_instances
+from vass import (Configuration, normalize_guards, unbounded_core,
+                  with_start_counter)
+from vass.oracle import oracle_unbounded
 
 SETS = ((1, 3, 3), (2, 2, 3), (3, 1, 2))  # (states, max weight, max edges)
+ABOVE_FLOOR = 12  # counters checked per pumpable state: floor .. floor + 11
+
+
+def membership(v):
+    """``(q, z, member, verdict)`` for every counter the set check tests in
+    the split instance of ``v``."""
+    vn = normalize_guards(v)
+    core = unbounded_core(vn)
+    for q, sa in sorted(core.analysis.states.items()):
+        for z in range(sa.floor, sa.floor + ABOVE_FLOOR):
+            if z not in vn.guards[q]:
+                yield (q, z, core.uset.contains(Configuration(q, z)),
+                       oracle_unbounded(*with_start_counter(vn, z, q)))
 
 
 def main() -> int:
     t0 = time.perf_counter()
-    instances = unbounded = cover = 0
+    instances = unbounded = cover = members = 0
     bad = []
     for n, max_weight, max_edges in SETS:
         for v in small_instances(n, max_weight, max_edges):
@@ -39,11 +61,16 @@ def main() -> int:
                     cover += 1
                 if not verdict.definite or answer != (verdict.answer == "yes"):
                     bad.append((v, query, answer, verdict.answer))
+            for q, z, member, verdict in membership(v):
+                members += 1
+                if not verdict.definite or member != (verdict.answer == "yes"):
+                    bad.append((v, ("member", q, z), member, verdict.answer))
     for v, query, answer, want in bad[:20]:
         print(f"{query}: solver {answer}, oracle {want}: {v}")
     print(f"{instances} instances, {unbounded} unboundedness and {cover} "
-          f"coverability queries, {len(bad)} disagreements or unknown "
-          f"verdicts, {time.perf_counter() - t0:.0f} s")
+          f"coverability queries, {members} memberships, {len(bad)} "
+          f"disagreements or unknown verdicts, "
+          f"{time.perf_counter() - t0:.0f} s")
     return 1 if bad else 0
 
 

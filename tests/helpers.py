@@ -147,7 +147,7 @@ def unbounded_core_reference(v: Vass) -> tuple[dict, list, str]:
     rounds: list = []
     truncated = False
     while True:
-        out = fixpoint.saturate_step(v, analysis, u, budget)
+        out = fixpoint.saturate_step(u, budget)
         truncated = truncated or out.truncated
         if not out.added:
             break

@@ -38,6 +38,7 @@ from vass import (
     with_start_counter,
 )
 from vass.cycles import Chain
+from vass.fixpoint import DEFAULT_NODE_CAP, Budget
 from vass.oracle import oracle_bounded_cover, oracle_cover, oracle_unbounded
 from vass.pareto import ParetoElem
 
@@ -286,7 +287,7 @@ def test_criterion_10_structural_invariants():
                     if not u.contains(Configuration(ch.state, z)))
                 if size > v.n_states * missing:
                     bad += 1
-            out = saturate_step(v, ana, u)
+            out = saturate_step(u, Budget(DEFAULT_NODE_CAP))
             if out.uset.per_chain_max == u.per_chain_max:
                 u = out.uset
                 break

@@ -22,8 +22,6 @@ from vass import (
     unbounded_core,
 )
 from vass.cycles import Chain
-from vass.model import Violation, lift_run
-
 from vass.reductions import cnf_to_vass
 
 from helpers import (
@@ -39,6 +37,7 @@ from helpers import (
     oracle_queries,
     small_cnf_formulas,
     truly_unbounded,
+    successors,
     two_state_instances,
     unbounded_core_reference,
     worstcase_bounds,
@@ -113,7 +112,7 @@ def test_membership_in_prescribed_first_round_set(demo):
 
 def test_membership_in_computed_first_round_set(demo):
     ana = analyze(demo)
-    out = saturate_step(demo, ana, seed_uset(ana))
+    out = saturate_step(seed_uset(ana), _budget())
     assert out.uset.contains(Configuration(4, 54))
     assert not out.uset.contains(Configuration(4, 72))
 
@@ -163,7 +162,7 @@ def test_demo_first_round_additions_verified_by_oracle(demo):
     superset of the four values the historical walkthrough lists."""
     ana = analyze(demo)
     u = seed_uset(ana)
-    out = saturate_step(demo, ana, u)
+    out = saturate_step(u, _budget())
     added = {demo.names[q]: vals
              for q, vals in added_values(u, out).items()}
     assert added["s4"] == [54, 57, 60, 63, 66, 69, 75, 78, 84, 87, 93, 96]
@@ -181,7 +180,7 @@ def test_demo_saturation_is_monotone_and_prefix_closed(demo):
     ana = analyze(demo)
     u = seed_uset(ana)
     for _ in range(3):
-        out = saturate_step(demo, ana, u)
+        out = saturate_step(u, _budget())
         assert set(u.per_chain_max) <= set(out.uset.per_chain_max)
         for key, m in u.per_chain_max.items():
             assert out.uset.per_chain_max[key] >= m
@@ -257,7 +256,7 @@ def test_round_maximum_is_the_last_hit_of_a_prefix():
         ana = analyze(v)
         u = seed_uset(ana)
         while True:
-            out = saturate_step(v, ana, u)
+            out = saturate_step(u, _budget())
             if out.truncated:
                 break
             walk = _memo_walk(v, u)
@@ -308,7 +307,7 @@ def test_one_round_is_the_fixpoint():
     for v in cases:
         core = unbounded_core(v)
         assert core.status == "complete", v
-        assert not saturate_step(v, core.analysis, core.uset).added, v
+        assert not saturate_step(core.uset, _budget()).added, v
         assert (core.uset.per_chain_max, core.rounds,
                 core.status) == unbounded_core_reference(v), v
         adding += bool(core.rounds)
@@ -341,7 +340,7 @@ def _budget():
 def _walk(v, u, c):
     """The answer of the explicit walk over single configurations, with no
     memo: the reference the run search is checked against."""
-    return fixpoint._walk_uset(v, u, c, _budget(), fixpoint.RunSet(v.n_states))[0]
+    return fixpoint._walk_uset(u, c, _budget(), fixpoint.RunSet(v.n_states))[0]
 
 
 def _memo_walk(v, u):
@@ -375,7 +374,7 @@ def _memo_walk(v, u):
 def _solve(v):
     """The core of ``v`` and the answer from ``(s, 0)`` for every state."""
     core = unbounded_core(v)
-    answers = [fixpoint._decide_config(v, core, Configuration(s, 0)).answer
+    answers = [fixpoint._decide_config(core, Configuration(s, 0)).answer
                for s in range(v.n_states)]
     return core, answers
 
@@ -443,8 +442,8 @@ def test_dead_set_changes_no_result(monkeypatch):
     # result must equal that of a search that ignores it
     memo_free = fixpoint._reach_uset
 
-    def reference(v, u, start, budget, dead):
-        return memo_free(v, u, start, budget, fixpoint.RunSet(v.n_states))
+    def reference(u, start, budget, dead):
+        return memo_free(u, start, budget, fixpoint.RunSet(dead.n))
 
     cases = _memo_instances(350)
     with monkeypatch.context() as m:
@@ -551,7 +550,7 @@ def test_run_search_matches_the_explicit_walk():
                 starts += [(Configuration(ch.state, x), ch.hi - ch.lo > 100 * w)
                            for x in range(ch.lo, ch.hi + 1, w)]
             for c, long in starts:
-                got = fixpoint._reach_uset(v, u, c, _budget(),
+                got = fixpoint._reach_uset(u, c, _budget(),
                                            fixpoint.RunSet(v.n_states))
                 assert got[0] == walk(c), (v, c)
                 probed += 1
@@ -649,7 +648,7 @@ def test_defect_bounds_on_random_suite():
                 assert size <= v.n_states * missing
             for (_q, _r), size in stats.per_class.items():
                 assert size <= wc.defect_bound
-            out = saturate_step(v, ana, u)
+            out = saturate_step(u, _budget())
             if not out.added:
                 break
             u = out.uset
@@ -678,16 +677,13 @@ def test_unboundedness_trivial_instances():
 
 
 def test_unboundedness_rejects_multi_guard_input():
-    # multi-guard states are split inside the decision; only a witness, which
-    # is a path of the split instance, needs single-guard input
+    # multi-guard states are split inside the decision
     v = parse_vass("state a 1 2\nedge a a 1\n")
     dec = decide_unboundedness(v, 0)
     assert dec.answer is False and dec.status == "complete"
     assert dec.core.analysis.vass.n_states == 2
     skip = parse_vass("state a 1 2\nedge a a 3\n")
     assert decide_unboundedness(skip, 0).answer is True
-    with pytest.raises(ValueError):
-        decide_unboundedness(v, 0, want_witness=True)
 
 
 def test_unboundedness_on_multi_guard_input_matches_the_split():
@@ -705,31 +701,39 @@ def test_unboundedness_on_multi_guard_input_matches_the_split():
     assert split > 100
 
 
-def test_unbounded_witness_revalidates(demo):
-    dec = decide_unboundedness(demo, 0, want_witness=True)
-    assert dec.witness is not None
-    run = lift_run(demo, dec.witness, 0)
-    assert not isinstance(run, Violation)
-    assert unbounded_core(demo).uset.contains(run[-1])
-    # every YES of the shared set carries a run from counter 0 that first
-    # enters U after exactly the number of steps its reason names
+def _core_distance(v, core, c):
+    """Transitions on the shortest valid run from ``c`` into ``core.uset``,
+    by a plain breadth-first search over `successors`; None if it finds
+    none."""
+    if not v.is_valid(c):
+        return None
+    dist, queue = {c: 0}, deque([c])
+    while queue:
+        d = queue.popleft()
+        if core.uset.contains(d):
+            return dist[d]
+        for e in successors(v, d):
+            if e not in dist:
+                dist[e] = dist[d] + 1
+                queue.append(e)
+    return None
+
+
+def test_depth_is_the_distance_to_the_core(demo):
+    # every YES names the number of steps from counter 0 to the nearest
+    # member of U, which an independent search must find too
     checked = 0
-    for v in _memo_instances(350):
+    for v in [demo] + _memo_instances(350):
         core = unbounded_core(v)
         for s in range(v.n_states):
-            dec = fixpoint._decide_config(v, core, Configuration(s, 0),
-                                          want_witness=True)
+            dec = fixpoint._decide_config(core, Configuration(s, 0))
             if dec.answer is not True:
                 continue
             steps = re.fullmatch(r"reaches the unbounded core in (\d+) steps",
                                  dec.reason)
             assert steps or dec.reason == "initial configuration is unbounded"
-            assert dec.witness.start == s
-            assert len(dec.witness) == (int(steps[1]) if steps else 0), (v, s)
-            run = lift_run(v, dec.witness, 0)
-            assert not isinstance(run, Violation), (v, s)
-            assert core.uset.contains(run[-1])
-            assert not any(core.uset.contains(c) for c in run[:-1]), (v, s)
+            want = _core_distance(v, core, Configuration(s, 0))
+            assert want == (int(steps[1]) if steps else 0), (v, s)
             checked += bool(steps)
     assert checked > 40
 
