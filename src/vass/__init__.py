@@ -23,7 +23,7 @@ from .cycles import (
     CycleSelection,
     analyze,
     blocked_omega,
-    chains_of,
+    chain_bounds,
     select_cycles,
 )
 from .objectives import (
@@ -39,7 +39,6 @@ from .fixpoint import (
     decide_coverability,
     decide_unboundedness,
     saturate_step,
-    seed_uset,
     unbounded_core,
 )
 from .pareto import (

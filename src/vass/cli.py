@@ -289,16 +289,10 @@ def _cmd_inspect(args) -> int:
             cyc.append(entry)
         doc["cycles"] = cyc
     if sections["chains"]:
-        chs = []
-        for q in sorted(analysis.states):
-            sa = analysis.states[q]
-            for r in sorted(sa.splits):
-                for ch in cycles.chains_of(sa, r):
-                    chs.append({
-                        "state": vn.names[q], "residue": r,
-                        "lo": ch.lo, "hi": ch.hi,
-                    })
-        doc["chains"] = chs
+        doc["chains"] = [
+            {"state": vn.names[q], "residue": lo % w, "lo": lo, "hi": hi}
+            for q, w, lo, hi in cycles.chain_bounds(analysis)
+        ]
     if sections["u_trace"]:
         doc["u_trace"] = _trace_json(fixpoint.unbounded_core(vn))
     if sections["pareto"]:

@@ -5,14 +5,16 @@ For every state lying on a positive-weight cycle we fix one reference cycle
 at ``q``; iterating the cycle from a value either climbs forever or is cut
 off by a guard somewhere along the loop.  The guard cut-offs partition each
 residue class into finitely many bounded *chains* plus one unbounded tail,
-which is the combinatorial backbone of the fixpoint solver.
+which is the combinatorial backbone of the fixpoint solver.  `chain_bounds`
+walks that decomposition; the saturation, `fixpoint.bounded_chains` and
+``vass inspect --chains`` all read it from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .model import BlockedSet, Path, Vass
 
@@ -285,26 +287,24 @@ def class_floor(sa: StateAnalysis, residue: int) -> int:
     return sa.floor + delta
 
 
-def chains_of(sa: StateAnalysis, residue: int) -> list[Chain]:
-    """Decompose one residue class into bounded chains plus the unbounded
-    tail.
+def chain_bounds(analysis: CycleAnalysis) -> Iterator[tuple]:
+    """Every chain as ``(state, period, lo, hi)``, ``hi = None`` for the
+    unbounded tail: states ascending, then residues ascending, then up each
+    class from its floor.
 
-    Every guard cut-off in the class is its own singleton chain (pumping
-    from it is immediately cut, whether or not the value may still be
-    entered from below); the stretches between cut-offs are the remaining
-    bounded chains; everything above the last cut-off climbs forever.
+    Every guard cut-off in a class is its own singleton chain (pumping from
+    it is immediately cut, whether or not the value may still be entered
+    from below); the stretches between cut-offs are the remaining bounded
+    chains; everything above the last cut-off climbs forever.  A trivial
+    class, with no cut-off, is one tail from its floor and is left out.
     """
-    sel = sa.selection
-    w = sel.period
-    if not (0 <= residue < w):
-        raise ValueError("residue out of range")
-    chains: list[Chain] = []
-    start = class_floor(sa, residue)
-    for cap in sa.splits.get(residue, ()):
-        if cap - w >= start:
-            chains.append(Chain(sel.state, residue, start, cap - w))
-        chains.append(Chain(sel.state, residue, cap, cap))
-        start = cap + w
-    chains.append(Chain(sel.state, residue, start, None))
-    return chains
-
+    for q, sa in sorted(analysis.states.items()):
+        w = sa.selection.period
+        for r, caps in sorted(sa.splits.items()):
+            start = class_floor(sa, r)
+            for cap in caps:
+                if cap - w >= start:
+                    yield q, w, start, cap - w
+                yield q, w, cap, cap
+                start = cap + w
+            yield q, w, start, None

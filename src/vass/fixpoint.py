@@ -22,7 +22,7 @@ from math import gcd
 from typing import Iterator, Optional
 
 from . import model, reductions
-from .cycles import Chain, CycleAnalysis, analyze, class_floor
+from .cycles import Chain, CycleAnalysis, analyze, chain_bounds, class_floor
 from .model import Configuration, Vass
 
 DEFAULT_NODE_CAP = 500_000  # pieces per solve (see `Budget`)
@@ -33,7 +33,8 @@ class USet:
     """Downward-closed-per-chain configuration set over a cycle analysis.
 
     Membership: every unbounded chain and trivial residue class implicitly,
-    plus ``[chain.lo .. per_chain_max[chain]]`` for bounded chains.
+    plus ``[chain.lo .. per_chain_max[chain]]`` for bounded chains.  With
+    no maximum it is the saturation's seed set: exactly the unbounded chains.
     """
 
     analysis: CycleAnalysis
@@ -100,38 +101,12 @@ class USet:
         return out
 
 
-def seed_uset(analysis: CycleAnalysis) -> USet:
-    """The starting set: exactly the unbounded chains (all of every trivial
-    class, the climbing tail of every other)."""
-    return USet(analysis, {})
-
-
-def _chain_bounds(analysis: CycleAnalysis) -> Iterator[tuple[int, int, int, int]]:
-    """Every bounded chain as ``(state, period, lo, hi)``, read straight off
-    ``StateAnalysis.splits``: states ascending, then residues ascending,
-    then up each class from its floor, the stretch below each cut-off (if
-    it is non-empty) before the cut-off's singleton.  The unbounded tails
-    are left out, and no `Chain` is built."""
-    states = analysis.states
-    for q in sorted(states):
-        sa = states[q]
-        w = sa.selection.period
-        splits = sa.splits
-        for r in sorted(splits):
-            start = class_floor(sa, r)
-            for cap in splits[r]:
-                if cap - w >= start:
-                    yield q, w, start, cap - w
-                yield q, w, cap, cap
-                start = cap + w
-
-
 def bounded_chains(analysis: CycleAnalysis) -> Iterator[Chain]:
-    """Every bounded chain of ``chains_of``, in the order `saturate_step`
-    walks them: one walk over ``splits`` (`_chain_bounds`), each chain
-    built from its bounds."""
-    for q, w, lo, hi in _chain_bounds(analysis):
-        yield Chain(q, lo % w, lo, hi)
+    """Every bounded chain of `chain_bounds`, in the order `saturate_step`
+    probes them."""
+    for q, w, lo, hi in chain_bounds(analysis):
+        if hi is not None:
+            yield Chain(q, lo % w, lo, hi)
 
 
 class Budget:
@@ -413,9 +388,8 @@ def saturate_step(u: USet, budget: Budget) -> SaturateOutcome:
     ends the chain for the round.  After a hit it probes the top, and if
     that misses, bisects between the two for the last element that hits.
     A "capped" probe counts as a miss and marks the round ``truncated``.
-    The chains are walked as plain bounds straight off ``splits``
-    (`_chain_bounds`), in the order of `bounded_chains`; no `Chain` is
-    built.
+    The chains are walked as plain bounds (`chain_bounds`), skipping the
+    unbounded tails, which lie in every ``USet``; no `Chain` is built.
 
     The probes of a round share one dead run set (see `_reach_uset`): the
     runs of a "no" cover a finite closure that misses ``u``, so later
@@ -439,7 +413,9 @@ def saturate_step(u: USet, budget: Budget) -> SaturateOutcome:
         return status == "hit"
 
     chain_max = u.per_chain_max
-    for q, w, clo, chi in _chain_bounds(u.analysis):
+    for q, w, clo, chi in chain_bounds(u.analysis):
+        if chi is None:
+            continue
         cmax = chain_max.get((q, clo))
         first_missing = clo if cmax is None else cmax + w
         if first_missing > chi or not hits(q, first_missing):
@@ -514,7 +490,7 @@ def unbounded_core(v: Vass) -> CoreResult:
     _require_normalized(v)
     analysis = analyze(v)
     budget = Budget(DEFAULT_NODE_CAP)
-    out = saturate_step(seed_uset(analysis), budget)
+    out = saturate_step(USet(analysis), budget)
     return CoreResult(out.uset, "incomplete" if out.truncated else "complete",
                       out.dead, budget)
 
@@ -523,8 +499,8 @@ def unbounded_core(v: Vass) -> CoreResult:
 class Decision:
     answer: Optional[bool]      # None: could not decide under the caps
     status: str                 # "complete" | "incomplete"
-    reason: str = ""
-    core: Optional[CoreResult] = None  # the saturation decided against
+    reason: str
+    core: CoreResult            # the saturation decided against
 
 
 def _require_normalized(v: Vass) -> None:
@@ -536,20 +512,22 @@ def _decide_config(core: CoreResult, c: Configuration) -> Decision:
     """Is ``c``, a configuration of ``core``'s instance, unbounded?"""
     u = core.uset
     if not u.analysis.vass.is_valid(c):
-        return Decision(False, "complete", "initial configuration is invalid")
+        return Decision(False, "complete", "initial configuration is invalid",
+                        core)
     if u.contains(c):
-        return Decision(True, "complete", "initial configuration is unbounded")
+        return Decision(True, "complete", "initial configuration is unbounded",
+                        core)
     status, _ = _reach_uset(u, c, core.budget, core.dead)
     if status == "no":
-        return Decision(False, "complete", "reachable set is finite")
+        return Decision(False, "complete", "reachable set is finite", core)
     if status == "hit":
         status, depth = _walk_uset(u, c, core.budget, core.dead)
         if status == "no":  # both searches answer reachability exactly
             raise AssertionError("the walk missed a run the search found")
     if status == "capped":
-        return Decision(None, "incomplete", "node cap exhausted")
+        return Decision(None, "incomplete", "node cap exhausted", core)
     return Decision(True, "complete",
-                    f"reaches the unbounded core in {depth} steps")
+                    f"reaches the unbounded core in {depth} steps", core)
 
 
 def decide_unboundedness(v: Vass, s: int) -> Decision:
@@ -561,9 +539,7 @@ def decide_unboundedness(v: Vass, s: int) -> Decision:
     """
     model.require_states(v, model.UNKNOWN_SOURCE, s)
     vn, entry, _ = model.normalize_guards_with_maps(v)
-    core = unbounded_core(vn)
-    dec = _decide_config(core, Configuration(entry[s], 0))
-    return Decision(dec.answer, dec.status, dec.reason, core)
+    return _decide_config(unbounded_core(vn), Configuration(entry[s], 0))
 
 
 def decide_coverability(v: Vass, s: int, t: int) -> Decision:

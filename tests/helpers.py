@@ -14,8 +14,9 @@ from vass.cycles import (
     Chain,
     CycleAnalysis,
     CycleSelection,
+    StateAnalysis,
     _strongly_connected_components,
-    chains_of,
+    class_floor,
 )
 from vass.fixpoint import RunSet, USet
 from vass.model import normalize_guards_with_maps
@@ -142,7 +143,7 @@ def unbounded_core_reference(v: Vass) -> tuple[dict, list, str]:
     seed set under one budget, until a round adds nothing.  Returns
     ``(per_chain_max, rounds, status)``, each round as `added_values`."""
     analysis = fixpoint.analyze(v)
-    u = fixpoint.seed_uset(analysis)
+    u = USet(analysis)
     budget = fixpoint.Budget(fixpoint.DEFAULT_NODE_CAP)
     rounds: list = []
     truncated = False
@@ -296,6 +297,32 @@ def select_cycles_reference(v: Vass) -> dict[int, CycleSelection]:
                     state=q, gamma=Path(q, path), period=wt, pmin=pmin
                 )
     return selections
+
+
+def chains_of(sa: StateAnalysis, residue: int) -> list[Chain]:
+    """Decompose one residue class into bounded chains plus the unbounded
+    tail.
+
+    Every guard cut-off in the class is its own singleton chain (pumping
+    from it is immediately cut, whether or not the value may still be
+    entered from below); the stretches between cut-offs are the remaining
+    bounded chains; everything above the last cut-off climbs forever.
+    Frozen from the shipped decomposition before `cycles.chain_bounds`
+    replaced it.  Reference for ``chain_bounds``.
+    """
+    sel = sa.selection
+    w = sel.period
+    if not (0 <= residue < w):
+        raise ValueError("residue out of range")
+    chains: list[Chain] = []
+    start = class_floor(sa, residue)
+    for cap in sa.splits.get(residue, ()):
+        if cap - w >= start:
+            chains.append(Chain(sel.state, residue, start, cap - w))
+        chains.append(Chain(sel.state, residue, cap, cap))
+        start = cap + w
+    chains.append(Chain(sel.state, residue, start, None))
+    return chains
 
 
 def bounded_chains_reference(analysis: CycleAnalysis) -> Iterator[Chain]:

@@ -31,7 +31,6 @@ from vass import (
     dominates,
     random_cnf,
     saturate_step,
-    seed_uset,
     select_cycles,
     unbounded_core,
     val_u,
@@ -272,7 +271,7 @@ def test_criterion_10_structural_invariants():
         v = gen_vass(rng, max_states=6, max_weight=5, max_guard=49)
         ana = analyze(v)
         wc = worstcase_bounds(v.n_states)
-        u = seed_uset(ana)
+        u = USet(ana)
         for _round in range(60):
             # prefix-closedness: each stored maximum aligns with its chain
             for (q, lo), m in u.per_chain_max.items():

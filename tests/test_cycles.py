@@ -5,7 +5,7 @@ from vass import (
     Path,
     analyze,
     blocked_omega,
-    chains_of,
+    chain_bounds,
     cycles,
     lift_run,
     parse_vass,
@@ -15,6 +15,7 @@ from vass.model import Transition, Vass, Violation, normalize_guards
 from vass.reductions import cnf_to_vass
 
 from helpers import (
+    chains_of,
     cnf_no_anchor,
     conf_plus_contains,
     gen_dense_guard_free,
@@ -199,6 +200,10 @@ def test_demo_chain_decomposition(demo):
     assert [(c.lo, c.hi) for c in chains] == [(54, 81), (90, 90), (99, None)]
     trivial = chains_of(ana.states[4], 7)
     assert [(c.lo, c.hi) for c in trivial] == [(52, None)]
+    # the one walk: the same class, and nothing for the trivial one
+    walked = {r: [(lo, hi) for q, w, lo, hi in chain_bounds(ana)
+                  if q == 4 and lo % w == r] for r in (0, 7)}
+    assert walked == {0: [(54, 81), (90, 90), (99, None)], 7: []}
 
 
 def test_demo_trivial_classes(demo):

@@ -8,6 +8,7 @@ from vass import (
     Configuration,
     USet,
     analyze,
+    chain_bounds,
     cycles,
     decide_coverability,
     decide_unboundedness,
@@ -18,7 +19,6 @@ from vass import (
     objective_contains,
     parse_vass,
     saturate_step,
-    seed_uset,
     unbounded_core,
 )
 from vass.cycles import Chain
@@ -27,6 +27,7 @@ from vass.reductions import cnf_to_vass
 from helpers import (
     added_values,
     bounded_chains_reference,
+    chains_of,
     cnf_no_anchor,
     configurations,
     decompose_objectives,
@@ -73,7 +74,7 @@ def test_bounds_reject_empty_system():
 # --- seed set ---------------------------------------------------------------
 
 def test_seed_set_demo_membership(demo):
-    u = seed_uset(analyze(demo))
+    u = USet(analyze(demo))
     assert u.contains(Configuration(4, 97))
     assert not u.contains(Configuration(4, 96))     # cut off by a guard family
     assert u.contains(Configuration(4, 52))         # trivial class
@@ -83,7 +84,7 @@ def test_seed_set_demo_membership(demo):
 
 def test_seed_set_empty_when_nothing_pumps():
     v = parse_vass("state a\nedge a a -1\n")
-    u = seed_uset(analyze(v))
+    u = USet(analyze(v))
     assert not u.contains(Configuration(0, 5))
     assert members_at(u, 0, 50) == []
 
@@ -91,7 +92,7 @@ def test_seed_set_empty_when_nothing_pumps():
 def test_seed_set_member_enumeration(demo):
     # trivial residues from the floor up, plus the climbing tails of the
     # guarded classes above their last cut-off (99 for the class cut at 90)
-    u = seed_uset(analyze(demo))
+    u = USet(analyze(demo))
     trivial = [z for z in range(52, 101) if z % 9 not in (0, 3, 6)]
     assert members_at(u, 4, 100) == sorted(trivial + [99])
 
@@ -112,7 +113,7 @@ def test_membership_in_prescribed_first_round_set(demo):
 
 def test_membership_in_computed_first_round_set(demo):
     ana = analyze(demo)
-    out = saturate_step(seed_uset(ana), _budget())
+    out = saturate_step(USet(ana), _budget())
     assert out.uset.contains(Configuration(4, 54))
     assert not out.uset.contains(Configuration(4, 72))
 
@@ -120,7 +121,7 @@ def test_membership_in_computed_first_round_set(demo):
 # --- objective decomposition ---------------------------------------------------
 
 def test_decomposition_component_shape_demo(demo):
-    u = seed_uset(analyze(demo))
+    u = USet(analyze(demo))
     objs = decompose_objectives(u, 4)
     first = objs[0]
     assert first.period == 9 and first.ell == 52
@@ -130,7 +131,7 @@ def test_decomposition_component_shape_demo(demo):
 
 def test_decomposition_matches_membership_pointwise(demo):
     ana = analyze(demo)
-    for u in (seed_uset(ana), golden_first_round_uset(demo),
+    for u in (USet(ana), golden_first_round_uset(demo),
               unbounded_core(demo).uset):
         for q in sorted(ana.states):
             objs = decompose_objectives(u, q)
@@ -161,7 +162,7 @@ def test_demo_first_round_additions_verified_by_oracle(demo):
     brute-force oracle; the verified additions at state s4 are a strict
     superset of the four values the historical walkthrough lists."""
     ana = analyze(demo)
-    u = seed_uset(ana)
+    u = USet(ana)
     out = saturate_step(u, _budget())
     added = {demo.names[q]: vals
              for q, vals in added_values(u, out).items()}
@@ -178,7 +179,7 @@ def test_demo_first_round_additions_verified_by_oracle(demo):
 
 def test_demo_saturation_is_monotone_and_prefix_closed(demo):
     ana = analyze(demo)
-    u = seed_uset(ana)
+    u = USet(ana)
     for _ in range(3):
         out = saturate_step(u, _budget())
         assert set(u.per_chain_max) <= set(out.uset.per_chain_max)
@@ -254,7 +255,7 @@ def test_round_maximum_is_the_last_hit_of_a_prefix():
     checked = partial = 0
     for v in _memo_instances(300) + _dense_guard_instances(150):
         ana = analyze(v)
-        u = seed_uset(ana)
+        u = USet(ana)
         while True:
             out = saturate_step(u, _budget())
             if out.truncated:
@@ -400,8 +401,8 @@ def _dense_guard_instances(count):
 
 
 def test_bounded_chains_walk_in_the_reference_order():
-    # one walk over the cut-offs yields the bounded chains of chains_of, in
-    # the order the saturation rounds probe them
+    # one walk over the cut-offs yields the chains of chains_of, in the
+    # order the saturation rounds probe them
     cases = _memo_instances(350) + _dense_guard_instances(150)
     cases += [normalize_guards(cnf_to_vass(f)[0]) for f in small_cnf_formulas()]
     matched = 0
@@ -409,6 +410,11 @@ def test_bounded_chains_walk_in_the_reference_order():
         ana = analyze(v)
         chains = list(fixpoint.bounded_chains(ana))
         assert chains == list(bounded_chains_reference(ana)), v
+        # the walk itself, tails included, against the frozen chains_of
+        assert list(chain_bounds(ana)) == [
+            (q, sa.selection.period, ch.lo, ch.hi)
+            for q, sa in sorted(ana.states.items())
+            for r in sorted(sa.splits) for ch in chains_of(sa, r)], v
         matched += len(chains)
     assert matched > 70_000, matched
 
@@ -425,7 +431,6 @@ def test_saturation_builds_no_chain(monkeypatch):
     cases = [cnf_no_anchor()[0]] + [normalize_guards(v) for v in multi]
     walked = sum(len(list(bounded_chains_reference(analyze(v))))
                  for v in cases)
-    monkeypatch.setattr(cycles, "chains_of", refuse)
     monkeypatch.setattr(fixpoint, "Chain", refuse)
     monkeypatch.setattr(cycles, "blocked_omega", refuse)
     monkeypatch.setattr(cycles, "BlockedSet", refuse)
@@ -541,7 +546,7 @@ def test_run_search_matches_the_explicit_walk():
         core = unbounded_core(v)
         if core.status != "complete":
             continue
-        for u in (seed_uset(core.analysis), core.uset):
+        for u in (USet(core.analysis), core.uset):
             walk = _memo_walk(v, u)
             starts = [(Configuration(q, z), False)
                       for q in range(v.n_states) for z in range(30)]
@@ -623,7 +628,7 @@ def test_defect_of_prescribed_first_round_set(demo):
 
 
 def test_defect_empty_for_inactive_or_full_chains(demo):
-    u = seed_uset(analyze(demo))
+    u = USet(analyze(demo))
     stats = defect_stats(u)
     # nothing of the seed sits below the s4 bounded chains' residue mates:
     # every non-trivial class has its whole bounded part missing but the
@@ -639,7 +644,7 @@ def test_defect_bounds_on_random_suite():
     for _ in range(60):
         v = gen_vass(rng, max_states=6, max_weight=4, max_guard=30)
         ana = analyze(v)
-        u = seed_uset(ana)
+        u = USet(ana)
         wc = worstcase_bounds(v.n_states)
         for _round in range(50):
             stats = defect_stats(u, ana)
