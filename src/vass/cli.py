@@ -139,18 +139,23 @@ def _cmd_check(args) -> int:
         else:
             dec = fixpoint.decide_unboundedness(v, s)
         answer, code = _decision_exit(dec.answer)
-        detail = [dec.reason] if dec.reason else []
+        detail = [dec.reason]
+        if args.emit_trace:
+            # a decision settled from the seed set ran no saturation: run
+            # it once, under the solve's budget
+            core = (dec.core if dec.core is not None
+                    else fixpoint.unbounded_core(dec.analysis, dec.budget))
 
     payload = {"answer": answer, "mode": args.mode, "algo": args.algo,
                "detail": detail}
     if args.emit_trace == "-" and args.format == "json":
         # stdout holds one JSON document: the trace goes inside it
-        payload["trace"] = _trace_json(dec.core)
+        payload["trace"] = _trace_json(core)
     with (_create(args.emit_trace) if args.emit_trace not in (None, "-")
           else contextlib.nullcontext(sys.stdout)) as trace:
         _emit(payload, args.format)
         if args.emit_trace and "trace" not in payload:
-            _write_json(trace, _trace_json(dec.core))
+            _write_json(trace, _trace_json(core))
     return code
 
 
@@ -294,7 +299,7 @@ def _cmd_inspect(args) -> int:
             for q, w, lo, hi in cycles.chain_bounds(analysis)
         ]
     if sections["u_trace"]:
-        doc["u_trace"] = _trace_json(fixpoint.unbounded_core(vn))
+        doc["u_trace"] = _trace_json(fixpoint.unbounded_core(analysis))
     if sections["pareto"]:
         if vn.has_guards:
             raise InputError("pareto families require guard-free input")
@@ -415,7 +420,7 @@ def _cmd_selftest(args) -> int:
           == set(range(52)) | {z for z in range(52, 97) if z % 9 in (0, 3, 6)})
     check("demo cycle data",
           sels[1].period == 6 and sels[1].pmin == -12 and sels[4].period == 9)
-    core = fixpoint.unbounded_core(v)
+    core = fixpoint.unbounded_core(cycles.analyze(v))
     check("saturation completes", core.status == "complete")
     check("saturation agrees with the oracle on small counters",
           _selftest_membership(v, core))
@@ -428,7 +433,7 @@ def _cmd_selftest(args) -> int:
                for inst in (instances.up, instances.upesc)]
     check("guard at 10^7: up is bounded and upesc unbounded, both complete",
           [d.answer for d in decided] == [False, True]
-          and all(d.core.status == "complete" for d in decided))
+          and all(d.status == "complete" for d in decided))
     g = instances.demo_plain()
     fam = pareto.build_families(g)
     summaries = {(e.pmin, e.smax) for e in fam.cell(0, 4)}

@@ -7,10 +7,12 @@ per chain.  Seeded with the unbounded tails alone, one round of saturation
 adds every bounded-chain element (and, soundly, everything below it in its
 chain, which can climb to it by pumping) that can reach the seed by a valid
 run.  That round is already the fixpoint: exactly the set of unbounded
-configurations in the pumpable region (see `unbounded_core`), and the final
-source query asks whether the source reaches it.  Reachability of ``U`` is
-searched over arithmetic runs of configurations, each bounded chain crossed
-in one step (`_reach_uset`).
+configurations in the pumpable region (see `unbounded_core`).  Whatever
+reaches an added element reaches the seed too, so a decision first asks
+whether the source reaches the seed: a "no" is final, and only a hit pays
+for the round (`decide_unboundedness`).  Reachability of a ``U`` is searched
+over arithmetic runs of configurations, each bounded chain crossed in one
+step (`_reach_uset`).
 """
 
 from __future__ import annotations
@@ -112,11 +114,11 @@ def bounded_chains(analysis: CycleAnalysis) -> Iterator[Chain]:
 class Budget:
     """The node budget of one solve.
 
-    `unbounded_core` makes one; every probe of its round, the final
-    query's run search and its depth walk draw from it, one unit per piece
-    (a run, or a configuration of the walk) they admit.  Once it is spent,
-    each later probe answers "capped", so the cap bounds the work of the
-    whole solve.
+    `decide_unboundedness` makes one (and `unbounded_core`, called without
+    one); its seed probe, every probe of the round and the depth walk draw
+    from it, one unit per piece (a run, or a configuration of the walk)
+    they admit.  Once it is spent, each later probe answers "capped", so
+    the cap bounds the work of the whole solve.
     """
 
     __slots__ = ("cap", "spent")
@@ -328,11 +330,12 @@ def _walk_uset(
     nearest member of ``u``: ``("hit", depth)``, ``("no", nodes)`` or
     ``("capped", nodes)``.
 
-    It measures the depth the final query reports, so it runs only after
-    `_reach_uset` found a hit.  It skips ``dead`` configurations: no run
-    into ``u`` passes through one, so skipping changes neither the answer
-    nor the depth.  Each configuration admitted draws one unit from
-    ``budget``.
+    It measures the depth a decision reports, so it runs only after the
+    seed probe of `decide_unboundedness` found a hit; the saturated ``u``
+    holds the seed, so the walk finds a member too.  It skips ``dead``
+    configurations: no run into ``u`` passes through one, so skipping
+    changes neither the answer nor the depth.  Each configuration admitted
+    draws one unit from ``budget``.
     """
     if budget.spent >= budget.cap:
         return ("capped", 0)
@@ -441,7 +444,6 @@ class CoreResult:
     uset: USet
     status: str   # "complete" | "incomplete"
     dead: RunSet  # dead runs of the round: their closures miss ``uset``
-    budget: Budget  # the node budget of the solve
 
     @property
     def analysis(self) -> CycleAnalysis:
@@ -461,9 +463,11 @@ class CoreResult:
         return [{q: sorted(vals) for q, vals in added.items()}] if added else []
 
 
-def unbounded_core(v: Vass) -> CoreResult:
-    """Saturate to the set of unbounded configurations in the pumpable
-    region in one round of `saturate_step` from the seed set.
+def unbounded_core(analysis: CycleAnalysis,
+                   budget: Optional[Budget] = None) -> CoreResult:
+    """Saturate ``analysis``, of a single-guard instance, to the set of
+    unbounded configurations in the pumpable region in one round of
+    `saturate_step` from the seed set.
 
     One round is the fixpoint.  A bounded chain holds no guard cut-off
     except as a singleton chain, so from any element ``z`` of a chain one
@@ -481,18 +485,21 @@ def unbounded_core(v: Vass) -> CoreResult:
     (c) The round's dead runs (see `_reach_uset`) have closures that miss
         the seed set.  By (b) a closure that meets an added element meets
         the seed set as well, so they miss the final set too, and
-        ``CoreResult.dead`` carries them to the final query.
+        ``CoreResult.dead`` carries them to the depth walk.
 
-    One `Budget` of `DEFAULT_NODE_CAP` pieces serves every probe and the
-    final query (``CoreResult.budget``).  A spent budget degrades the
-    status to "incomplete"; the set itself stays sound.
+    By (b) a configuration reaches the final set iff it reaches the seed
+    set, which is how `decide_unboundedness` answers NO without a round.
+    The probes draw from ``budget``: a decision passes the one its seed
+    probe drew from, and ``None`` makes a fresh one of `DEFAULT_NODE_CAP`
+    pieces.  A spent budget degrades the status to
+    "incomplete"; the set itself stays sound.
     """
-    _require_normalized(v)
-    analysis = analyze(v)
-    budget = Budget(DEFAULT_NODE_CAP)
+    _require_normalized(analysis.vass)
+    if budget is None:
+        budget = Budget(DEFAULT_NODE_CAP)
     out = saturate_step(USet(analysis), budget)
     return CoreResult(out.uset, "incomplete" if out.truncated else "complete",
-                      out.dead, budget)
+                      out.dead)
 
 
 @dataclass(frozen=True)
@@ -500,7 +507,9 @@ class Decision:
     answer: Optional[bool]      # None: could not decide under the caps
     status: str                 # "complete" | "incomplete"
     reason: str
-    core: CoreResult            # the saturation decided against
+    analysis: CycleAnalysis     # the cycle analysis of the instance solved
+    budget: Budget              # the node budget of the solve
+    core: Optional[CoreResult]  # the saturation; None if the seed settled it
 
 
 def _require_normalized(v: Vass) -> None:
@@ -508,44 +517,50 @@ def _require_normalized(v: Vass) -> None:
         raise ValueError("multi-guard states present: apply normalize_guards first")
 
 
-def _decide_config(core: CoreResult, c: Configuration) -> Decision:
-    """Is ``c``, a configuration of ``core``'s instance, unbounded?"""
-    u = core.uset
-    if not u.analysis.vass.is_valid(c):
-        return Decision(False, "complete", "initial configuration is invalid",
-                        core)
-    if u.contains(c):
-        return Decision(True, "complete", "initial configuration is unbounded",
-                        core)
-    status, _ = _reach_uset(u, c, core.budget, core.dead)
-    if status == "no":
-        return Decision(False, "complete", "reachable set is finite", core)
-    if status == "hit":
-        status, depth = _walk_uset(u, c, core.budget, core.dead)
-        if status == "no":  # both searches answer reachability exactly
-            raise AssertionError("the walk missed a run the search found")
-    if status == "capped":
-        return Decision(None, "incomplete", "node cap exhausted", core)
-    return Decision(True, "complete",
-                    f"reaches the unbounded core in {depth} steps", core)
-
-
 def decide_unboundedness(v: Vass, s: int) -> Decision:
     """Is ``(s, 0)`` unbounded?
 
     Multi-guard states are split first (`model.normalize_guards_with_maps`)
     and the question is asked at the entry of the chain that replaces ``s``.
-    ``Decision.core`` is the saturation of the split instance.
+    By step (b) of `unbounded_core` the source reaches the saturated set iff
+    it reaches the seed set, so one run search against the seed decides:
+    a "no" answers NO with no saturation.  Only a hit saturates, and the
+    walk then measures the depth to the saturated set; ``Decision.core`` is
+    ``None`` unless the seed probe hit.  One `Budget` serves the seed
+    probe, the round and the walk.
     """
     model.require_states(v, model.UNKNOWN_SOURCE, s)
     vn, entry, _ = model.normalize_guards_with_maps(v)
-    return _decide_config(unbounded_core(vn), Configuration(entry[s], 0))
+    analysis = analyze(vn)
+    budget = Budget(DEFAULT_NODE_CAP)
+    c = Configuration(entry[s], 0)
+    core = None
+
+    def decision(answer: Optional[bool], reason: str) -> Decision:
+        return Decision(answer, "incomplete" if answer is None else "complete",
+                        reason, analysis, budget, core)
+
+    if not vn.is_valid(c):
+        return decision(False, "initial configuration is invalid")
+    status, _ = _reach_uset(USet(analysis), c, budget, RunSet(vn.n_states))
+    if status == "hit":
+        core = unbounded_core(analysis, budget)
+        if core.uset.contains(c):
+            return decision(True, "initial configuration is unbounded")
+        status, depth = _walk_uset(core.uset, c, budget, core.dead)
+        if status == "no":  # the seed is a subset of the saturated set
+            raise AssertionError("the walk missed a run the search found")
+    if status == "no":
+        return decision(False, "reachable set is finite")
+    if status == "capped":
+        return decision(None, "node cap exhausted")
+    return decision(True, f"reaches the unbounded core in {depth} steps")
 
 
 def decide_coverability(v: Vass, s: int, t: int) -> Decision:
     """Can ``(s, 0)`` reach state ``t``?  Decided by reduction to
     unboundedness (prune states that cannot reach ``t``, then let ``t`` feed
     an unguarded +1 self-loop); ``Decision.core`` is the saturation of the
-    reduced instance."""
+    reduced instance, if the decision ran one."""
     reduced, s1 = reductions.reduce_cov_to_unbound(v, s, t)
     return decide_unboundedness(reduced, s1)

@@ -11,12 +11,13 @@ For each, `decide_unboundedness` from every state is compared with
 `oracle_cover` (`helpers.oracle_queries`).  The saturated set itself is
 checked too: at every pumpable state ``q`` of the split instance, each
 non-guard counter ``z`` from the floor up to 11 above it is in
-``unbounded_core(...).uset`` iff `oracle_unbounded` finds ``(q, z)``
-unbounded.  The answers alone cannot show which chain maxima the round
-raised, since a query reaches the saturated set iff it reaches the seed
-set (`unbounded_core`, step (b)).  It prints the counts and exits 1 on any
-disagreement or unknown oracle verdict.  It takes about two minutes, so
-pytest does not collect it; run it from the repository root with
+``unbounded_core(analyze(...)).uset`` iff `oracle_unbounded` finds
+``(q, z)`` unbounded.  The answers alone cannot show which chain maxima the
+round raised, since a query reaches the saturated set iff it reaches the
+seed set (`unbounded_core`, step (b)), and a NO runs no round at all.  It
+prints the counts and exits 1 on any disagreement or unknown oracle
+verdict.  It takes about two minutes, so pytest does not collect it; run
+it from the repository root with
 
     PYTHONPATH=src python tests/exhaustive.py
 """
@@ -27,7 +28,7 @@ import sys
 import time
 
 from helpers import oracle_queries, small_instances
-from vass import (Configuration, normalize_guards, unbounded_core,
+from vass import (Configuration, analyze, normalize_guards, unbounded_core,
                   with_start_counter)
 from vass.oracle import oracle_unbounded
 
@@ -39,7 +40,7 @@ def membership(v):
     """``(q, z, member, verdict)`` for every counter the set check tests in
     the split instance of ``v``."""
     vn = normalize_guards(v)
-    core = unbounded_core(vn)
+    core = unbounded_core(analyze(vn))
     for q, sa in sorted(core.analysis.states.items()):
         for z in range(sa.floor, sa.floor + ABOVE_FLOOR):
             if z not in vn.guards[q]:

@@ -158,16 +158,54 @@ def unbounded_core_reference(v: Vass) -> tuple[dict, list, str]:
             "incomplete" if truncated else "complete")
 
 
+def decide_config_reference(analysis: CycleAnalysis, c: Configuration
+                            ) -> tuple[Optional[bool], str, str]:
+    """The decision of `fixpoint` before it probed the seed set first,
+    frozen: the saturation of ``analysis`` runs first, and ``c``, a
+    configuration of its instance, is asked against the saturated set under
+    the same budget, with the round's dead runs.  Returns ``(answer,
+    status, reason)``."""
+    budget = fixpoint.Budget(fixpoint.DEFAULT_NODE_CAP)
+    core = fixpoint.unbounded_core(analysis, budget)
+    u = core.uset
+    if not u.analysis.vass.is_valid(c):
+        return (False, "complete", "initial configuration is invalid")
+    if u.contains(c):
+        return (True, "complete", "initial configuration is unbounded")
+    status, _ = fixpoint._reach_uset(u, c, budget, core.dead)
+    if status == "no":
+        return (False, "complete", "reachable set is finite")
+    if status == "hit":
+        status, depth = fixpoint._walk_uset(u, c, budget, core.dead)
+        assert status != "no", "the walk missed a run the search found"
+    if status == "capped":
+        return (None, "incomplete", "node cap exhausted")
+    return (True, "complete", f"reaches the unbounded core in {depth} steps")
+
+
+def _cnf_anchor(f: Cnf3, u: int) -> tuple[Vass, int]:
+    w, w0 = with_start_counter(cnf_to_vass(f)[0], u)
+    v, entry, _ = normalize_guards_with_maps(w)
+    return v, entry[w0]
+
+
+_ANCHOR_CLAUSE = ((1, True), (2, False), (3, True))
+
+
 def cnf_no_anchor() -> tuple[Vass, int]:
     """The 4-variable NO anchor of the CNF family, normalized, with the
     state its start counter 119 is entered from.  Its chains are disjoint
     and its components are simple cycles of 26 and 40 states, so it
     exposes repeated probe and selection work."""
-    f = Cnf3(4, (((1, True), (2, False), (3, True)),
-                 ((1, False), (2, True), (4, False))))
-    w, w0 = with_start_counter(cnf_to_vass(f)[0], 119)
-    v, entry, _ = normalize_guards_with_maps(w)
-    return v, entry[w0]
+    return _cnf_anchor(Cnf3(4, (_ANCHOR_CLAUSE,
+                                ((1, False), (2, True), (4, False)))), 119)
+
+
+def cnf_yes_anchor() -> tuple[Vass, int]:
+    """The 4-variable YES anchor of the CNF family, normalized, with the
+    state its start counter 63, which falsifies its one clause, is entered
+    from."""
+    return _cnf_anchor(Cnf3(4, (_ANCHOR_CLAUSE,)), 63)
 
 
 def small_cnf_formulas() -> list[Cnf3]:

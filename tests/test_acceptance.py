@@ -91,7 +91,7 @@ def test_criterion_02_cycle_data(demo):
 )
 def test_criterion_03_fixpoint_trace(demo):
     t0 = time.perf_counter()
-    core = unbounded_core(demo)
+    core = unbounded_core(analyze(demo))
     elapsed = time.perf_counter() - t0
     rounds = [{demo.names[q]: vals for q, vals in r.items()}
               for r in core.rounds]
@@ -107,7 +107,7 @@ def test_criterion_03b_fixpoint_trace_verified(demo):
     """Companion to criterion 3: the computed trace, every element verified
     against the brute-force oracle (and the pinned values are a subset)."""
     t0 = time.perf_counter()
-    core = unbounded_core(demo)
+    core = unbounded_core(analyze(demo))
     elapsed = time.perf_counter() - t0
     rounds = [{demo.names[q]: vals for q, vals in r.items()}
               for r in core.rounds]
@@ -314,7 +314,7 @@ def test_runtime_growth_sanity():
                 v = gen_vass(rng, max_states=n, max_weight=8, max_guard=50,
                              guard_prob=0.5, edge_factor=2.0)
             t0 = time.perf_counter()
-            unbounded_core(v)
+            unbounded_core(analyze(v))
             times.append(time.perf_counter() - t0)
         times.sort()
         medians.append(max(times[len(times) // 2], 1e-5))

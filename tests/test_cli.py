@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import vass
-from vass import cli, fixpoint, instances, model, reductions
+from vass import cli, cycles, fixpoint, instances, model, reductions
 from vass.cli import main
 
 
@@ -150,7 +150,8 @@ def test_unwritable_output_is_an_input_error(capsys, tmp_path, demo_file, argv):
 
 def _expected_trace(v: model.Vass) -> dict:
     """The trace of a fresh saturation of the normalized ``v``."""
-    core = fixpoint.unbounded_core(model.normalize_guards_with_maps(v)[0])
+    core = fixpoint.unbounded_core(
+        cycles.analyze(model.normalize_guards_with_maps(v)[0]))
     names = core.analysis.vass.names
     maxima: dict = {}
     for (q, lo), m in sorted(core.uset.per_chain_max.items()):
@@ -163,13 +164,19 @@ def _expected_trace(v: model.Vass) -> dict:
     }
 
 
-def test_emit_trace_reuses_the_solve(capsys, monkeypatch, demo_file):
+def test_emit_trace_reuses_the_solve(capsys, monkeypatch, tmp_path,
+                                     demo_file):
     # the trace is that of the one saturation behind the answer: for
-    # coverability, of the normalized instance the reduction solves
+    # coverability, of the normalized instance the reduction solves; a NO
+    # from the seed set ran none, so the trace runs it, once
     v = instances.demo_guarded()
     reduced, _ = reductions.reduce_cov_to_unbound(v, v.initial, v.target)
-    expected = {"unboundedness": _expected_trace(v),
-                "coverability": _expected_trace(reduced)}
+    up = instances.up(1000)
+    up_file = tmp_path / "up.vass"
+    up_file.write_text(model.serialize_vass(up))
+    cases = [(demo_file, "unboundedness", "YES", _expected_trace(v)),
+             (demo_file, "coverability", "YES", _expected_trace(reduced)),
+             (str(up_file), "unboundedness", "NO", _expected_trace(up))]
     calls = []
     solve = fixpoint.unbounded_core
 
@@ -178,14 +185,14 @@ def test_emit_trace_reuses_the_solve(capsys, monkeypatch, demo_file):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(fixpoint, "unbounded_core", counted)
-    for mode, want in expected.items():
+    for path, mode, token, want in cases:
         calls.clear()
-        code, out, _ = run(capsys, "check", "--mode", mode, demo_file,
+        code, out, _ = run(capsys, "check", "--mode", mode, path,
                            "--emit-trace", "-")
-        assert code == 0 and len(calls) == 1, mode
-        token, trace = out.split("\n", 1)
-        assert token == "YES", mode
-        assert json.loads(trace) == want, mode
+        assert code == 0 and len(calls) == 1, (path, mode)
+        got, trace = out.split("\n", 1)
+        assert got == token, (path, mode)
+        assert json.loads(trace) == want, (path, mode)
 
 
 def test_json_trace_on_stdout_is_one_document(capsys, demo_file):

@@ -29,7 +29,9 @@ from helpers import (
     bounded_chains_reference,
     chains_of,
     cnf_no_anchor,
+    cnf_yes_anchor,
     configurations,
+    decide_config_reference,
     decompose_objectives,
     defect_stats,
     gen_vass,
@@ -132,7 +134,7 @@ def test_decomposition_component_shape_demo(demo):
 def test_decomposition_matches_membership_pointwise(demo):
     ana = analyze(demo)
     for u in (USet(ana), golden_first_round_uset(demo),
-              unbounded_core(demo).uset):
+              unbounded_core(analyze(demo)).uset):
         for q in sorted(ana.states):
             objs = decompose_objectives(u, q)
             for z in range(0, 131):
@@ -145,7 +147,7 @@ def test_decomposition_matches_membership_random():
     rng = random.Random(606060)
     for _ in range(60):
         v = gen_vass(rng, max_states=5, max_weight=4, max_guard=25)
-        core = unbounded_core(v)
+        core = unbounded_core(analyze(v))
         for q in sorted(core.analysis.states):
             objs = decompose_objectives(core.uset, q)
             assert len(objs) <= v.n_states + 1
@@ -191,7 +193,7 @@ def test_demo_saturation_is_monotone_and_prefix_closed(demo):
 
 
 def test_demo_fixpoint_matches_oracle_everywhere(demo):
-    core = unbounded_core(demo)
+    core = unbounded_core(analyze(demo))
     assert core.status == "complete"
     for q in sorted(core.analysis.states):
         sa = core.analysis.states[q]
@@ -212,7 +214,7 @@ def test_fixpoint_trace_matches_historical_walkthrough(demo):
     says; the oracle cross-check in
     test_demo_first_round_additions_verified_by_oracle pins the truth.
     Kept as written for traceability, expected to fail."""
-    core = unbounded_core(demo)
+    core = unbounded_core(analyze(demo))
     rounds = [{demo.names[q]: vals for q, vals in r.items()}
               for r in core.rounds]
     assert rounds[0] == {"s4": [54, 60, 63, 69]}
@@ -239,7 +241,7 @@ def _bisection_instance():
 
 def test_saturation_finds_a_chain_maximum_in_one_round():
     v = _bisection_instance()
-    core = unbounded_core(v)
+    core = unbounded_core(analyze(v))
     assert core.status == "complete"
     assert [r for r in core.rounds] == [{0: [5, 15, 25]}]
     assert core.uset.per_chain_max[(0, 5)] == 25
@@ -284,7 +286,7 @@ def test_stable_round_is_the_fixpoint():
     probed = 0
     for _ in range(300):
         v = normalize_guards(gen_vass(rng, multi_guards=True))
-        core = unbounded_core(v)
+        core = unbounded_core(analyze(v))
         if core.status != "complete":
             continue
         for ch in fixpoint.bounded_chains(core.analysis):
@@ -306,7 +308,7 @@ def test_one_round_is_the_fixpoint():
     cases += [normalize_guards(v) for v in two_state_instances()]
     adding = 0
     for v in cases:
-        core = unbounded_core(v)
+        core = unbounded_core(analyze(v))
         assert core.status == "complete", v
         assert not saturate_step(core.uset, _budget()).added, v
         assert (core.uset.per_chain_max, core.rounds,
@@ -374,9 +376,8 @@ def _memo_walk(v, u):
 
 def _solve(v):
     """The core of ``v`` and the answer from ``(s, 0)`` for every state."""
-    core = unbounded_core(v)
-    answers = [fixpoint._decide_config(core, Configuration(s, 0)).answer
-               for s in range(v.n_states)]
+    core = unbounded_core(analyze(v))
+    answers = [decide_unboundedness(v, s).answer for s in range(v.n_states)]
     return core, answers
 
 
@@ -435,7 +436,7 @@ def test_saturation_builds_no_chain(monkeypatch):
     monkeypatch.setattr(cycles, "blocked_omega", refuse)
     monkeypatch.setattr(cycles, "BlockedSet", refuse)
     for v in cases:
-        unbounded_core(v)
+        unbounded_core(analyze(v))
     for v in multi:
         decide_unboundedness(v, 0)
         decide_coverability(v, 0, v.n_states - 1)
@@ -470,7 +471,7 @@ def test_dead_set_misses_the_final_set():
     # misses U
     checked = 0
     for v in _memo_instances(300):
-        core = unbounded_core(v)
+        core = unbounded_core(analyze(v))
         if core.status != "complete":
             continue
         for c in configurations(core.dead):
@@ -543,7 +544,7 @@ def test_run_search_matches_the_explicit_walk():
     cases = (_memo_instances(150) + _large_guard_instances(40)
              + _dense_guard_instances(150))
     for v in cases:
-        core = unbounded_core(v)
+        core = unbounded_core(analyze(v))
         if core.status != "complete":
             continue
         for u in (USet(core.analysis), core.uset):
@@ -564,19 +565,27 @@ def test_run_search_matches_the_explicit_walk():
 
 
 def test_one_budget_bounds_the_whole_solve(monkeypatch):
-    # every probe draws from one budget per solve, so a spent budget ends
-    # the solve with UNKNOWN instead of granting each probe a fresh cap
-    monkeypatch.setattr(fixpoint, "DEFAULT_NODE_CAP", 2000)
+    # the seed probe, every probe of the round and the depth walk draw from
+    # one budget per solve, so a spent budget ends the solve with UNKNOWN
+    # instead of granting each search a fresh cap.  The NO anchor's seed
+    # probe takes 132 pieces: a cap of 100 cuts it
+    monkeypatch.setattr(fixpoint, "DEFAULT_NODE_CAP", 100)
     dec = decide_unboundedness(*cnf_no_anchor())
+    assert (dec.answer, dec.status, dec.core) == (None, "incomplete", None)
+    assert dec.budget.spent == 100
+    # the YES anchor's seed probe hits in 2 pieces, and the cap then cuts
+    # the round (the whole solve takes 1,330 pieces)
+    monkeypatch.setattr(fixpoint, "DEFAULT_NODE_CAP", 1000)
+    dec = decide_unboundedness(*cnf_yes_anchor())
     assert dec.answer is None and dec.status == "incomplete"
-    assert dec.core.status == "incomplete"
-    assert dec.core.budget.spent <= 2000
+    assert dec.core.status == "incomplete" and dec.budget.spent <= 1000
 
 
 def test_probe_work_does_not_grow_with_the_guard(monkeypatch):
     # laps cross a whole chain in one step and the lowest missing element
     # settles the chain: the guard value changes neither the number of
-    # probes nor the number of pieces they admit
+    # probes nor the number of pieces they admit.  A NO takes the one probe
+    # of the seed set; upesc's YES adds the round's probes
     probes = 0
     search = fixpoint._reach_uset
 
@@ -586,18 +595,19 @@ def test_probe_work_does_not_grow_with_the_guard(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(fixpoint, "_reach_uset", counted)
-    for make, want in ((instances.up, (2, 1)), (instances.updown, (2, 2))):
+    for make, want in ((instances.up, (False, 1, 1)),
+                       (instances.updown, (False, 1, 2)),
+                       (instances.upesc, (True, 3, 3))):
         for g in (10**3, 10**7):
             probes = 0
             dec = decide_unboundedness(make(g), 0)
-            assert dec.answer is False and dec.status == "complete"
-            assert (probes, dec.core.budget.spent) == want, (make, g)
+            assert dec.status == "complete"
+            assert (dec.answer, probes, dec.budget.spent) == want, (make, g)
 
 
 def test_cnf_anchor_work_count(monkeypatch):
-    # 67 probes admit 4,488 pieces; without the dead run set every probe
-    # re-searches the same closures (200,658 pieces), and without the skip
-    # of dead candidates 4,487 probes are made
+    # the NO is settled by the one probe of the seed set, in 132 pieces,
+    # with no round (the round alone takes 66 probes and 4,486 pieces)
     v, s = cnf_no_anchor()
     probes = 0
     search = fixpoint._reach_uset
@@ -610,8 +620,27 @@ def test_cnf_anchor_work_count(monkeypatch):
     monkeypatch.setattr(fixpoint, "_reach_uset", counted)
     dec = decide_unboundedness(v, s)
     assert dec.answer is False and dec.status == "complete"
-    assert dec.core.budget.spent < 10_000, dec.core.budget.spent
-    assert probes < 300, probes
+    assert (probes, dec.budget.spent) == (1, 132)
+
+
+def test_a_no_from_the_seed_set_runs_no_round(monkeypatch):
+    # whatever reaches the saturated set reaches the seed set, so a NO
+    # needs no round; a YES runs the one round, for the depth
+    rounds = 0
+    step = fixpoint.saturate_step
+
+    def counted(*args):
+        nonlocal rounds
+        rounds += 1
+        return step(*args)
+
+    monkeypatch.setattr(fixpoint, "saturate_step", counted)
+    dec = decide_unboundedness(*cnf_no_anchor())
+    assert (dec.answer, dec.status, dec.core) == (False, "complete", None)
+    assert rounds == 0
+    dec = decide_unboundedness(*cnf_yes_anchor())
+    assert dec.answer is True and dec.core.status == "complete"
+    assert rounds == 1
 
 
 # --- defect diagnostics ---------------------------------------------------------
@@ -633,7 +662,7 @@ def test_defect_empty_for_inactive_or_full_chains(demo):
     # nothing of the seed sits below the s4 bounded chains' residue mates:
     # every non-trivial class has its whole bounded part missing but the
     # seed holds the tail above them, which activates the chains
-    full = unbounded_core(demo).uset
+    full = unbounded_core(analyze(demo)).uset
     stats_full = defect_stats(full)
     chain = Chain(4, 0, 54, 81)
     assert stats_full.per_chain[chain] == 2  # {72, 81} stay out forever
@@ -686,14 +715,19 @@ def test_unboundedness_rejects_multi_guard_input():
     v = parse_vass("state a 1 2\nedge a a 1\n")
     dec = decide_unboundedness(v, 0)
     assert dec.answer is False and dec.status == "complete"
-    assert dec.core.analysis.vass.n_states == 2
+    assert dec.analysis.vass.n_states == 2
     skip = parse_vass("state a 1 2\nedge a a 3\n")
     assert decide_unboundedness(skip, 0).answer is True
 
 
+def _maxima(dec):
+    return None if dec.core is None else dec.core.uset.per_chain_max
+
+
 def test_unboundedness_on_multi_guard_input_matches_the_split():
     # asking the raw instance from `s` is asking the split instance from the
-    # entry of `s`'s chain, down to the saturated set
+    # entry of `s`'s chain, down to the saturated set; and probing the seed
+    # set first answers as saturating first did
     split = 0
     for v in multi_guard_instances(300):
         vn, entry, _ = normalize_guards_with_maps(v)
@@ -702,7 +736,10 @@ def test_unboundedness_on_multi_guard_input_matches_the_split():
             got = decide_unboundedness(v, s)
             want = decide_unboundedness(vn, entry[s])
             assert got.answer == want.answer, (v, s)
-            assert got.core.uset.per_chain_max == want.core.uset.per_chain_max
+            assert _maxima(got) == _maxima(want), (v, s)
+            ref = decide_config_reference(analyze(vn),
+                                          Configuration(entry[s], 0))
+            assert (got.answer, got.status, got.reason) == ref, (v, s)
     assert split > 100
 
 
@@ -729,15 +766,14 @@ def test_depth_is_the_distance_to_the_core(demo):
     # member of U, which an independent search must find too
     checked = 0
     for v in [demo] + _memo_instances(350):
-        core = unbounded_core(v)
         for s in range(v.n_states):
-            dec = fixpoint._decide_config(core, Configuration(s, 0))
+            dec = decide_unboundedness(v, s)
             if dec.answer is not True:
                 continue
             steps = re.fullmatch(r"reaches the unbounded core in (\d+) steps",
                                  dec.reason)
             assert steps or dec.reason == "initial configuration is unbounded"
-            want = _core_distance(v, core, Configuration(s, 0))
+            want = _core_distance(v, dec.core, Configuration(s, 0))
             assert want == (int(steps[1]) if steps else 0), (v, s)
             checked += bool(steps)
     assert checked > 40
@@ -770,7 +806,7 @@ def test_random_fixpoint_membership_matches_oracle():
     rng = random.Random(99881)
     for _ in range(50):
         v = gen_vass(rng, max_states=5, max_weight=4, max_guard=25)
-        core = unbounded_core(v)
+        core = unbounded_core(analyze(v))
         if core.status != "complete":
             continue
         for q in sorted(core.analysis.states):
