@@ -31,17 +31,13 @@ class CycleSelection:
 
 @dataclass(frozen=True)
 class Chain:
-    """An arithmetic progression ``lo, lo+W, ..., hi`` within one residue
-    class (``hi is None`` marks the unbounded tail)."""
+    """A bounded chain: the arithmetic progression ``lo, lo+W, ..., hi``
+    within one residue class."""
 
     state: int
     residue: int
     lo: int
-    hi: Optional[int]
-
-    @property
-    def bounded(self) -> bool:
-        return self.hi is not None
+    hi: int
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,14 @@ reaches an added element reaches the seed too, so a decision first asks
 whether the source reaches the seed: a "no" is final, and only a hit pays
 for the round (`decide_unboundedness`).  Reachability of a ``U`` is searched
 over arithmetic runs of configurations, each bounded chain crossed in one
-step (`_reach_uset`).
+step (`_reach_uset`).  That one search, layered breadth first, also
+measures the depth of a YES: against the saturated set every configuration
+that reaches it is admitted as a one-element run at its true level.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterator, Optional
@@ -115,10 +116,10 @@ class Budget:
     """The node budget of one solve.
 
     `decide_unboundedness` makes one (and `unbounded_core`, called without
-    one); its seed probe, every probe of the round and the depth walk draw
-    from it, one unit per piece (a run, or a configuration of the walk)
-    they admit.  Once it is spent, each later probe answers "capped", so
-    the cap bounds the work of the whole solve.
+    one); its seed probe, every probe of the round and the depth search
+    draw from it, one unit per piece (a run) they admit.  Once it is
+    spent, each later probe answers "capped", so the cap bounds the work of
+    the whole solve.
     """
 
     __slots__ = ("cap", "spent")
@@ -217,21 +218,31 @@ def _reach_uset(
     u: USet, start: Configuration, budget: Budget, dead: RunSet,
 ) -> tuple[str, int]:
     """Search forward from ``start`` for any member of ``u``, run by run,
-    over the instance ``u`` was built on.
+    over the instance ``u`` was built on, breadth first.
 
-    Returns ``("hit", pieces)``, ``("no", pieces)`` or ``("capped",
-    pieces)``.  The search visits runs ``(state, lo, hi, step)``.  An edge
-    shifts a run by its weight, drops what falls below 0 and splits the
-    rest at the guards of its destination.  What is left of it after the
-    visited and dead runs of its own bucket is tested against ``u``, and its
-    elements in bounded chains lap up to the tops of their chains in one
-    step (`USet.laps`), so the cost of a probe does not grow with the guard
-    values.  Every configuration in a run is reachable and every reachable
+    Returns ``("hit", depth)``, ``("no", depth)`` or ``("capped", depth)``,
+    where ``depth`` is the number of levels searched: for a hit, the
+    transitions from ``start`` to the member found.  The search visits runs
+    ``(state, lo, hi, step)``.  An edge shifts a run by its weight, drops
+    what falls below 0 and splits the rest at the guards of its
+    destination.  What is left of it after the visited and dead runs of its
+    own bucket is tested against ``u``, and its elements in bounded chains
+    lap up to the tops of their chains in one step (`USet.laps`), so the
+    cost of a probe does not grow with the guard values.  Every configuration in a run is reachable and every reachable
     one is covered by a run, so the answer is that of a walk over single
     configurations.  Absent a hit the closure is finite: an infinite cone
     pumps some positive cycle arbitrarily high and therefore enters an
     unbounded chain, all of which lie in every ``USet``.  So "no"
     certifies a finite reachable set.
+
+    The runs are searched level by level, so against the exact ``U`` of a
+    complete `unbounded_core` a hit's depth is the distance to ``U``.  A
+    lap covers only chain elements above the chain's maximum, which reach
+    no member of the exact ``U``, and neither does anything a lap leads to;
+    a dead run's closure misses ``U``.  Every run of more than one element
+    comes from a lap, so every configuration on a shortest path to ``U`` is
+    admitted as a one-element run at its true breadth-first level, and the
+    first hit is the nearest member.
 
     ``dead`` memoises failed probes against this same ``u``.  A "no"
     proves that every configuration of its runs has a closure missing
@@ -253,12 +264,10 @@ def _reach_uset(
     seen = RunSet(n)
     sets = (seen, dead)
     seen_ints, dead_ints = seen.ints, dead.ints
-    queue: deque = deque()
-    pieces = 0
+    queue: list = []  # the runs admitted at the next level
 
     def admit(q: int, lo: int, hi: int, step: int) -> Optional[str]:
         """Queue what is new of a run; "hit", "capped" or None."""
-        nonlocal pieces
         if lo == hi:
             key = lo * n + q
             if key in seen_ints or key in dead_ints or (
@@ -287,85 +296,44 @@ def _reach_uset(
                     if budget.spent >= budget.cap:
                         return "capped"
                     budget.spent += 1
-                    pieces += 1
                     seen.add(q, a, e, s)
                     queue.append((q, a, e, s))
         return None
 
     out = admit(q0, z0, z0, 1)
+    depth = 0
     guards = v.guards
     while out is None and queue:
-        q, lo, hi, s = queue.popleft()
-        for _, t in v.out_edges(q):
-            p = t.dst
-            a, e = lo + t.weight, hi + t.weight
-            if a == e:
-                if a >= 0 and a not in guards[p]:
-                    out = admit(p, a, a, s)
-            elif e >= 0:
-                if a < 0:
-                    a += (s - 1 - a) // s * s
-                for g in sorted(guards[p]):  # cut at every guard on it
-                    if a <= g <= e and (g - a) % s == 0:
-                        if g > a:
-                            out = admit(p, a, g - s, s)
-                            if out is not None:
-                                break
-                        a = g + s
-                else:
-                    if a <= e:
-                        out = admit(p, a, e, s)
+        level, queue = queue, []
+        depth += 1
+        for q, lo, hi, s in level:
+            for _, t in v.out_edges(q):
+                p = t.dst
+                a, e = lo + t.weight, hi + t.weight
+                if a == e:
+                    if a >= 0 and a not in guards[p]:
+                        out = admit(p, a, a, s)
+                elif e >= 0:
+                    if a < 0:
+                        a += (s - 1 - a) // s * s
+                    for g in sorted(guards[p]):  # cut at every guard on it
+                        if a <= g <= e and (g - a) % s == 0:
+                            if g > a:
+                                out = admit(p, a, g - s, s)
+                                if out is not None:
+                                    break
+                            a = g + s
+                    else:
+                        if a <= e:
+                            out = admit(p, a, e, s)
+                if out is not None:
+                    break
             if out is not None:
                 break
     if out is not None:
-        return (out, pieces)
+        return (out, depth)
     dead.update(seen)
-    return ("no", pieces)
-
-
-def _walk_uset(
-    u: USet, start: Configuration, budget: Budget, dead: RunSet,
-) -> tuple[str, int]:
-    """Breadth-first walk over single configurations from ``start`` to the
-    nearest member of ``u``: ``("hit", depth)``, ``("no", nodes)`` or
-    ``("capped", nodes)``.
-
-    It measures the depth a decision reports, so it runs only after the
-    seed probe of `decide_unboundedness` found a hit; the saturated ``u``
-    holds the seed, so the walk finds a member too.  It skips ``dead``
-    configurations: no run into ``u`` passes through one, so skipping
-    changes neither the answer nor the depth.  Each configuration admitted
-    draws one unit from ``budget``.
-    """
-    if budget.spent >= budget.cap:
-        return ("capped", 0)
-    v = u.analysis.vass
-    if not v.is_valid(start) or dead.has(start.state, start.counter):
-        return ("no", 0)
-    if u.contains(start):
-        return ("hit", 0)
-    n = v.n_states
-    seen = {start.counter * n + start.state}
-    budget.spent += 1
-    queue = deque([(start.state, start.counter, 0)])
-    guards = v.guards
-    while queue:
-        q, z, d = queue.popleft()
-        for _, t in v.out_edges(q):
-            y = z + t.weight
-            if y < 0 or y in guards[t.dst]:
-                continue
-            key = y * n + t.dst
-            if key in seen or dead.has(t.dst, y):
-                continue
-            if u.contains(Configuration(t.dst, y)):
-                return ("hit", d + 1)
-            if budget.spent >= budget.cap:
-                return ("capped", len(seen))
-            budget.spent += 1
-            seen.add(key)
-            queue.append((t.dst, y, d + 1))
-    return ("no", len(seen))
+    return ("no", depth)
 
 
 @dataclass(frozen=True)
@@ -485,7 +453,7 @@ def unbounded_core(analysis: CycleAnalysis,
     (c) The round's dead runs (see `_reach_uset`) have closures that miss
         the seed set.  By (b) a closure that meets an added element meets
         the seed set as well, so they miss the final set too, and
-        ``CoreResult.dead`` carries them to the depth walk.
+        ``CoreResult.dead`` carries them to the depth search.
 
     By (b) a configuration reaches the final set iff it reaches the seed
     set, which is how `decide_unboundedness` answers NO without a round.
@@ -524,10 +492,14 @@ def decide_unboundedness(v: Vass, s: int) -> Decision:
     and the question is asked at the entry of the chain that replaces ``s``.
     By step (b) of `unbounded_core` the source reaches the saturated set iff
     it reaches the seed set, so one run search against the seed decides:
-    a "no" answers NO with no saturation.  Only a hit saturates, and the
-    walk then measures the depth to the saturated set; ``Decision.core`` is
+    a "no" answers NO with no saturation.  Only a hit saturates.  A source
+    in the saturated set is "initial configuration is unbounded"; from any
+    other, the same run search against the saturated set gives the number
+    of steps, which is exact (see `_reach_uset`).  ``Decision.core`` is
     ``None`` unless the seed probe hit.  One `Budget` serves the seed
-    probe, the round and the walk.
+    probe, the round and the depth search.  A round is cut only when that
+    budget is spent, so after a cut round the depth search answers
+    "capped" at once: no depth is measured against a cut set.
     """
     model.require_states(v, model.UNKNOWN_SOURCE, s)
     vn, entry, _ = model.normalize_guards_with_maps(v)
@@ -547,9 +519,9 @@ def decide_unboundedness(v: Vass, s: int) -> Decision:
         core = unbounded_core(analysis, budget)
         if core.uset.contains(c):
             return decision(True, "initial configuration is unbounded")
-        status, depth = _walk_uset(core.uset, c, budget, core.dead)
+        status, depth = _reach_uset(core.uset, c, budget, core.dead)
         if status == "no":  # the seed is a subset of the saturated set
-            raise AssertionError("the walk missed a run the search found")
+            raise AssertionError("the search missed the core it reached")
     if status == "no":
         return decision(False, "reachable set is finite")
     if status == "capped":

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Optional
@@ -158,13 +159,57 @@ def unbounded_core_reference(v: Vass) -> tuple[dict, list, str]:
             "incomplete" if truncated else "complete")
 
 
+def walk_uset_reference(
+    u: USet, start: Configuration, budget: fixpoint.Budget, dead: RunSet,
+) -> tuple[str, int]:
+    """Breadth-first walk over single configurations from ``start`` to the
+    nearest member of ``u``: ``("hit", depth)``, ``("no", nodes)`` or
+    ``("capped", nodes)``.
+
+    It skips ``dead`` configurations: no run into ``u`` passes through
+    one, so skipping changes neither the answer nor the depth.  Each
+    configuration admitted draws one unit from ``budget``.  Frozen from
+    `fixpoint` before the run search `_reach_uset` reported its own
+    breadth-first depth; reference for that search's answer and depth.
+    """
+    if budget.spent >= budget.cap:
+        return ("capped", 0)
+    v = u.analysis.vass
+    if not v.is_valid(start) or dead.has(start.state, start.counter):
+        return ("no", 0)
+    if u.contains(start):
+        return ("hit", 0)
+    n = v.n_states
+    seen = {start.counter * n + start.state}
+    budget.spent += 1
+    queue = deque([(start.state, start.counter, 0)])
+    guards = v.guards
+    while queue:
+        q, z, d = queue.popleft()
+        for _, t in v.out_edges(q):
+            y = z + t.weight
+            if y < 0 or y in guards[t.dst]:
+                continue
+            key = y * n + t.dst
+            if key in seen or dead.has(t.dst, y):
+                continue
+            if u.contains(Configuration(t.dst, y)):
+                return ("hit", d + 1)
+            if budget.spent >= budget.cap:
+                return ("capped", len(seen))
+            budget.spent += 1
+            seen.add(key)
+            queue.append((t.dst, y, d + 1))
+    return ("no", len(seen))
+
+
 def decide_config_reference(analysis: CycleAnalysis, c: Configuration
                             ) -> tuple[Optional[bool], str, str]:
     """The decision of `fixpoint` before it probed the seed set first,
-    frozen: the saturation of ``analysis`` runs first, and ``c``, a
-    configuration of its instance, is asked against the saturated set under
-    the same budget, with the round's dead runs.  Returns ``(answer,
-    status, reason)``."""
+    frozen with its depth walk (`walk_uset_reference`): the saturation of
+    ``analysis`` runs first, and ``c``, a configuration of its instance, is
+    asked against the saturated set under the same budget, with the round's
+    dead runs.  Returns ``(answer, status, reason)``."""
     budget = fixpoint.Budget(fixpoint.DEFAULT_NODE_CAP)
     core = fixpoint.unbounded_core(analysis, budget)
     u = core.uset
@@ -176,7 +221,7 @@ def decide_config_reference(analysis: CycleAnalysis, c: Configuration
     if status == "no":
         return (False, "complete", "reachable set is finite")
     if status == "hit":
-        status, depth = fixpoint._walk_uset(u, c, budget, core.dead)
+        status, depth = walk_uset_reference(u, c, budget, core.dead)
         assert status != "no", "the walk missed a run the search found"
     if status == "capped":
         return (None, "incomplete", "node cap exhausted")
@@ -337,9 +382,20 @@ def select_cycles_reference(v: Vass) -> dict[int, CycleSelection]:
     return selections
 
 
-def chains_of(sa: StateAnalysis, residue: int) -> list[Chain]:
+@dataclass(frozen=True)
+class Tail:
+    """The unbounded tail ``lo, lo+W, ...`` of one residue class in the
+    frozen `chains_of`; ``hi`` is None, as in `cycles.chain_bounds`."""
+
+    state: int
+    residue: int
+    lo: int
+    hi: None = None
+
+
+def chains_of(sa: StateAnalysis, residue: int) -> list[Chain | Tail]:
     """Decompose one residue class into bounded chains plus the unbounded
-    tail.
+    tail, a `Tail`.
 
     Every guard cut-off in the class is its own singleton chain (pumping
     from it is immediately cut, whether or not the value may still be
@@ -352,14 +408,14 @@ def chains_of(sa: StateAnalysis, residue: int) -> list[Chain]:
     w = sel.period
     if not (0 <= residue < w):
         raise ValueError("residue out of range")
-    chains: list[Chain] = []
+    chains: list[Chain | Tail] = []
     start = class_floor(sa, residue)
     for cap in sa.splits.get(residue, ()):
         if cap - w >= start:
             chains.append(Chain(sel.state, residue, start, cap - w))
         chains.append(Chain(sel.state, residue, cap, cap))
         start = cap + w
-    chains.append(Chain(sel.state, residue, start, None))
+    chains.append(Tail(sel.state, residue, start))
     return chains
 
 
@@ -371,7 +427,7 @@ def bounded_chains_reference(analysis: CycleAnalysis) -> Iterator[Chain]:
         sa = analysis.states[q]
         for r in sorted(sa.splits):
             for ch in chains_of(sa, r):
-                if ch.bounded:
+                if not isinstance(ch, Tail):
                     yield ch
 
 
@@ -674,12 +730,12 @@ def decompose_objectives(u: USet, q: int) -> list[DiseqObjective]:
         chains = chains_of(sa, r)
         ell = None
         for ch in chains:
-            if not ch.bounded or u.per_chain_max.get((q, ch.lo)) is not None:
+            if isinstance(ch, Tail) or u.per_chain_max.get((q, ch.lo)) is not None:
                 ell = ch.lo
                 break
         missing = []
         for ch in chains:
-            if not ch.bounded:
+            if isinstance(ch, Tail):
                 continue
             m = u.per_chain_max.get((q, ch.lo))
             start = ch.lo if m is None else m + w
@@ -712,12 +768,12 @@ def defect_stats(u: USet, analysis: Optional[CycleAnalysis] = None) -> DefectSta
             chains = chains_of(sa, r)
             min_u = None
             for ch in chains:
-                if not ch.bounded or u.per_chain_max.get((q, ch.lo)) is not None:
+                if isinstance(ch, Tail) or u.per_chain_max.get((q, ch.lo)) is not None:
                     min_u = ch.lo
                     break
             total = 0
             for ch in chains:
-                if not ch.bounded:
+                if isinstance(ch, Tail):
                     continue
                 cmax = u.per_chain_max.get((q, ch.lo))
                 m1 = ch.lo if cmax is None else cmax + w

@@ -43,6 +43,7 @@ from helpers import (
     successors,
     two_state_instances,
     unbounded_core_reference,
+    walk_uset_reference,
     worstcase_bounds,
 )
 
@@ -343,7 +344,7 @@ def _budget():
 def _walk(v, u, c):
     """The answer of the explicit walk over single configurations, with no
     memo: the reference the run search is checked against."""
-    return fixpoint._walk_uset(u, c, _budget(), fixpoint.RunSet(v.n_states))[0]
+    return walk_uset_reference(u, c, _budget(), fixpoint.RunSet(v.n_states))[0]
 
 
 def _memo_walk(v, u):
@@ -565,8 +566,8 @@ def test_run_search_matches_the_explicit_walk():
 
 
 def test_one_budget_bounds_the_whole_solve(monkeypatch):
-    # the seed probe, every probe of the round and the depth walk draw from
-    # one budget per solve, so a spent budget ends the solve with UNKNOWN
+    # the seed probe, every probe of the round and the depth search draw
+    # from one budget per solve, so a spent budget ends the solve with UNKNOWN
     # instead of granting each search a fresh cap.  The NO anchor's seed
     # probe takes 132 pieces: a cap of 100 cuts it
     monkeypatch.setattr(fixpoint, "DEFAULT_NODE_CAP", 100)
@@ -574,10 +575,12 @@ def test_one_budget_bounds_the_whole_solve(monkeypatch):
     assert (dec.answer, dec.status, dec.core) == (None, "incomplete", None)
     assert dec.budget.spent == 100
     # the YES anchor's seed probe hits in 2 pieces, and the cap then cuts
-    # the round (the whole solve takes 1,330 pieces)
+    # the round (the whole solve takes 1,330 pieces); the depth search
+    # finds the budget spent, so no depth is reported
     monkeypatch.setattr(fixpoint, "DEFAULT_NODE_CAP", 1000)
     dec = decide_unboundedness(*cnf_yes_anchor())
     assert dec.answer is None and dec.status == "incomplete"
+    assert dec.reason == "node cap exhausted"
     assert dec.core.status == "incomplete" and dec.budget.spent <= 1000
 
 
@@ -763,11 +766,19 @@ def _core_distance(v, core, c):
 
 def test_depth_is_the_distance_to_the_core(demo):
     # every YES names the number of steps from counter 0 to the nearest
-    # member of U, which an independent search must find too
+    # member of U, which an independent search must find too; and every
+    # decision, depth included, is that of the frozen walk over single
+    # configurations
     checked = 0
-    for v in [demo] + _memo_instances(350):
+    cases = ([demo] + _memo_instances(350) + _dense_guard_instances(150)
+             + _large_guard_instances(40))
+    for v in cases:
+        vn, entry, _ = normalize_guards_with_maps(v)
         for s in range(v.n_states):
             dec = decide_unboundedness(v, s)
+            ref = decide_config_reference(analyze(vn),
+                                          Configuration(entry[s], 0))
+            assert (dec.answer, dec.status, dec.reason) == ref, (v, s)
             if dec.answer is not True:
                 continue
             steps = re.fullmatch(r"reaches the unbounded core in (\d+) steps",
