@@ -8,6 +8,13 @@ filtering through per-nadir recombination keeps every endpoint cell at most
 logarithmically many rounds.  Unboundedness from ``(s, 0)`` then reduces to
 scanning the cells for a nonnegative-prefix stem feeding a positive cycle.
 
+The lasso test answers NO before any doubling when no positive-weight edge
+leaves the 0-weight closure of ``s`` (the states reachable from ``s`` over
+0-weight edges).  At counter 0 a negative edge is invalid and a 0-weight
+edge keeps the counter at 0, so until its first positive edge every valid
+run from ``(s, 0)`` stays at counter 0 inside that closure; with no
+positive edge out of it, no run ever takes one, and no lasso exists.
+
 Each level above zero builds its cells on demand, each once, from the whole
 previous level (``_NextLevel``).  Every level's witnesses are real paths, so
 the lasso test scans each level as it comes and stops the doubling at the
@@ -414,6 +421,21 @@ def _find_lasso(cell: Callable[[int, int], tuple], s: int, n_states: int
     return None
 
 
+def _stuck_at_zero(v: Vass, s: int) -> bool:
+    """Does no positive-weight edge leave the 0-weight closure of ``s``,
+    the states reachable from ``s`` over 0-weight edges?"""
+    seen = {s}
+    stack = [s]
+    while stack:
+        for _, t in v.out_edges(stack.pop()):
+            if t.weight > 0:
+                return False
+            if t.weight == 0 and t.dst not in seen:
+                seen.add(t.dst)
+                stack.append(t.dst)
+    return True
+
+
 def decide_unbounded_lasso(v: Vass, s: int) -> LassoDecision:
     """Is ``(s, 0)`` unbounded in a guard-free system?
 
@@ -422,15 +444,26 @@ def decide_unbounded_lasso(v: Vass, s: int) -> LassoDecision:
     guards, such a lasso can be pumped forever, and any unbounded run can be
     trimmed to one.
 
-    The doubling stops at the first level that holds such a lasso.  Each
-    level builds on demand only the cells its lasso scan reads, and the rest
-    only when the doubling goes on (``build_families`` with ``source``); the
-    stem and cycle are that level's.  This is exact: every level's
-    witnesses are real paths with the summaries they record, so a lasso
-    found early is a real one, and only the last level's ``(s, q)`` and
-    ``(q, q)`` cells are needed to answer NO.
+    The answer is NO, with no doubling, when no positive-weight edge leaves
+    the 0-weight closure of ``s`` (``_stuck_at_zero``).  This is exact: at
+    counter 0 a negative edge is invalid and a 0-weight edge keeps the
+    counter at 0, so before its first positive edge every valid run from
+    ``(s, 0)`` stays at counter 0 inside the closure.  If no positive edge
+    leaves it, no run ever takes one, and no lasso cycle of weight at least
+    1 is reached.
+
+    Otherwise the doubling stops at the first level that holds such a
+    lasso.  Each level builds on demand only the cells its lasso scan
+    reads, and the rest only when the doubling goes on (``build_families``
+    with ``source``); the stem and cycle are that level's.  This is exact:
+    every level's witnesses are real paths with the summaries they record,
+    so a lasso found early is a real one, and only the last level's
+    ``(s, q)`` and ``(q, q)`` cells are needed to answer NO.
     """
     _require_guard_free(v)
+    require_states(v, UNKNOWN_SOURCE, s)
+    if _stuck_at_zero(v, s):
+        return LassoDecision(False)
     fam = build_families(v, source=s)
     lasso = _find_lasso(fam.cell, s, v.n_states)
     if lasso is None:

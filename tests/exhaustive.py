@@ -8,7 +8,9 @@ Every instance of three small sets (`helpers.small_instances`):
 
 For each, `decide_unboundedness` from every state is compared with
 `oracle_unbounded`, and `decide_coverability` for every pair of states with
-`oracle_cover` (`helpers.oracle_queries`).  The saturated set itself is
+`oracle_cover` (`helpers.oracle_queries`).  On the guard-free instances
+the lasso test answers the same queries against the same verdicts
+(`helpers.pareto_answer`).  The saturated set itself is
 checked too: at every pumpable state ``q`` of the split instance, each
 non-guard counter ``z`` from the floor up to 11 above it is in
 ``unbounded_core(analyze(...)).uset`` iff `oracle_unbounded` finds
@@ -27,7 +29,7 @@ from __future__ import annotations
 import sys
 import time
 
-from helpers import oracle_queries, small_instances
+from helpers import oracle_queries, pareto_answer, small_instances
 from vass import (Configuration, analyze, normalize_guards, unbounded_core,
                   with_start_counter)
 from vass.oracle import oracle_unbounded
@@ -50,7 +52,7 @@ def membership(v):
 
 def main() -> int:
     t0 = time.perf_counter()
-    instances = unbounded = cover = members = 0
+    instances = unbounded = cover = lasso = members = 0
     bad = []
     for n, max_weight, max_edges in SETS:
         for v in small_instances(n, max_weight, max_edges):
@@ -62,6 +64,11 @@ def main() -> int:
                     cover += 1
                 if not verdict.definite or answer != (verdict.answer == "yes"):
                     bad.append((v, query, answer, verdict.answer))
+                if not v.has_guards:
+                    lasso += 1
+                    got = pareto_answer(v, query)
+                    if got != (verdict.answer == "yes"):
+                        bad.append((v, ("lasso",) + query, got, verdict.answer))
             for q, z, member, verdict in membership(v):
                 members += 1
                 if not verdict.definite or member != (verdict.answer == "yes"):
@@ -69,7 +76,8 @@ def main() -> int:
     for v, query, answer, want in bad[:20]:
         print(f"{query}: solver {answer}, oracle {want}: {v}")
     print(f"{instances} instances, {unbounded} unboundedness and {cover} "
-          f"coverability queries, {members} memberships, {len(bad)} "
+          f"coverability queries, {lasso} of them also by the lasso test, "
+          f"{members} memberships, {len(bad)} "
           f"disagreements or unknown verdicts, "
           f"{time.perf_counter() - t0:.0f} s")
     return 1 if bad else 0

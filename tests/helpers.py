@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Optional
 
-from vass import Configuration, Path, Transition, Vass, fixpoint, oracle
+from vass import (Configuration, Path, Transition, Vass, fixpoint, oracle,
+                  pareto)
 from vass.cycles import (
     Chain,
     CycleAnalysis,
@@ -122,6 +123,15 @@ def oracle_queries(v: Vass) -> Iterator[tuple[tuple, Optional[bool],
         for t in range(v.n_states):
             yield ((s, t), fixpoint.decide_coverability(v, s, t).answer,
                    oracle.oracle_cover(v, s, t))
+
+
+def pareto_answer(v: Vass, query: tuple) -> bool:
+    """The guard-free lasso test's answer to a query of `oracle_queries`:
+    `decide_unbounded_lasso` for ``(s,)``, `decide_cover_pareto` for
+    ``(s, t)``."""
+    if len(query) == 1:
+        return pareto.decide_unbounded_lasso(v, *query).answer
+    return pareto.decide_cover_pareto(v, *query)
 
 
 def added_values(u: USet, out: fixpoint.SaturateOutcome) -> dict:

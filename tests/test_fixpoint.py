@@ -38,6 +38,7 @@ from helpers import (
     members_at,
     multi_guard_instances,
     oracle_queries,
+    pareto_answer,
     small_cnf_formulas,
     truly_unbounded,
     successors,
@@ -322,17 +323,23 @@ def test_two_state_slice_matches_both_oracles():
     """From each state of every instance of the two-state slice: the
     unboundedness decision against `oracle_unbounded`, and coverability of
     both states against `oracle_cover`, with every oracle verdict definite.
-    `oracle_unbounded` still builds its pumping test from `select_cycles`
-    and `blocked_omega`, which it shares with the solver; `oracle_cover` is
-    a plain closure and shares no code with it."""
+    On the guard-free instances the lasso test answers the same queries
+    (`pareto_answer`) against the same verdicts.  `oracle_unbounded` still
+    builds its pumping test from `select_cycles` and `blocked_omega`, which
+    it shares with the saturation solver; `oracle_cover` is a plain closure
+    and shares no code with it."""
     cases = list(two_state_instances())
-    queries = 0
+    queries = lasso_queries = 0
     for v in cases:
         for query, answer, verdict in oracle_queries(v):
             assert verdict.definite, (v, query, verdict)
-            assert answer == (verdict.answer == "yes"), (v, query)
+            want = verdict.answer == "yes"
+            assert answer == want, (v, query)
             queries += 1
-    assert (len(cases), queries) == (5275, 31650)
+            if not v.has_guards:
+                assert pareto_answer(v, query) == want, (v, query)
+                lasso_queries += 1
+    assert (len(cases), queries, lasso_queries) == (5275, 31650, 1266)
 
 
 # --- closure memo of failed probes ---------------------------------------------

@@ -395,27 +395,60 @@ def test_lasso_stops_at_the_first_level_holding_one(monkeypatch):
     assert build(v).level == 4
 
 
-def test_lasso_equals_the_full_level_reference(monkeypatch):
+def _source_all_negative():
+    # a dense graph full of positive cycles, with every out-edge of the
+    # source made negative
+    g = gen_dense_guard_free(random.Random(0), 12)
+    return dataclasses.replace(g, transitions=tuple(
+        Transition(t.src, t.dst, -abs(t.weight) or -1) if t.src == 0 else t
+        for t in g.transitions))
+
+
+STUCK_AT_ZERO = {
+    "all out-edges of the source negative": _source_all_negative(),
+    # s -0-> q, and q has only negative edges and a 0-weight edge back to s
+    "zero-weight cycle through the source": parse_vass(
+        "state s\nstate q\nstate r\n"
+        "edge s q 0\nedge q s 0\nedge q r -1\nedge q q -2\nedge r r 3\n"),
+    # the +1 cycle at r is entered only by the source's negative edge
+    "positive cycle behind a negative edge": parse_vass(
+        "state s\nstate r\nedge s s 0\nedge s r -1\nedge r r 1\nedge r s 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STUCK_AT_ZERO))
+def test_lasso_answers_no_without_doubling_when_the_counter_stays_at_zero(
+        monkeypatch, case):
+    # no positive edge leaves the 0-weight closure of the source, so the
+    # counter of every valid run from (s, 0) stays at 0 and no lasso exists
+    v = STUCK_AT_ZERO[case]
+    assert oracle_unbounded(v, 0).answer == "no"
+    assert any(t.weight > 0 for t in v.transitions)
+
+    def no_doubling(*args, **kwargs):
+        raise AssertionError("the doubling ran")
+
+    monkeypatch.setattr(pareto, "build_families", no_doubling)
+    assert decide_unbounded_lasso(v, 0) == pareto.LassoDecision(False)
+
+
+def test_lasso_equals_the_full_level_reference():
     # each level builds the cells the lasso scan reads first, and the rest
     # only when the doubling goes on: the answer, the lasso and the level
-    # reached are those of a scan of every full level
-    levels = []
-    build = pareto.build_families
-
-    def recorded(*args, **kwargs):
-        fam = build(*args, **kwargs)
-        levels.append(fam.level)
-        return fam
-
-    monkeypatch.setattr(pareto, "build_families", recorded)
+    # reached are those of a scan of every full level.  The level is read
+    # off `build_families` itself, because the lasso test settles a source
+    # whose counter cannot leave 0 without building any family.
+    sources_checked = 0
     # every source of the sparse graphs, the first of the dense ones
     for k, v in enumerate(_dense_and_random_graphs()):
         sources = range(v.n_states if k < 300 else 1)
         for s, (level, lasso) in lasso_reference(v, sources).items():
+            assert build_families(v, source=s).level == level
             dec = decide_unbounded_lasso(v, s)
-            assert levels.pop() == level
             assert dec.answer == (lasso is not None)
             assert (dec.stem, dec.cycle) == (lasso or (None, None))
+            sources_checked += 1
+    assert sources_checked == 1260
 
 
 def test_lasso_last_level_builds_only_the_cells_it_reads(monkeypatch):
@@ -470,6 +503,15 @@ def test_lasso_decisions_build_families_through_the_module(monkeypatch):
     assert len(results) == 1
     assert decide_cover_pareto(v, 1, 0) is True
     assert len(results) == 2
+    # the 0-weight closure of the source reaches a +1 loop, so the doubling
+    # runs; so it does behind the coverability reduction, whose pump state
+    # is a +1 loop behind a 0-weight edge from the target
+    w = parse_vass("state s\nstate q\nedge s q 0\nedge q q 1\nedge s s -1\n")
+    assert decide_unbounded_lasso(w, 0).answer is True
+    assert len(results) == 3
+    stuck = STUCK_AT_ZERO["all out-edges of the source negative"]
+    assert decide_cover_pareto(stuck, 0, 0) is True
+    assert len(results) == 4
     assert all(isinstance(f, ParetoFamily) for f in results)
 
 
