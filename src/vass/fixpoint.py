@@ -9,12 +9,15 @@ chain, which can climb to it by pumping) that can reach the seed by a valid
 run.  That round is already the fixpoint: exactly the set of unbounded
 configurations in the pumpable region (see `unbounded_core`).  Whatever
 reaches an added element reaches the seed too, so a decision first asks
-whether the source reaches the seed: a "no" is final, and only a hit pays
-for the round (`decide_unboundedness`).  Reachability of a ``U`` is searched
-over arithmetic runs of configurations, each bounded chain crossed in one
-step (`_reach_uset`).  That one search, layered breadth first, also
-measures the depth of a YES: against the saturated set every configuration
-that reaches it is admitted as a one-element run at its true level.
+whether the source reaches the seed: a "no" is final, a source in the seed
+is unbounded, and only a later hit pays for the round
+(`decide_unboundedness`).  Before any of that, a source whose counter can
+never leave 0 is answered NO with no analysis (`model.stuck_at_zero`).
+Reachability of a ``U`` is searched over arithmetic runs of configurations,
+each bounded chain crossed in one step (`_reach_uset`).  That one search,
+layered breadth first, also measures the depth of a YES: against the
+saturated set every configuration that reaches it is admitted as a
+one-element run at its true level.
 """
 
 from __future__ import annotations
@@ -472,12 +475,32 @@ def unbounded_core(analysis: CycleAnalysis,
 
 @dataclass(frozen=True)
 class Decision:
+    """The answer of `decide_unboundedness` and what it solved.
+
+    ``vass`` is the instance asked: the split input, or the input as given
+    when the decision settled it before splitting (an invalid start, or a
+    counter stuck at 0).  ``analysis`` is the cycle analysis of the split
+    instance.  A decision that ran none makes it on first read, so a caller
+    that wants the saturation of an answer settled without one (``check
+    --emit-trace``) runs it once, under ``budget``."""
+
     answer: Optional[bool]      # None: could not decide under the caps
     status: str                 # "complete" | "incomplete"
     reason: str
-    analysis: CycleAnalysis     # the cycle analysis of the instance solved
+    vass: Vass                  # the instance solved
     budget: Budget              # the node budget of the solve
-    core: Optional[CoreResult]  # the saturation; None if the seed settled it
+    core: Optional[CoreResult]  # the saturation; None unless the round ran
+    _analysis: Optional[CycleAnalysis] = field(
+        default=None, repr=False, compare=False)
+
+    @property
+    def analysis(self) -> CycleAnalysis:
+        """The cycle analysis of the split instance, made on first read
+        unless the decision made it."""
+        if self._analysis is None:
+            object.__setattr__(self, "_analysis",
+                               analyze(model.normalize_guards(self.vass)))
+        return self._analysis
 
 
 def _require_normalized(v: Vass) -> None:
@@ -488,34 +511,45 @@ def _require_normalized(v: Vass) -> None:
 def decide_unboundedness(v: Vass, s: int) -> Decision:
     """Is ``(s, 0)`` unbounded?
 
-    Multi-guard states are split first (`model.normalize_guards_with_maps`)
+    Two answers need no analysis.  A guard at 0 on ``s`` makes the start
+    invalid.  A source stuck at 0 (`model.stuck_at_zero`: no positive-weight
+    edge leaves its 0-weight closure) reaches only finitely many
+    configurations, all at counter 0, whatever the guards.
+
+    Otherwise multi-guard states are split (`model.normalize_guards_with_maps`)
     and the question is asked at the entry of the chain that replaces ``s``.
     By step (b) of `unbounded_core` the source reaches the saturated set iff
     it reaches the seed set, so one run search against the seed decides:
-    a "no" answers NO with no saturation.  Only a hit saturates.  A source
-    in the saturated set is "initial configuration is unbounded"; from any
-    other, the same run search against the saturated set gives the number
-    of steps, which is exact (see `_reach_uset`).  ``Decision.core`` is
-    ``None`` unless the seed probe hit.  One `Budget` serves the seed
-    probe, the round and the depth search.  A round is cut only when that
-    budget is spent, so after a cut round the depth search answers
-    "capped" at once: no depth is measured against a cut set.
+    a "no" answers NO with no saturation.  A hit at depth 0 makes the source
+    a member of the seed set, which lies in ``U``: "initial configuration is
+    unbounded", with no saturation either.  Only a later hit saturates.  A
+    source in the saturated set is "initial configuration is unbounded";
+    from any other, the same run search against the saturated set gives the
+    number of steps, which is exact (see `_reach_uset`).  ``Decision.core``
+    is ``None`` unless the round ran.  One `Budget` serves the seed probe,
+    the round and the depth search.  A round is cut only when that budget
+    is spent, so after a cut round the depth search answers "capped" at
+    once: no depth is measured against a cut set.
     """
     model.require_states(v, model.UNKNOWN_SOURCE, s)
-    vn, entry, _ = model.normalize_guards_with_maps(v)
-    analysis = analyze(vn)
     budget = Budget(DEFAULT_NODE_CAP)
-    c = Configuration(entry[s], 0)
-    core = None
+    vn, analysis, core = v, None, None
 
     def decision(answer: Optional[bool], reason: str) -> Decision:
         return Decision(answer, "incomplete" if answer is None else "complete",
-                        reason, analysis, budget, core)
+                        reason, vn, budget, core, analysis)
 
-    if not vn.is_valid(c):
+    if 0 in v.guards[s]:
         return decision(False, "initial configuration is invalid")
-    status, _ = _reach_uset(USet(analysis), c, budget, RunSet(vn.n_states))
+    if model.stuck_at_zero(v, s):
+        return decision(False, "reachable set is finite")
+    vn, entry, _ = model.normalize_guards_with_maps(v)
+    analysis = analyze(vn)
+    c = Configuration(entry[s], 0)
+    status, depth = _reach_uset(USet(analysis), c, budget, RunSet(vn.n_states))
     if status == "hit":
+        if depth == 0:  # a member of the seed set
+            return decision(True, "initial configuration is unbounded")
         core = unbounded_core(analysis, budget)
         if core.uset.contains(c):
             return decision(True, "initial configuration is unbounded")

@@ -165,6 +165,26 @@ def require_states(v: Vass, message: str, *states: int) -> None:
             raise ValueError(message)
 
 
+def stuck_at_zero(v: Vass, s: int) -> bool:
+    """Does no positive-weight edge leave the 0-weight closure of ``s``,
+    the states reachable from ``s`` over 0-weight edges?
+
+    Then every valid run from ``(s, 0)`` stays at counter 0 inside that
+    closure, whatever the guards: at counter 0 a negative edge is invalid
+    and a 0-weight edge keeps the counter at 0, so a run would have to take
+    a positive edge to leave it.  The reachable set is finite."""
+    seen = {s}
+    stack = [s]
+    while stack:
+        for _, t in v.out_edges(stack.pop()):
+            if t.weight > 0:
+                return False
+            if t.weight == 0 and t.dst not in seen:
+                seen.add(t.dst)
+                stack.append(t.dst)
+    return True
+
+
 @dataclass(frozen=True)
 class BlockedSet:
     """Counter values from which a path does not lift to a valid run.
@@ -345,7 +365,10 @@ def normalize_guards(v: Vass) -> Vass:
 
 def normalize_guards_with_maps(v: Vass) -> tuple[Vass, list[int], list[int]]:
     """Like :func:`normalize_guards` but also maps old indices to the
-    entry and exit states of each chain (equal for untouched states)."""
+    entry and exit states of each chain (equal for untouched states).  If
+    nothing needs splitting it returns ``v`` itself and identity maps."""
+    if all(len(g) <= 1 for g in v.guards):
+        return v, list(range(v.n_states)), list(range(v.n_states))
     names: list[str] = []
     guards: list[frozenset[int]] = []
     entry: list[int] = []

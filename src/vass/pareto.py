@@ -13,7 +13,12 @@ leaves the 0-weight closure of ``s`` (the states reachable from ``s`` over
 0-weight edges).  At counter 0 a negative edge is invalid and a 0-weight
 edge keeps the counter at 0, so until its first positive edge every valid
 run from ``(s, 0)`` stays at counter 0 inside that closure; with no
-positive edge out of it, no run ever takes one, and no lasso exists.
+positive edge out of it, no run ever takes one, and no lasso exists
+(`model.stuck_at_zero`, which the fixpoint decision shares).
+
+Level zero holds, per endpoint pair, the empty path and the edges.  A cell
+of one element is its own Pareto set and is kept as it is, so only the
+cells of two or more elements are filtered.
 
 Each level above zero builds its cells on demand, each once, from the whole
 previous level (``_NextLevel``).  Every level's witnesses are real paths, so
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import reductions
-from .model import UNKNOWN_SOURCE, Path, Vass, require_states
+from .model import UNKNOWN_SOURCE, Path, Vass, require_states, stuck_at_zero
 
 
 @dataclass(frozen=True)
@@ -313,13 +318,18 @@ class ParetoFamily:
 
 
 def _level_zero(v: Vass) -> dict:
+    """The Pareto sets of the paths of length at most 1: per endpoint pair,
+    the empty path and the edges, filtered.  A one-element cell is its own
+    Pareto set and is kept as it is; only a cell of two or more elements
+    pays for a `pareto_filter` call."""
     cells: dict[tuple[int, int], list[ParetoElem]] = {}
     for q in range(v.n_states):
         cells[(q, q)] = [ParetoElem.empty(v, q)]
     for ti in range(len(v.transitions)):
         e = ParetoElem.edge(v, ti)
         cells.setdefault((e.src, e.dst), []).append(e)
-    return {pq: tuple(pareto_filter(v, es)) for pq, es in cells.items()}
+    return {pq: tuple(es) if len(es) == 1 else tuple(pareto_filter(v, es))
+            for pq, es in cells.items()}
 
 
 class _NextLevel:
@@ -421,21 +431,6 @@ def _find_lasso(cell: Callable[[int, int], tuple], s: int, n_states: int
     return None
 
 
-def _stuck_at_zero(v: Vass, s: int) -> bool:
-    """Does no positive-weight edge leave the 0-weight closure of ``s``,
-    the states reachable from ``s`` over 0-weight edges?"""
-    seen = {s}
-    stack = [s]
-    while stack:
-        for _, t in v.out_edges(stack.pop()):
-            if t.weight > 0:
-                return False
-            if t.weight == 0 and t.dst not in seen:
-                seen.add(t.dst)
-                stack.append(t.dst)
-    return True
-
-
 def decide_unbounded_lasso(v: Vass, s: int) -> LassoDecision:
     """Is ``(s, 0)`` unbounded in a guard-free system?
 
@@ -445,7 +440,7 @@ def decide_unbounded_lasso(v: Vass, s: int) -> LassoDecision:
     trimmed to one.
 
     The answer is NO, with no doubling, when no positive-weight edge leaves
-    the 0-weight closure of ``s`` (``_stuck_at_zero``).  This is exact: at
+    the 0-weight closure of ``s`` (`model.stuck_at_zero`).  This is exact: at
     counter 0 a negative edge is invalid and a 0-weight edge keeps the
     counter at 0, so before its first positive edge every valid run from
     ``(s, 0)`` stays at counter 0 inside the closure.  If no positive edge
@@ -462,7 +457,7 @@ def decide_unbounded_lasso(v: Vass, s: int) -> LassoDecision:
     """
     _require_guard_free(v)
     require_states(v, UNKNOWN_SOURCE, s)
-    if _stuck_at_zero(v, s):
+    if stuck_at_zero(v, s):
         return LassoDecision(False)
     fam = build_families(v, source=s)
     lasso = _find_lasso(fam.cell, s, v.n_states)

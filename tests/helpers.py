@@ -28,7 +28,6 @@ from vass.pareto import (
     ParetoElem,
     ParetoFamily,
     _filter_products,
-    _level_zero,
     _partner_rows,
     _witness_key,
     dominates,
@@ -552,11 +551,24 @@ def build_families_reference(v: Vass) -> ParetoFamily:
     return ParetoFamily(level=levels, cells=cells)
 
 
+def level_zero_reference(v: Vass) -> dict:
+    """Level zero with every cell filtered, one-element cells included.
+    Reference for ``pareto._level_zero``, which keeps a one-element cell as
+    it is."""
+    cells: dict[tuple[int, int], list[ParetoElem]] = {}
+    for q in range(v.n_states):
+        cells[(q, q)] = [ParetoElem.empty(v, q)]
+    for ti in range(len(v.transitions)):
+        e = ParetoElem.edge(v, ti)
+        cells.setdefault((e.src, e.dst), []).append(e)
+    return {pq: tuple(pareto.pareto_filter(v, es)) for pq, es in cells.items()}
+
+
 def _full_levels(v: Vass):
     """Every level of the doubling, level zero first, each built whole in
     sorted cell order, as ``build_families`` builds them without a
     source."""
-    cells = _level_zero(v)
+    cells = level_zero_reference(v)
     levels = math.ceil(math.log2(v.n_states)) if v.n_states > 1 else 0
     yield cells
     for _ in range(levels):

@@ -16,11 +16,18 @@ checkouts, from the repository root, and compares the two digests:
 
     PYTHONPATH=<checkout>/src python tests/identity.py
 
+With ``--expect SHA256`` it compares the digest with the one given (the
+parent's, say) and exits 1 on a mismatch, printing both, so one command is
+the whole gate:
+
+    PYTHONPATH=src python tests/identity.py --expect <parent digest>
+
 Like `tests/exhaustive.py` it runs on demand; pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -64,7 +71,11 @@ def outputs():
                     yield run(fmt + cmd + [path])
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="CLI output identity digest")
+    parser.add_argument("--expect", metavar="SHA256",
+                        help="exit 1 unless the digest is this one")
+    args = parser.parse_args(argv)
     t0 = time.perf_counter()
     digest = hashlib.sha256()
     count = 0
@@ -77,10 +88,14 @@ def main() -> int:
                 count += 1
         finally:
             os.chdir(cwd)
-    print(f"{count} outputs, sha256 {digest.hexdigest()}, "
+    got = digest.hexdigest()
+    print(f"{count} outputs, sha256 {got}, "
           f"{time.perf_counter() - t0:.0f} s")
+    if args.expect is not None and got != args.expect:
+        print(f"digest mismatch: expected {args.expect}, got {got}")
+        return 1
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -167,16 +167,22 @@ def _expected_trace(v: model.Vass) -> dict:
 def test_emit_trace_reuses_the_solve(capsys, monkeypatch, tmp_path,
                                      demo_file):
     # the trace is that of the one saturation behind the answer: for
-    # coverability, of the normalized instance the reduction solves; a NO
-    # from the seed set ran none, so the trace runs it, once
+    # coverability, of the normalized instance the reduction solves.  A NO
+    # from the seed set, a source stuck at counter 0 (s8: its one edge is
+    # -3) and a source in the seed set (s5) ran none, so the trace runs
+    # it, once
     v = instances.demo_guarded()
     reduced, _ = reductions.reduce_cov_to_unbound(v, v.initial, v.target)
     up = instances.up(1000)
     up_file = tmp_path / "up.vass"
     up_file.write_text(model.serialize_vass(up))
-    cases = [(demo_file, "unboundedness", "YES", _expected_trace(v)),
-             (demo_file, "coverability", "YES", _expected_trace(reduced)),
-             (str(up_file), "unboundedness", "NO", _expected_trace(up))]
+    cases = [(demo_file, "unboundedness", "YES", _expected_trace(v), ()),
+             (demo_file, "coverability", "YES", _expected_trace(reduced), ()),
+             (str(up_file), "unboundedness", "NO", _expected_trace(up), ()),
+             (demo_file, "unboundedness", "NO", _expected_trace(v),
+              ("--source", "s8")),
+             (demo_file, "unboundedness", "YES", _expected_trace(v),
+              ("--source", "s5"))]
     calls = []
     solve = fixpoint.unbounded_core
 
@@ -185,9 +191,9 @@ def test_emit_trace_reuses_the_solve(capsys, monkeypatch, tmp_path,
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(fixpoint, "unbounded_core", counted)
-    for path, mode, token, want in cases:
+    for path, mode, token, want, extra in cases:
         calls.clear()
-        code, out, _ = run(capsys, "check", "--mode", mode, path,
+        code, out, _ = run(capsys, "check", "--mode", mode, path, *extra,
                            "--emit-trace", "-")
         assert code == 0 and len(calls) == 1, (path, mode)
         got, trace = out.split("\n", 1)

@@ -653,6 +653,44 @@ def test_a_no_from_the_seed_set_runs_no_round(monkeypatch):
     assert rounds == 1
 
 
+def test_a_seed_member_or_a_stuck_source_runs_no_round(monkeypatch):
+    # a source in the seed set is unbounded, since the seed set lies in U,
+    # and needs no round.  A source whose counter cannot leave 0 (no
+    # positive edge leaves its 0-weight closure) reaches a finite set: its
+    # NO needs neither a round nor a cycle analysis, which the decision
+    # then makes on first read, of the split instance
+    rounds, analyses = [], []
+    step, ana = fixpoint.saturate_step, fixpoint.analyze
+
+    def counted_step(*args):
+        rounds.append(args)
+        return step(*args)
+
+    def counted_analyze(*args):
+        analyses.append(args)
+        return ana(*args)
+
+    monkeypatch.setattr(fixpoint, "saturate_step", counted_step)
+    monkeypatch.setattr(fixpoint, "analyze", counted_analyze)
+    dec = decide_unboundedness(parse_vass("state a 5\nedge a a 2\n"), 0)
+    assert (dec.answer, dec.status, dec.core) == (True, "complete", None)
+    assert dec.reason == "initial configuration is unbounded"
+    assert (len(rounds), len(analyses)) == (0, 1)
+    stuck = parse_vass("state s 3 7\nstate q\nstate r\nedge s q 0\n"
+                       "edge q s 0\nedge q r -1\nedge r r 2\n")
+    dec = decide_unboundedness(stuck, 0)
+    assert (dec.answer, dec.status, dec.core) == (False, "complete", None)
+    assert dec.reason == "reachable set is finite"
+    assert (len(rounds), len(analyses)) == (0, 1)
+    assert dec.analysis.vass.n_states == 4 and len(analyses) == 2
+    assert dec.analysis is dec.analysis and len(analyses) == 2
+    # the invalid start is refused before the stuck test, as before
+    dec = decide_unboundedness(parse_vass("state s 0 4\nedge s s -1\n"), 0)
+    assert (dec.answer, dec.reason) == (False,
+                                        "initial configuration is invalid")
+    assert (len(rounds), len(analyses)) == (0, 2)
+
+
 # --- defect diagnostics ---------------------------------------------------------
 
 def test_defect_of_prescribed_first_round_set(demo):
@@ -791,7 +829,9 @@ def test_depth_is_the_distance_to_the_core(demo):
             steps = re.fullmatch(r"reaches the unbounded core in (\d+) steps",
                                  dec.reason)
             assert steps or dec.reason == "initial configuration is unbounded"
-            want = _core_distance(v, dec.core, Configuration(s, 0))
+            # a source in the seed set is answered with no round
+            core = dec.core or unbounded_core(dec.analysis)
+            want = _core_distance(v, core, Configuration(s, 0))
             assert want == (int(steps[1]) if steps else 0), (v, s)
             checked += bool(steps)
     assert checked > 40

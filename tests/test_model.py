@@ -15,6 +15,7 @@ from vass import (
     blocked_set,
     lift_run,
     normalize_guards,
+    normalize_guards_with_maps,
     parse_vass,
     serialize_vass,
 )
@@ -168,6 +169,10 @@ def test_normalize_splits_multi_guard_state():
 
 def test_normalize_single_guard_identity(demo):
     assert normalize_guards(demo) is demo
+    # the map form returns its input too, with identity maps
+    vn, entry, exit_ = normalize_guards_with_maps(demo)
+    ids = list(range(demo.n_states))
+    assert vn is demo and entry == ids and exit_ == ids
 
 
 def test_normalize_duplicate_guard_values_collapse():

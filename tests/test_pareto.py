@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -34,6 +35,7 @@ from helpers import (
     gen_dense_guard_free,
     gen_guard_free,
     lasso_reference,
+    level_zero_reference,
     summarize_path,
 )
 
@@ -280,6 +282,23 @@ def test_families_equal_the_walking_reference():
             assert _lifts(v, dec)
 
 
+def test_level_zero_equals_the_filter_every_cell_reference():
+    # a one-element cell is its own Pareto set: keeping it unfiltered
+    # changes no cell, witness or nadir, on the graphs and on their
+    # coverability reductions
+    kept = 0
+    for v in _dense_and_random_graphs():
+        for w in [v] + [reduce_cov_to_unbound(v, 0, t)[0]
+                        for t in range(v.n_states)]:
+            got, want = pareto._level_zero(w), level_zero_reference(w)
+            assert list(got) == list(want)
+            for pq, cell in got.items():
+                assert cell == want[pq], (w, pq)
+                assert [e.nadirs for e in cell] == [e.nadirs for e in want[pq]]
+                kept += len(cell) == 1
+    assert kept > 60000
+
+
 def test_families_walk_no_witness(monkeypatch):
     # the filter reads each element's nadirs; the walking reference
     # calls path_states 5,326 times on this graph
@@ -463,9 +482,13 @@ def test_lasso_last_level_builds_only_the_cells_it_reads(monkeypatch):
         Transition(t.src + 1, t.dst + 1, -abs(t.weight)) for t in g.transitions)
     v = Vass(names=tuple(f"q{i}" for i in range(n)),
              guards=(frozenset(),) * n, transitions=edges, initial=0, target=0)
-    # one filter call per cell of level zero (pareto_filter) and of every
-    # whole level after it
-    whole = sum(len(cells) for cells in list(_full_levels(v))[:-1])
+    # one filter call per level-zero cell of two or more elements (a
+    # one-element cell is kept unfiltered) and per cell of every whole
+    # level after it
+    arity = Counter((t.src, t.dst) for t in v.transitions)
+    arity.update((q, q) for q in range(n))
+    whole = sum(k >= 2 for k in arity.values()) + sum(
+        len(cells) for cells in list(_full_levels(v))[1:-1])
     events = []
     rows_fn = pareto._partner_rows
     products_fn = pareto._filter_products
