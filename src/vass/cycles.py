@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Optional
 
-from .model import BlockedSet, Path, Vass
+from .model import BlockedSet, ModelError, Path, Vass
 
 
 @dataclass(frozen=True)
@@ -127,14 +128,48 @@ def _prune_frontier(elems: list[tuple[int, int, int, tuple[int, ...]]]) -> list:
     return kept
 
 
+def _select_ring(comp: list[int], out_by_src: dict, selections: dict) -> None:
+    """`select_cycles` on a ring: ``out_by_src[q]`` is the one edge
+    ``(i, dst, w)`` leaving each state of ``comp`` inside it."""
+    at: dict[int, int] = {}  # state -> its position on the ring
+    edges, weights = [], []
+    q = comp[0]
+    while q not in at:
+        (i, q_next, w), = out_by_src[q]
+        at[q] = len(edges)
+        edges.append(i)
+        weights.append(w)
+        q = q_next
+    period = sum(weights)
+    if period < 1:
+        return
+    for q in sorted(comp):
+        k = at[q]
+        selections[q] = CycleSelection(
+            state=q, gamma=Path(q, tuple(edges[k:] + edges[:k])),
+            period=period,
+            pmin=min(accumulate(weights[k:] + weights[:k], initial=0)))
+
+
 def select_cycles(v: Vass) -> dict[int, CycleSelection]:
     """Pick, per state, a positive cycle of at most ``|Q|`` transitions whose
     minimal prefix weight is maximal among all such cycles.
 
-    Runs a leveled Pareto dynamic program inside each strongly connected
-    component: after level ``l``, ``frontier[p]`` holds, for every state
-    reachable from the source, the undominated (pmin, weight) summaries over
-    paths of at most ``l`` transitions.  The cycle reported for a state is
+    A strongly connected component in which every state has exactly one
+    out-edge inside the component is one simple cycle, a ring.  The only
+    cycle of at most ``|comp|`` transitions through a state of a ring is
+    the ring rotated to start there (its powers are longer), so
+    `_select_ring` sets every selection in closed form: the rotated ring,
+    the ring's weight as period and its least prefix sum as pmin, or
+    nothing when the weight is below 1.  That is exactly what the program
+    below returns on a ring, where its frontier holds one path per level.
+    The guard split makes a ring of every multi-guard state with a
+    self-loop.
+
+    Every other component runs a leveled Pareto dynamic program: after
+    level ``l``, ``frontier[p]`` holds, for every state reachable from the
+    source, the undominated (pmin, weight) summaries over paths of at most
+    ``l`` transitions.  The cycle reported for a state is
     the one achieving the best pmin at the earliest level, which favours a
     single loop over its own powers (the powers only appear at later levels
     and never improve pmin).  Guards play no role here: selection reads
@@ -180,6 +215,9 @@ def select_cycles(v: Vass) -> dict[int, CycleSelection]:
         out_by_src: dict[int, list[tuple[int, int, int]]] = {q: [] for q in comp}
         for i, t in edges_in:
             out_by_src[t.src].append((i, t.dst, t.weight))
+        if all(len(out) == 1 for out in out_by_src.values()):
+            _select_ring(comp, out_by_src, selections)
+            continue
         levels = len(comp)
         for q in sorted(comp):
             # frontier[p]: undominated (-pmin, -weight, length, transitions)
@@ -235,20 +273,20 @@ def _cutoff_caps(v: Vass, sel: CycleSelection) -> set[int]:
     """Guard cut-off values at the cycle head: pumping from ``z`` rests on a
     guard iff ``z`` lies on a downward period-progression below some cap
     ``guard - offset`` taken over the guard occurrences along the cycle."""
-    states = v.path_states(sel.gamma)
-    weights = v.path_weights(sel.gamma)
     low = -sel.pmin
     caps = set()
-    prefix = 0
+    q, prefix = sel.gamma.start, 0
     # One occurrence per cycle position; the closing return to the head
     # repeats position 0 one period up and adds nothing new.
-    for i, q in enumerate(states[:-1]):
-        if i > 0:
-            prefix += weights[i - 1]
+    for ti in sel.gamma.transitions:
+        t = v.transitions[ti]
+        if t.src != q:
+            raise ModelError("path transitions are not contiguous")
         for g in v.guards[q]:
-            cap = g - prefix
-            if cap >= low:
-                caps.add(cap)
+            if g - prefix >= low:
+                caps.add(g - prefix)
+        q = t.dst
+        prefix += t.weight
     return caps
 
 

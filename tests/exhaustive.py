@@ -16,9 +16,12 @@ non-guard counter ``z`` from the floor up to 11 above it is in
 ``unbounded_core(analyze(...)).uset`` iff `oracle_unbounded` finds
 ``(q, z)`` unbounded.  The answers alone cannot show which chain maxima the
 round raised, since a query reaches the saturated set iff it reaches the
-seed set (`unbounded_core`, step (b)), and a NO runs no round at all.  It
-prints the counts and exits 1 on any disagreement or unknown oracle
-verdict.  It takes about two minutes, so pytest does not collect it; run
+seed set (`unbounded_core`, step (b)), and a NO runs no round at all.
+The split instance's `select_cycles` is also compared with the full
+leveled DP, `helpers.select_cycles_reference`: `oracle_unbounded` builds
+its pumping test from `select_cycles`, so the oracles share its ring
+branch and cannot arbitrate it.  It prints the counts and exits 1 on any
+disagreement or unknown oracle verdict.  It takes about two minutes, so pytest does not collect it; run
 it from the repository root with
 
     PYTHONPATH=src python tests/exhaustive.py
@@ -29,19 +32,19 @@ from __future__ import annotations
 import sys
 import time
 
-from helpers import oracle_queries, pareto_answer, small_instances
-from vass import (Configuration, analyze, normalize_guards, unbounded_core,
-                  with_start_counter)
+from helpers import (oracle_queries, pareto_answer, select_cycles_reference,
+                     small_instances)
+from vass import (Configuration, analyze, normalize_guards, select_cycles,
+                  unbounded_core, with_start_counter)
 from vass.oracle import oracle_unbounded
 
 SETS = ((1, 3, 3), (2, 2, 3), (3, 1, 2))  # (states, max weight, max edges)
 ABOVE_FLOOR = 12  # counters checked per pumpable state: floor .. floor + 11
 
 
-def membership(v):
+def membership(vn):
     """``(q, z, member, verdict)`` for every counter the set check tests in
-    the split instance of ``v``."""
-    vn = normalize_guards(v)
+    the split instance ``vn``."""
     core = unbounded_core(analyze(vn))
     for q, sa in sorted(core.analysis.states.items()):
         for z in range(sa.floor, sa.floor + ABOVE_FLOOR):
@@ -52,7 +55,7 @@ def membership(v):
 
 def main() -> int:
     t0 = time.perf_counter()
-    instances = unbounded = cover = lasso = members = 0
+    instances = unbounded = cover = lasso = members = selections = 0
     bad = []
     for n, max_weight, max_edges in SETS:
         for v in small_instances(n, max_weight, max_edges):
@@ -69,7 +72,12 @@ def main() -> int:
                     got = pareto_answer(v, query)
                     if got != (verdict.answer == "yes"):
                         bad.append((v, ("lasso",) + query, got, verdict.answer))
-            for q, z, member, verdict in membership(v):
+            vn = normalize_guards(v)
+            sels = select_cycles(vn)
+            selections += len(sels)
+            if sels != select_cycles_reference(vn):
+                bad.append((v, ("select_cycles",), sels, "the full DP"))
+            for q, z, member, verdict in membership(vn):
                 members += 1
                 if not verdict.definite or member != (verdict.answer == "yes"):
                     bad.append((v, ("member", q, z), member, verdict.answer))
@@ -77,7 +85,7 @@ def main() -> int:
         print(f"{query}: solver {answer}, oracle {want}: {v}")
     print(f"{instances} instances, {unbounded} unboundedness and {cover} "
           f"coverability queries, {lasso} of them also by the lasso test, "
-          f"{members} memberships, {len(bad)} "
+          f"{members} memberships, {selections} selections, {len(bad)} "
           f"disagreements or unknown verdicts, "
           f"{time.perf_counter() - t0:.0f} s")
     return 1 if bad else 0

@@ -109,16 +109,126 @@ def _elements_fed_to_prune(monkeypatch, v) -> int:
 
     monkeypatch.setattr(cycles, "_prune_frontier", counted)
     select_cycles(v)
-    assert fed > 0, "select_cycles no longer prunes through _prune_frontier"
+    monkeypatch.undo()
     return fed
 
 
-def test_selection_extends_only_new_frontier_elements(monkeypatch):
-    # the full leveled DP feeds 83,852 elements to the frontier prune on
-    # this anchor, re-extending every old element at every level
+def _chorded_cnf_anchor() -> Vass:
+    """`cnf_no_anchor` with a 0-weight chord in each of its two rings, from
+    the ring's least state to the state two steps on: no component is a
+    ring, so every selection runs the leveled DP."""
     v, _ = cnf_no_anchor()
+    chords = []
+    for comp in cycles._strongly_connected_components(v):
+        if len(comp) > 1:
+            q = min(comp)
+            (_, t), = v.out_edges(q)
+            (_, u), = v.out_edges(t.dst)
+            chords.append(Transition(q, u.dst, 0))
+    assert len(chords) == 2
+    return Vass(names=v.names, guards=v.guards,
+                transitions=v.transitions + tuple(chords))
+
+
+def test_selection_extends_only_new_frontier_elements(monkeypatch):
+    # the full leveled DP feeds 87,105 elements to the frontier prune on
+    # this graph, re-extending every old element at every level
+    v = _chorded_cnf_anchor()
     fed = _elements_fed_to_prune(monkeypatch, v)
-    assert fed < 10_000, fed
+    assert 0 < fed < 10_000, fed
+    assert select_cycles(v) == select_cycles_reference(v)
+
+
+def test_ring_components_run_no_leveled_dp(monkeypatch):
+    # both components of the NO anchor with a cycle are rings, of 26 and 40
+    # states: every selection is set in closed form
+    v, _ = cnf_no_anchor()
+    assert _elements_fed_to_prune(monkeypatch, v) == 0
+    sels = select_cycles(v)
+    assert len(sels) == 66
+    assert sels == select_cycles_reference(v)
+
+
+def _ring_text(weights) -> str:
+    """A ring ``r0 -> r1 -> ... -> r0`` with the given edge weights."""
+    n = len(weights)
+    return "".join(f"state r{k}\n" for k in range(n)) + "".join(
+        f"edge r{k} r{(k + 1) % n} {w}\n" for k, w in enumerate(weights))
+
+
+def test_ring_selection_on_handmade_rings(monkeypatch):
+    # weights below 1 select nothing; otherwise every state selects the
+    # rotated ring, its pmin the least prefix sum, the empty prefix included
+    for weights, pmins in (
+            ((0,), None), ((-2,), None), ((1,), (0,)), ((7,), (0,)),
+            ((1, -1), None), ((2, -3), None), ((0, 0, 0), None),
+            ((3, -5, 3), (-2, -5, 0)), ((-50, 1, 50), (-50, 0, 0)),
+            ((5, -100, 96), (-95, -100, 0)), ((0, 0, 1), (0, 0, 0)),
+            ((-1, -1, -1, 4), (-3, -2, -1, 0))):
+        v = parse_vass(_ring_text(weights))
+        assert _elements_fed_to_prune(monkeypatch, v) == 0, weights
+        sels = select_cycles(v)
+        assert sels == select_cycles_reference(v), weights
+        if pmins is None:
+            assert sels == {}, weights
+            continue
+        assert [sels[q].pmin for q in range(len(weights))] == list(pmins)
+        for q, sel in sels.items():
+            assert sel.period == sum(weights)
+            assert v.path_states(sel.gamma) == \
+                [(q + k) % len(weights) for k in range(len(weights) + 1)]
+
+
+def test_parallel_self_loops_take_the_leveled_dp(monkeypatch):
+    # one state with two self-loops has two out-edges in its component: not
+    # a ring; the DP picks the higher pmin, then the heavier loop
+    for loops, want in (("edge r0 r0 1\nedge r0 r0 2\n", 1),
+                        ("edge r0 r0 -1\nedge r0 r0 3\n", 1),
+                        ("edge r0 r0 -1\nedge r0 r0 -2\n", None)):
+        v = parse_vass("state r0\n" + loops)
+        assert _elements_fed_to_prune(monkeypatch, v) > 0
+        sels = select_cycles(v)
+        assert sels == select_cycles_reference(v), loops
+        assert (sels[0].gamma.transitions[0] if sels else None) == want
+
+
+def test_seeded_rings_match_full_dp(monkeypatch):
+    # rings of 1..12 states under a random numbering, with dips down to -40,
+    # entered from and leaving to acyclic states; half of them get a chord
+    rng = random.Random(30030)
+    rings = chorded = 0
+    for _ in range(300):
+        n, extra = rng.randint(1, 12), rng.randint(0, 4)
+        total = n + extra
+        ring = rng.sample(range(total), n)
+        # each outside state lies before the ring (rank 0) or after it
+        # (rank 2); edges never lead back to a lower rank, or within a rank
+        # to a lower state, and none joins two ring states, so the ring is
+        # a component of its own
+        rank = {q: 1 for q in ring}
+        rank.update((x, rng.choice((0, 2)))
+                    for x in set(range(total)) - set(ring))
+        edges = [Transition(ring[k], ring[(k + 1) % n],
+                            rng.choice((rng.randint(-3, 3), rng.randint(-40, 40))))
+                 for k in range(n)]
+        for x in range(total):
+            for y in range(total):
+                if (rank[x], x) < (rank[y], y) and rank[x] * rank[y] != 1 \
+                        and rng.random() < 0.3:
+                    edges.append(Transition(x, y, rng.randint(-5, 5)))
+        rng.shuffle(edges)
+        ring_only = rng.random() < 0.5
+        if not ring_only:
+            edges.append(Transition(rng.choice(ring), rng.choice(ring),
+                                    rng.randint(-5, 5)))
+        v = Vass(names=tuple(f"q{i}" for i in range(total)),
+                 guards=(frozenset(),) * total, transitions=tuple(edges))
+        fed = _elements_fed_to_prune(monkeypatch, v)
+        assert (fed == 0) == ring_only, v
+        assert select_cycles(v) == select_cycles_reference(v), v
+        rings += ring_only
+        chorded += not ring_only
+    assert rings > 100 and chorded > 100, (rings, chorded)
 
 
 def test_selection_stops_at_a_best_cycle_no_extension_can_beat(monkeypatch):
@@ -131,7 +241,7 @@ def test_selection_stops_at_a_best_cycle_no_extension_can_beat(monkeypatch):
              transitions=g.transitions + tuple(
                  Transition(q, q, 1) for q in range(g.n_states)))
     fed = _elements_fed_to_prune(monkeypatch, v)
-    assert fed < 200, fed
+    assert 0 < fed < 200, fed
     sels = select_cycles(v)
     assert all(len(s.gamma) == 1 and s.pmin == 0 for s in sels.values())
     assert sels == select_cycles_reference(v)
