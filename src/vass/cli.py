@@ -421,6 +421,7 @@ def _cmd_selftest(args) -> int:
     check("demo cycle data",
           sels[1].period == 6 and sels[1].pmin == -12 and sels[4].period == 9)
     core = fixpoint.unbounded_core(cycles.analyze(v))
+    core.uset.per_chain_max  # force every chain, so the status covers them all
     check("saturation completes", core.status == "complete")
     check("saturation agrees with the oracle on small counters",
           _selftest_membership(v, core))

@@ -10,14 +10,17 @@ run.  That round is already the fixpoint: exactly the set of unbounded
 configurations in the pumpable region (see `unbounded_core`).  Whatever
 reaches an added element reaches the seed too, so a decision first asks
 whether the source reaches the seed: a "no" is final, a source in the seed
-is unbounded, and only a later hit pays for the round
+is unbounded, and only a later hit asks the saturated set
 (`decide_unboundedness`).  Before any of that, a source whose counter can
 never leave 0 is answered NO with no analysis (`model.stuck_at_zero`).
-Reachability of a ``U`` is searched over arithmetic runs of configurations,
-each bounded chain crossed in one step (`_reach_uset`).  That one search,
-layered breadth first, also measures the depth of a YES: against the
-saturated set every configuration that reaches it is admitted as a
-one-element run at its true level.
+A chain's maximum depends on no other chain, so the saturated set raises
+each one on its first lookup, and a decision probes only the chains its
+searches touch; reading all the maxima runs the rest of the round
+(`CoreResult`).  Reachability of a ``U`` is searched over arithmetic runs
+of configurations, each bounded chain crossed in one step (`_reach_uset`).
+That one search, layered breadth first, also measures the depth of a YES:
+against the saturated set every configuration that reaches it is admitted
+as a one-element run at its true level.
 """
 
 from __future__ import annotations
@@ -34,17 +37,32 @@ from .model import Configuration, Vass
 DEFAULT_NODE_CAP = 500_000  # pieces per solve (see `Budget`)
 
 
-@dataclass(frozen=True)
 class USet:
     """Downward-closed-per-chain configuration set over a cycle analysis.
 
     Membership: every unbounded chain and trivial residue class implicitly,
     plus ``[chain.lo .. per_chain_max[chain]]`` for bounded chains.  With
     no maximum it is the saturation's seed set: exactly the unbounded chains.
+    `laps` reads a maximum only through `chain_max`, so the set of
+    `unbounded_core` can raise each one on its first lookup.
     """
 
-    analysis: CycleAnalysis
-    per_chain_max: dict = field(default_factory=dict)  # (state, lo) -> max
+    __slots__ = ("analysis", "_maxima")
+
+    def __init__(self, analysis: CycleAnalysis,
+                 per_chain_max: Optional[dict] = None):
+        self.analysis = analysis
+        self._maxima = {} if per_chain_max is None else per_chain_max
+
+    @property
+    def per_chain_max(self) -> dict:
+        """``(state, chain lo) -> max`` for each bounded chain with members."""
+        return self._maxima
+
+    def chain_max(self, q: int, w: int, lo: int, hi: int) -> Optional[int]:
+        """The maximum of the bounded chain ``lo, lo + w, ..., hi`` at
+        ``q``; ``None`` if it holds no member."""
+        return self._maxima.get((q, lo))
 
     def contains(self, c: Configuration) -> bool:
         """Is ``c`` a member?  The one-element run at ``c`` holds one."""
@@ -90,13 +108,13 @@ class USet:
             while True:
                 cap = caps[i]
                 if lo == cap:  # a cut-off: no lap from it
-                    if self.per_chain_max.get((q, cap)) == cap:
+                    if self.chain_max(q, w, cap, cap) == cap:
                         return None
                     out.append((cap, cap, step))
                     lo += step
                 else:
                     clo = class_floor(sa, lo % w) if i == 0 else caps[i - 1] + w
-                    m = self.per_chain_max.get((q, clo))
+                    m = self.chain_max(q, w, clo, cap - w)
                     if m is not None and lo <= m:
                         return None
                     out.append((lo, cap - w, w))
@@ -119,8 +137,8 @@ class Budget:
     """The node budget of one solve.
 
     `decide_unboundedness` makes one (and `unbounded_core`, called without
-    one); its seed probe, every probe of the round and the depth search
-    draw from it, one unit per piece (a run) they admit.  Once it is
+    one); its seed probe, every probe that raises a chain and the depth
+    search draw from it, one unit per piece (a run) they admit.  Once it is
     spent, each later probe answers "capped", so the cap bounds the work of
     the whole solve.
     """
@@ -252,7 +270,10 @@ def _reach_uset(
     ``u``, so it adds all its runs; later probes subtract the dead runs
     from theirs (and answer "no" at once from a dead start).  No run into
     ``u`` passes through a dead configuration, so the subtraction changes
-    no answer.  The memo is valid only while ``u`` is unchanged.
+    no answer.  The memo is valid only while ``u`` is unchanged; a run dead
+    against the seed set of `unbounded_core` is dead against its saturated
+    set too (step (c)), so the probes that raise its chains and the depth
+    search share one memo.
 
     Every piece admitted draws one unit from ``budget``; once it is spent
     the probe answers "capped" (at once, if it was spent before).
@@ -344,14 +365,17 @@ class SaturateOutcome:
     uset: USet
     added: dict      # (state, chain lo) -> the chain's new maximum
     truncated: bool
-    dead: RunSet     # runs whose closures miss the input set
 
 
-def saturate_step(u: USet, budget: Budget) -> SaturateOutcome:
+def saturate_step(u: USet, budget: Budget, chains: Optional[list] = None,
+                  dead: Optional[RunSet] = None) -> SaturateOutcome:
     """One synchronous round over the instance and analysis ``u`` holds:
-    against the frozen ``u``, raise the maximum of every bounded chain to
-    its largest element that reaches ``u``, which closes downward soundly
-    because lower chain elements pump up to it.
+    against the frozen ``u``, raise the maximum of each bounded chain of
+    ``chains`` to its largest element that reaches ``u``, which closes
+    downward soundly because lower chain elements pump up to it.
+    ``chains`` lists ``(state, period, lo, hi)`` bounds as `chain_bounds`
+    yields them; ``None`` walks every chain of `chain_bounds`, skipping the
+    unbounded tails, which lie in every ``USet``; no `Chain` is built.
     The result always contains ``u``: a raised maximum lies above the old
     one, so the new maxima simply overwrite the old (``added``).
 
@@ -362,21 +386,21 @@ def saturate_step(u: USet, budget: Budget) -> SaturateOutcome:
     ends the chain for the round.  After a hit it probes the top, and if
     that misses, bisects between the two for the last element that hits.
     A "capped" probe counts as a miss and marks the round ``truncated``.
-    The chains are walked as plain bounds (`chain_bounds`), skipping the
-    unbounded tails, which lie in every ``USet``; no `Chain` is built.
 
     The probes of a round share one dead run set (see `_reach_uset`): the
     runs of a "no" cover a finite closure that misses ``u``, so later
     probes of the round subtract them from their own runs, and a candidate
-    that is already dead is skipped without a probe.  The set is made
-    fresh here, against the frozen ``u``, and returned as ``dead``; when
-    ``u`` is the seed set it holds for ``uset`` too (see
-    `unbounded_core`).  The probes draw from ``budget``.
+    that is already dead is skipped without a probe.  The set is ``dead``,
+    which must hold only runs whose closures miss ``u``, or a fresh one,
+    and the probes add their own to it.  When ``u`` is the seed set it
+    holds for ``uset`` too (see `unbounded_core`).  The probes draw from
+    ``budget``.
     """
     v = u.analysis.vass
     truncated = False
     additions: dict[tuple[int, int], int] = {}
-    dead = RunSet(v.n_states)
+    if dead is None:
+        dead = RunSet(v.n_states)
 
     def hits(q: int, x: int) -> bool:
         nonlocal truncated
@@ -387,7 +411,8 @@ def saturate_step(u: USet, budget: Budget) -> SaturateOutcome:
         return status == "hit"
 
     chain_max = u.per_chain_max
-    for q, w, clo, chi in chain_bounds(u.analysis):
+    for q, w, clo, chi in (chain_bounds(u.analysis) if chains is None
+                           else chains):
         if chi is None:
             continue
         cmax = chain_max.get((q, clo))
@@ -407,19 +432,85 @@ def saturate_step(u: USet, budget: Budget) -> SaturateOutcome:
         additions[(q, clo)] = x
 
     return SaturateOutcome(USet(u.analysis, {**chain_max, **additions}),
-                           additions, truncated, dead)
+                           additions, truncated)
+
+
+class _OnDemandSet(USet):
+    """The ``U`` of `unbounded_core`, each bounded chain's maximum raised
+    by `saturate_step` against the seed set on its first lookup.
+
+    ``resolved`` maps each chain raised so far to its maximum (``None`` if
+    no element reaches the seed set); ``truncated`` says whether one of
+    their probes was cut.  Both describe only the probes run so far.
+    Reading `per_chain_max` raises every chain not yet resolved, in
+    `chain_bounds` order, which is the whole round when none was.  Every
+    probe draws from ``budget`` and shares ``dead``.
+    """
+
+    __slots__ = ("seed", "budget", "dead", "resolved", "truncated", "_forced")
+
+    def __init__(self, analysis: CycleAnalysis, budget: Budget):
+        super().__init__(analysis)
+        self.seed = USet(analysis)
+        self.budget = budget
+        self.dead = RunSet(analysis.vass.n_states)
+        self.resolved: dict = {}
+        self.truncated = False
+        self._forced = False
+
+    def chain_max(self, q: int, w: int, lo: int, hi: int) -> Optional[int]:
+        key = (q, lo)
+        if key not in self.resolved:
+            self._raise([(q, w, lo, hi)])
+        return self.resolved[key]
+
+    @property
+    def per_chain_max(self) -> dict:
+        if not self._forced:
+            self._forced = True
+            rest = [(q, w, lo, hi)
+                    for q, w, lo, hi in chain_bounds(self.analysis)
+                    if hi is not None and (q, lo) not in self.resolved]
+            if rest:
+                self._raise(rest)
+            self._maxima = {key: m for key, m in self.resolved.items()
+                            if m is not None}
+        return self._maxima
+
+    def _raise(self, chains: list) -> None:
+        out = saturate_step(self.seed, self.budget, chains, self.dead)
+        self.truncated = self.truncated or out.truncated
+        for q, _, lo, _ in chains:
+            self.resolved[(q, lo)] = out.added.get((q, lo))
 
 
 @dataclass(frozen=True)
 class CoreResult:
-    uset: USet
-    status: str   # "complete" | "incomplete"
-    dead: RunSet  # dead runs of the round: their closures miss ``uset``
+    """The saturated set of `unbounded_core`, resolved on demand.
+
+    ``uset`` raises a chain's maximum on its first lookup.  Reading
+    ``uset.per_chain_max`` or `rounds` forces the core: it raises every
+    chain not yet resolved.  `status` and `dead` describe only the probes
+    run so far, so a completeness check forces the core first.
+    """
+
+    uset: _OnDemandSet
 
     @property
     def analysis(self) -> CycleAnalysis:
         """The cycle analysis the set was built on."""
         return self.uset.analysis
+
+    @property
+    def status(self) -> str:
+        """``"incomplete"`` if a probe run so far was cut, else
+        ``"complete"``."""
+        return "incomplete" if self.uset.truncated else "complete"
+
+    @property
+    def dead(self) -> RunSet:
+        """The dead runs of the probes so far: their closures miss ``U``."""
+        return self.uset.dead
 
     @property
     def rounds(self) -> list:
@@ -436,9 +527,9 @@ class CoreResult:
 
 def unbounded_core(analysis: CycleAnalysis,
                    budget: Optional[Budget] = None) -> CoreResult:
-    """Saturate ``analysis``, of a single-guard instance, to the set of
-    unbounded configurations in the pumpable region in one round of
-    `saturate_step` from the seed set.
+    """The set of unbounded configurations in the pumpable region of
+    ``analysis``, of a single-guard instance: one round of `saturate_step`
+    from the seed set, each chain raised when it is first looked up.
 
     One round is the fixpoint.  A bounded chain holds no guard cut-off
     except as a singleton chain, so from any element ``z`` of a chain one
@@ -450,6 +541,9 @@ def unbounded_core(analysis: CycleAnalysis,
         reaches the seed set.  Those elements are a prefix, since whatever
         ``z + W`` reaches ``z`` reaches too; the round probes the lowest
         element first, and its bisection between a hit and a miss is exact.
+        A chain's prefix depends on no other chain, so the chains can be
+        raised one at a time, in any order, each when it is first looked
+        up, and every lookup returns the exact maximum.
     (b) A second round adds nothing: an element added in (a) reaches the
         seed set, so a chain element that reaches an added one reaches the
         seed set too, and (a) already added it.
@@ -460,17 +554,16 @@ def unbounded_core(analysis: CycleAnalysis,
 
     By (b) a configuration reaches the final set iff it reaches the seed
     set, which is how `decide_unboundedness` answers NO without a round.
-    The probes draw from ``budget``: a decision passes the one its seed
-    probe drew from, and ``None`` makes a fresh one of `DEFAULT_NODE_CAP`
-    pieces.  A spent budget degrades the status to
-    "incomplete"; the set itself stays sound.
+    The result runs no probe until it is asked (see `CoreResult`).  The
+    probes draw from ``budget``: a decision passes the one its seed probe
+    drew from, and ``None`` makes a fresh one of `DEFAULT_NODE_CAP`
+    pieces.  A spent budget degrades the status to "incomplete"; the set
+    itself stays sound.
     """
     _require_normalized(analysis.vass)
     if budget is None:
         budget = Budget(DEFAULT_NODE_CAP)
-    out = saturate_step(USet(analysis), budget)
-    return CoreResult(out.uset, "incomplete" if out.truncated else "complete",
-                      out.dead)
+    return CoreResult(_OnDemandSet(analysis, budget))
 
 
 @dataclass(frozen=True)
@@ -482,14 +575,20 @@ class Decision:
     counter stuck at 0).  ``analysis`` is the cycle analysis of the split
     instance.  A decision that ran none makes it on first read, so a caller
     that wants the saturation of an answer settled without one (``check
-    --emit-trace``) runs it once, under ``budget``."""
+    --emit-trace``) runs it once, under ``budget``.
+
+    ``core`` holds only the chains the decision looked up.  Reading its
+    ``uset.per_chain_max`` or ``rounds`` forces it under ``budget``;
+    ``core.status`` and ``core.dead`` describe the probes run so far, and
+    ``status`` and ``answer`` already account for every one the decision
+    ran."""
 
     answer: Optional[bool]      # None: could not decide under the caps
     status: str                 # "complete" | "incomplete"
     reason: str
     vass: Vass                  # the instance solved
     budget: Budget              # the node budget of the solve
-    core: Optional[CoreResult]  # the saturation; None unless the round ran
+    core: Optional[CoreResult]  # the saturated set; None unless a later hit
     _analysis: Optional[CycleAnalysis] = field(
         default=None, repr=False, compare=False)
 
@@ -522,14 +621,17 @@ def decide_unboundedness(v: Vass, s: int) -> Decision:
     it reaches the seed set, so one run search against the seed decides:
     a "no" answers NO with no saturation.  A hit at depth 0 makes the source
     a member of the seed set, which lies in ``U``: "initial configuration is
-    unbounded", with no saturation either.  Only a later hit saturates.  A
-    source in the saturated set is "initial configuration is unbounded";
-    from any other, the same run search against the saturated set gives the
-    number of steps, which is exact (see `_reach_uset`).  ``Decision.core``
-    is ``None`` unless the round ran.  One `Budget` serves the seed probe,
-    the round and the depth search.  A round is cut only when that budget
-    is spent, so after a cut round the depth search answers "capped" at
-    once: no depth is measured against a cut set.
+    unbounded", with no saturation either.  Only a later hit asks the
+    saturated set of `unbounded_core`, which raises just the chains the
+    membership test and the search look up.  A source in the saturated set
+    is "initial configuration is unbounded"; from any other, the same run
+    search against the saturated set gives the number of steps, which is
+    exact (see `_reach_uset`).  ``Decision.core`` is ``None`` unless the
+    saturated set was asked.  One `Budget` serves the seed probe, the probes
+    that raise chains and the depth search.  A chain is cut only when that
+    budget is spent; the depth search then answers "capped" at its next
+    piece, and a cut chain makes the answer UNKNOWN whatever the search
+    found: no depth is measured against a cut set.
     """
     model.require_states(v, model.UNKNOWN_SOURCE, s)
     budget = Budget(DEFAULT_NODE_CAP)
@@ -554,7 +656,9 @@ def decide_unboundedness(v: Vass, s: int) -> Decision:
         if core.uset.contains(c):
             return decision(True, "initial configuration is unbounded")
         status, depth = _reach_uset(core.uset, c, budget, core.dead)
-        if status == "no":  # the seed is a subset of the saturated set
+        if core.status == "incomplete":  # a chain it looked up was cut
+            status = "capped"
+        elif status == "no":  # the seed is a subset of the saturated set
             raise AssertionError("the search missed the core it reached")
     if status == "no":
         return decision(False, "reachable set is finite")

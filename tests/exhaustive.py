@@ -17,6 +17,9 @@ non-guard counter ``z`` from the floor up to 11 above it is in
 ``(q, z)`` unbounded.  The answers alone cannot show which chain maxima the
 round raised, since a query reaches the saturated set iff it reaches the
 seed set (`unbounded_core`, step (b)), and a NO runs no round at all.
+The membership tests raise only the chains they look up; each core is then
+forced and its ``per_chain_max`` compared with a fresh eager round,
+`saturate_step` over every chain from the seed set.
 The split instance's `select_cycles` is also compared with the full
 leveled DP, `helpers.select_cycles_reference`: `oracle_unbounded` builds
 its pumping test from `select_cycles`, so the oracles share its ring
@@ -34,18 +37,20 @@ import time
 
 from helpers import (oracle_queries, pareto_answer, select_cycles_reference,
                      small_instances)
-from vass import (Configuration, analyze, normalize_guards, select_cycles,
-                  unbounded_core, with_start_counter)
+from vass import (Configuration, USet, analyze, normalize_guards,
+                  saturate_step, select_cycles, unbounded_core,
+                  with_start_counter)
+from vass.fixpoint import DEFAULT_NODE_CAP, Budget
 from vass.oracle import oracle_unbounded
 
 SETS = ((1, 3, 3), (2, 2, 3), (3, 1, 2))  # (states, max weight, max edges)
 ABOVE_FLOOR = 12  # counters checked per pumpable state: floor .. floor + 11
 
 
-def membership(vn):
+def membership(core):
     """``(q, z, member, verdict)`` for every counter the set check tests in
-    the split instance ``vn``."""
-    core = unbounded_core(analyze(vn))
+    the split instance of ``core``."""
+    vn = core.analysis.vass
     for q, sa in sorted(core.analysis.states.items()):
         for z in range(sa.floor, sa.floor + ABOVE_FLOOR):
             if z not in vn.guards[q]:
@@ -53,9 +58,15 @@ def membership(vn):
                        oracle_unbounded(*with_start_counter(vn, z, q)))
 
 
+def eager_round(analysis) -> tuple[dict, bool]:
+    """``(per_chain_max, truncated)`` of one round over every chain."""
+    out = saturate_step(USet(analysis), Budget(DEFAULT_NODE_CAP))
+    return out.uset.per_chain_max, out.truncated
+
+
 def main() -> int:
     t0 = time.perf_counter()
-    instances = unbounded = cover = lasso = members = selections = 0
+    instances = unbounded = cover = lasso = members = selections = cores = 0
     bad = []
     for n, max_weight, max_edges in SETS:
         for v in small_instances(n, max_weight, max_edges):
@@ -77,16 +88,22 @@ def main() -> int:
             selections += len(sels)
             if sels != select_cycles_reference(vn):
                 bad.append((v, ("select_cycles",), sels, "the full DP"))
-            for q, z, member, verdict in membership(vn):
+            core = unbounded_core(analyze(vn))
+            for q, z, member, verdict in membership(core):
                 members += 1
                 if not verdict.definite or member != (verdict.answer == "yes"):
                     bad.append((v, ("member", q, z), member, verdict.answer))
+            maxima, truncated = eager_round(core.analysis)
+            forced = (core.uset.per_chain_max, core.status == "incomplete")
+            cores += 1
+            if forced != (maxima, truncated) or truncated:
+                bad.append((v, ("per_chain_max",), forced, maxima))
     for v, query, answer, want in bad[:20]:
         print(f"{query}: solver {answer}, oracle {want}: {v}")
     print(f"{instances} instances, {unbounded} unboundedness and {cover} "
           f"coverability queries, {lasso} of them also by the lasso test, "
-          f"{members} memberships, {selections} selections, {len(bad)} "
-          f"disagreements or unknown verdicts, "
+          f"{members} memberships, {cores} forced cores, {selections} "
+          f"selections, {len(bad)} disagreements or unknown verdicts, "
           f"{time.perf_counter() - t0:.0f} s")
     return 1 if bad else 0
 

@@ -222,6 +222,7 @@ def decide_config_reference(analysis: CycleAnalysis, c: Configuration
     budget = fixpoint.Budget(fixpoint.DEFAULT_NODE_CAP)
     core = fixpoint.unbounded_core(analysis, budget)
     u = core.uset
+    u.per_chain_max  # the whole round first, before the source is asked
     if not u.analysis.vass.is_valid(c):
         return (False, "complete", "initial configuration is invalid")
     if u.contains(c):

@@ -319,6 +319,44 @@ def test_one_round_is_the_fixpoint():
     assert len(cases) > 5000 and adding > 50, (len(cases), adding)
 
 
+def test_lazy_maxima_equal_the_eager_round():
+    # a chain's maximum against the seed set depends on no other chain, so
+    # each maximum a solve raises on demand, in whatever order, equals that
+    # of the round that raises every chain in chain_bounds order (a fresh
+    # core, forced); and so does the solve's core once forced
+    solves = resolved = raised = 0
+    for v in _memo_instances(350) + multi_guard_instances(350):
+        for s in range(v.n_states):
+            for dec in (decide_unboundedness(v, s),
+                        decide_coverability(v, s, v.n_states - 1)):
+                if dec.core is None:
+                    continue
+                eager = unbounded_core(dec.analysis)
+                want = eager.uset.per_chain_max
+                for key, m in dec.core.uset.resolved.items():
+                    assert want.get(key) == m, (v, s, key)
+                    resolved += 1
+                    raised += m is not None
+                core = dec.core
+                assert (core.uset.per_chain_max, core.rounds, core.status) == (
+                    want, eager.rounds, eager.status), (v, s)
+                solves += 1
+    # every chain looked up one by one, last chain first
+    chains = raised_alone = 0
+    for v in _memo_instances(350):
+        ana = analyze(v)
+        core, want = unbounded_core(ana), unbounded_core(ana).uset.per_chain_max
+        bounded = [ch for ch in chain_bounds(ana) if ch[3] is not None]
+        for q, w, lo, hi in reversed(bounded):
+            m = core.uset.chain_max(q, w, lo, hi)
+            assert m == want.get((q, lo)), v
+            chains += 1
+            raised_alone += m is not None
+        assert core.uset.per_chain_max == want and core.status == "complete"
+    assert solves > 900 and resolved > 100 and raised > 100, (solves, resolved)
+    assert chains > 600 and 200 < raised_alone < chains - 200, chains
+
+
 def test_two_state_slice_matches_both_oracles():
     """From each state of every instance of the two-state slice: the
     unboundedness decision against `oracle_unbounded`, and coverability of
@@ -383,8 +421,10 @@ def _memo_walk(v, u):
 
 
 def _solve(v):
-    """The core of ``v`` and the answer from ``(s, 0)`` for every state."""
+    """The core of ``v``, forced, and the answer from ``(s, 0)`` for every
+    state."""
     core = unbounded_core(analyze(v))
+    core.uset.per_chain_max  # force every chain now, under the caller's patches
     answers = [decide_unboundedness(v, s).answer for s in range(v.n_states)]
     return core, answers
 
@@ -480,6 +520,7 @@ def test_dead_set_misses_the_final_set():
     checked = 0
     for v in _memo_instances(300):
         core = unbounded_core(analyze(v))
+        core.uset.per_chain_max  # force every chain: status and dead cover all
         if core.status != "complete":
             continue
         for c in configurations(core.dead):
@@ -581,14 +622,19 @@ def test_one_budget_bounds_the_whole_solve(monkeypatch):
     dec = decide_unboundedness(*cnf_no_anchor())
     assert (dec.answer, dec.status, dec.core) == (None, "incomplete", None)
     assert dec.budget.spent == 100
-    # the YES anchor's seed probe hits in 2 pieces, and the cap then cuts
-    # the round (the whole solve takes 1,330 pieces); the depth search
-    # finds the budget spent, so no depth is reported
-    monkeypatch.setattr(fixpoint, "DEFAULT_NODE_CAP", 1000)
-    dec = decide_unboundedness(*cnf_yes_anchor())
-    assert dec.answer is None and dec.status == "incomplete"
-    assert dec.reason == "node cap exhausted"
-    assert dec.core.status == "incomplete" and dec.budget.spent <= 1000
+    # from the demo's initial state the depth search looks up one bounded
+    # chain after 36 pieces, and raising it to its maximum 54 takes 42 more
+    # (the whole solve takes 78).  A cap of 50 cuts its lowest probe, so the
+    # chain counts as holding no member; a cap of 75 cuts its bisection, so
+    # it keeps only 12, and the search then finds a member at depth 1 anyway.
+    # Either way no depth is reported against the cut set
+    for cap, cut_max in ((50, None), (75, 12)):
+        monkeypatch.setattr(fixpoint, "DEFAULT_NODE_CAP", cap)
+        dec = decide_unboundedness(instances.demo_guarded(), 0)
+        assert dec.answer is None and dec.status == "incomplete"
+        assert dec.reason == "node cap exhausted"
+        assert dec.core.status == "incomplete" and dec.budget.spent <= cap
+        assert list(dec.core.uset.resolved.values()) == [cut_max]
 
 
 def test_probe_work_does_not_grow_with_the_guard(monkeypatch):
@@ -633,9 +679,31 @@ def test_cnf_anchor_work_count(monkeypatch):
     assert (probes, dec.budget.spent) == (1, 132)
 
 
+def test_cnf_yes_anchor_work_count(monkeypatch):
+    # the YES takes the seed probe and the depth search, 4 pieces in all,
+    # and raises none of its 1,352 bounded chains: the whole solve took
+    # 1,330 pieces when the round ran for the depth
+    v, s = cnf_yes_anchor()
+    probes = 0
+    search = fixpoint._reach_uset
+
+    def counted(*args):
+        nonlocal probes
+        probes += 1
+        return search(*args)
+
+    monkeypatch.setattr(fixpoint, "_reach_uset", counted)
+    dec = decide_unboundedness(v, s)
+    assert dec.answer is True and dec.status == "complete"
+    assert dec.reason == "reaches the unbounded core in 2 steps"
+    assert (probes, dec.budget.spent, len(dec.core.uset.resolved)) == (2, 4, 0)
+    assert len(list(fixpoint.bounded_chains(dec.analysis))) == 1352
+
+
 def test_a_no_from_the_seed_set_runs_no_round(monkeypatch):
     # whatever reaches the saturated set reaches the seed set, so a NO
-    # needs no round; a YES runs the one round, for the depth
+    # needs no round; a YES raises only the chains its depth search looks
+    # up, and the YES anchor's looks up none
     rounds = 0
     step = fixpoint.saturate_step
 
@@ -650,7 +718,7 @@ def test_a_no_from_the_seed_set_runs_no_round(monkeypatch):
     assert rounds == 0
     dec = decide_unboundedness(*cnf_yes_anchor())
     assert dec.answer is True and dec.core.status == "complete"
-    assert rounds == 1
+    assert rounds == 0 and len(dec.core.uset.resolved) == 0
 
 
 def test_a_seed_member_or_a_stuck_source_runs_no_round(monkeypatch):
