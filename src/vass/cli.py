@@ -161,6 +161,8 @@ def _cmd_check(args) -> int:
 
 def _trace_json(core: fixpoint.CoreResult) -> dict:
     names = core.analysis.vass.names
+    # reading the rounds forces the core, so the status below covers every
+    # chain; read before it, the status would cover only the probes run so far
     rounds = [{names[q]: vals for q, vals in sorted(r.items())}
               for r in core.rounds]
     maxima = {}

@@ -367,17 +367,16 @@ class SaturateOutcome:
     truncated: bool
 
 
-def saturate_step(u: USet, budget: Budget, chains: Optional[list] = None,
-                  dead: Optional[RunSet] = None) -> SaturateOutcome:
+def saturate_step(u: USet, budget: Budget, chains: list,
+                  dead: RunSet) -> SaturateOutcome:
     """One synchronous round over the instance and analysis ``u`` holds:
     against the frozen ``u``, raise the maximum of each bounded chain of
     ``chains`` to its largest element that reaches ``u``, which closes
     downward soundly because lower chain elements pump up to it.
-    ``chains`` lists ``(state, period, lo, hi)`` bounds as `chain_bounds`
-    yields them; ``None`` walks every chain of `chain_bounds`, skipping the
-    unbounded tails, which lie in every ``USet``; no `Chain` is built.
-    The result always contains ``u``: a raised maximum lies above the old
-    one, so the new maxima simply overwrite the old (``added``).
+    ``chains`` lists bounded ``(state, period, lo, hi)`` bounds as
+    `chain_bounds` yields them; no `Chain` is built.  The result always
+    contains ``u``: a raised maximum lies above the old one, so the new
+    maxima simply overwrite the old (``added``).
 
     The elements of a chain that reach ``u`` form a prefix of it: one lap
     of the reference cycle validly takes an element ``z`` to ``z + W`` (see
@@ -387,20 +386,17 @@ def saturate_step(u: USet, budget: Budget, chains: Optional[list] = None,
     that misses, bisects between the two for the last element that hits.
     A "capped" probe counts as a miss and marks the round ``truncated``.
 
-    The probes of a round share one dead run set (see `_reach_uset`): the
-    runs of a "no" cover a finite closure that misses ``u``, so later
-    probes of the round subtract them from their own runs, and a candidate
-    that is already dead is skipped without a probe.  The set is ``dead``,
-    which must hold only runs whose closures miss ``u``, or a fresh one,
-    and the probes add their own to it.  When ``u`` is the seed set it
-    holds for ``uset`` too (see `unbounded_core`).  The probes draw from
-    ``budget``.
+    The probes share the dead run set ``dead`` (see `_reach_uset`), which
+    must hold only runs whose closures miss ``u``: the runs of a "no" cover
+    a finite closure that misses ``u``, so the probes add their own to it,
+    later probes subtract them from their own runs, and a candidate that
+    is already dead is skipped without a probe.  When ``u`` is the seed
+    set they miss the saturated set too (see `unbounded_core`).  The
+    probes draw from ``budget``.
     """
     v = u.analysis.vass
     truncated = False
     additions: dict[tuple[int, int], int] = {}
-    if dead is None:
-        dead = RunSet(v.n_states)
 
     def hits(q: int, x: int) -> bool:
         nonlocal truncated
@@ -411,10 +407,7 @@ def saturate_step(u: USet, budget: Budget, chains: Optional[list] = None,
         return status == "hit"
 
     chain_max = u.per_chain_max
-    for q, w, clo, chi in (chain_bounds(u.analysis) if chains is None
-                           else chains):
-        if chi is None:
-            continue
+    for q, w, clo, chi in chains:
         cmax = chain_max.get((q, clo))
         first_missing = clo if cmax is None else cmax + w
         if first_missing > chi or not hits(q, first_missing):

@@ -19,7 +19,7 @@ round raised, since a query reaches the saturated set iff it reaches the
 seed set (`unbounded_core`, step (b)), and a NO runs no round at all.
 The membership tests raise only the chains they look up; each core is then
 forced and its ``per_chain_max`` compared with a fresh eager round,
-`saturate_step` over every chain from the seed set.
+`helpers.eager_round`: `saturate_step` over every chain from the seed set.
 The split instance's `select_cycles` is also compared with the full
 leveled DP, `helpers.select_cycles_reference`: `oracle_unbounded` builds
 its pumping test from `select_cycles`, so the oracles share its ring
@@ -35,11 +35,10 @@ from __future__ import annotations
 import sys
 import time
 
-from helpers import (oracle_queries, pareto_answer, select_cycles_reference,
-                     small_instances)
+from helpers import (eager_round, oracle_queries, pareto_answer,
+                     select_cycles_reference, small_instances)
 from vass import (Configuration, USet, analyze, normalize_guards,
-                  saturate_step, select_cycles, unbounded_core,
-                  with_start_counter)
+                  select_cycles, unbounded_core, with_start_counter)
 from vass.fixpoint import DEFAULT_NODE_CAP, Budget
 from vass.oracle import oracle_unbounded
 
@@ -58,9 +57,9 @@ def membership(core):
                        oracle_unbounded(*with_start_counter(vn, z, q)))
 
 
-def eager_round(analysis) -> tuple[dict, bool]:
-    """``(per_chain_max, truncated)`` of one round over every chain."""
-    out = saturate_step(USet(analysis), Budget(DEFAULT_NODE_CAP))
+def fresh_round(analysis) -> tuple[dict, bool]:
+    """``(per_chain_max, truncated)`` of one eager round over every chain."""
+    out = eager_round(USet(analysis), Budget(DEFAULT_NODE_CAP))
     return out.uset.per_chain_max, out.truncated
 
 
@@ -93,7 +92,7 @@ def main() -> int:
                 members += 1
                 if not verdict.definite or member != (verdict.answer == "yes"):
                     bad.append((v, ("member", q, z), member, verdict.answer))
-            maxima, truncated = eager_round(core.analysis)
+            maxima, truncated = fresh_round(core.analysis)
             forced = (core.uset.per_chain_max, core.status == "incomplete")
             cores += 1
             if forced != (maxima, truncated) or truncated:

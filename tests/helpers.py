@@ -18,6 +18,7 @@ from vass.cycles import (
     CycleSelection,
     StateAnalysis,
     _strongly_connected_components,
+    chain_bounds,
     class_floor,
 )
 from vass.fixpoint import RunSet, USet
@@ -147,6 +148,15 @@ def added_values(u: USet, out: fixpoint.SaturateOutcome) -> dict:
     return {q: sorted(vals) for q, vals in added.items()}
 
 
+def eager_round(u: USet, budget: fixpoint.Budget) -> fixpoint.SaturateOutcome:
+    """One `saturate_step` round from ``u`` over every bounded chain of its
+    analysis, in `chain_bounds` order, with a fresh dead run set: the round
+    a forced `unbounded_core` runs from the seed set."""
+    chains = [b for b in chain_bounds(u.analysis) if b[3] is not None]
+    return fixpoint.saturate_step(u, budget, chains,
+                                  RunSet(u.analysis.vass.n_states))
+
+
 def unbounded_core_reference(v: Vass) -> tuple[dict, list, str]:
     """The saturation loop of `fixpoint.unbounded_core` before one round was
     shown to be the fixpoint, frozen: rounds of `saturate_step` from the
@@ -158,7 +168,7 @@ def unbounded_core_reference(v: Vass) -> tuple[dict, list, str]:
     rounds: list = []
     truncated = False
     while True:
-        out = fixpoint.saturate_step(u, budget)
+        out = eager_round(u, budget)
         truncated = truncated or out.truncated
         if not out.added:
             break

@@ -18,7 +18,6 @@ from vass import (
     normalize_guards_with_maps,
     objective_contains,
     parse_vass,
-    saturate_step,
     unbounded_core,
 )
 from vass.cycles import Chain
@@ -34,6 +33,7 @@ from helpers import (
     decide_config_reference,
     decompose_objectives,
     defect_stats,
+    eager_round,
     gen_vass,
     members_at,
     multi_guard_instances,
@@ -117,7 +117,7 @@ def test_membership_in_prescribed_first_round_set(demo):
 
 def test_membership_in_computed_first_round_set(demo):
     ana = analyze(demo)
-    out = saturate_step(USet(ana), _budget())
+    out = eager_round(USet(ana), _budget())
     assert out.uset.contains(Configuration(4, 54))
     assert not out.uset.contains(Configuration(4, 72))
 
@@ -167,7 +167,7 @@ def test_demo_first_round_additions_verified_by_oracle(demo):
     superset of the four values the historical walkthrough lists."""
     ana = analyze(demo)
     u = USet(ana)
-    out = saturate_step(u, _budget())
+    out = eager_round(u, _budget())
     added = {demo.names[q]: vals
              for q, vals in added_values(u, out).items()}
     assert added["s4"] == [54, 57, 60, 63, 66, 69, 75, 78, 84, 87, 93, 96]
@@ -185,7 +185,7 @@ def test_demo_saturation_is_monotone_and_prefix_closed(demo):
     ana = analyze(demo)
     u = USet(ana)
     for _ in range(3):
-        out = saturate_step(u, _budget())
+        out = eager_round(u, _budget())
         assert set(u.per_chain_max) <= set(out.uset.per_chain_max)
         for key, m in u.per_chain_max.items():
             assert out.uset.per_chain_max[key] >= m
@@ -196,6 +196,7 @@ def test_demo_saturation_is_monotone_and_prefix_closed(demo):
 
 def test_demo_fixpoint_matches_oracle_everywhere(demo):
     core = unbounded_core(analyze(demo))
+    core.uset.per_chain_max  # force every chain, so the status covers them all
     assert core.status == "complete"
     for q in sorted(core.analysis.states):
         sa = core.analysis.states[q]
@@ -244,6 +245,7 @@ def _bisection_instance():
 def test_saturation_finds_a_chain_maximum_in_one_round():
     v = _bisection_instance()
     core = unbounded_core(analyze(v))
+    core.uset.per_chain_max  # force every chain, so the status covers them all
     assert core.status == "complete"
     assert [r for r in core.rounds] == [{0: [5, 15, 25]}]
     assert core.uset.per_chain_max[(0, 5)] == 25
@@ -261,7 +263,7 @@ def test_round_maximum_is_the_last_hit_of_a_prefix():
         ana = analyze(v)
         u = USet(ana)
         while True:
-            out = saturate_step(u, _budget())
+            out = eager_round(u, _budget())
             if out.truncated:
                 break
             walk = _memo_walk(v, u)
@@ -289,6 +291,7 @@ def test_stable_round_is_the_fixpoint():
     for _ in range(300):
         v = normalize_guards(gen_vass(rng, multi_guards=True))
         core = unbounded_core(analyze(v))
+        core.uset.per_chain_max  # force every chain, so the status covers them all
         if core.status != "complete":
             continue
         for ch in fixpoint.bounded_chains(core.analysis):
@@ -311,8 +314,9 @@ def test_one_round_is_the_fixpoint():
     adding = 0
     for v in cases:
         core = unbounded_core(analyze(v))
+        core.uset.per_chain_max  # force every chain, so the status covers them all
         assert core.status == "complete", v
-        assert not saturate_step(core.uset, _budget()).added, v
+        assert not eager_round(core.uset, _budget()).added, v
         assert (core.uset.per_chain_max, core.rounds,
                 core.status) == unbounded_core_reference(v), v
         adding += bool(core.rounds)
@@ -594,6 +598,7 @@ def test_run_search_matches_the_explicit_walk():
              + _dense_guard_instances(150))
     for v in cases:
         core = unbounded_core(analyze(v))
+        core.uset.per_chain_max  # force every chain, so the status covers them all
         if core.status != "complete":
             continue
         for u in (USet(core.analysis), core.uset):
@@ -798,7 +803,7 @@ def test_defect_bounds_on_random_suite():
                 assert size <= v.n_states * missing
             for (_q, _r), size in stats.per_class.items():
                 assert size <= wc.defect_bound
-            out = saturate_step(u, _budget())
+            out = eager_round(u, _budget())
             if not out.added:
                 break
             u = out.uset
@@ -933,6 +938,7 @@ def test_random_fixpoint_membership_matches_oracle():
     for _ in range(50):
         v = gen_vass(rng, max_states=5, max_weight=4, max_guard=25)
         core = unbounded_core(analyze(v))
+        core.uset.per_chain_max  # force every chain, so the status covers them all
         if core.status != "complete":
             continue
         for q in sorted(core.analysis.states):
