@@ -166,7 +166,7 @@ def _trace_json(core: fixpoint.CoreResult) -> dict:
     rounds = [{names[q]: vals for q, vals in sorted(r.items())}
               for r in core.rounds]
     maxima = {}
-    for (q, lo), m in sorted(core.uset.per_chain_max.items()):
+    for (q, lo), m in sorted(core.per_chain_max.items()):
         maxima.setdefault(names[q], []).append({"chain_lo": lo, "max": m})
     return {"rounds": rounds, "per_chain_max": maxima, "status": core.status}
 
@@ -423,7 +423,7 @@ def _cmd_selftest(args) -> int:
     check("demo cycle data",
           sels[1].period == 6 and sels[1].pmin == -12 and sels[4].period == 9)
     core = fixpoint.unbounded_core(cycles.analyze(v))
-    core.uset.per_chain_max  # force every chain, so the status covers them all
+    core.per_chain_max  # force every chain, so the status covers them all
     check("saturation completes", core.status == "complete")
     check("saturation agrees with the oracle on small counters",
           _selftest_membership(v, core))
@@ -463,7 +463,7 @@ def _selftest_membership(v, core) -> bool:
             verdict = oracle_unbounded(w, w0, counter_cap=500)
             if not verdict.definite:
                 return False
-            if core.uset.contains(model.Configuration(q, z)) != (verdict.answer == "yes"):
+            if core.contains(model.Configuration(q, z)) != (verdict.answer == "yes"):
                 return False
     return True
 

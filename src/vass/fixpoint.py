@@ -13,10 +13,10 @@ whether the source reaches the seed: a "no" is final, a source in the seed
 is unbounded, and only a later hit asks the saturated set
 (`decide_unboundedness`).  Before any of that, a source whose counter can
 never leave 0 is answered NO with no analysis (`model.stuck_at_zero`).
-A chain's maximum depends on no other chain, so the saturated set raises
-each one on its first lookup, and a decision probes only the chains its
-searches touch; reading all the maxima runs the rest of the round
-(`CoreResult`).  Reachability of a ``U`` is searched over arithmetic runs
+A chain's maximum depends on no other chain, so the saturated set, one
+`USet` (`CoreResult`), raises each one on its first lookup, and a decision
+probes only the chains its searches touch; reading all the maxima runs the
+rest of the round.  Reachability of a ``U`` is searched over arithmetic runs
 of configurations, each bounded chain crossed in one step (`_reach_uset`).
 That one search, layered breadth first, also measures the depth of a YES:
 against the saturated set every configuration that reaches it is admitted
@@ -139,8 +139,8 @@ class Budget:
     `decide_unboundedness` makes one (and `unbounded_core`, called without
     one); its seed probe, every probe that raises a chain and the depth
     search draw from it, one unit per piece (a run) they admit.  Once it is
-    spent, each later probe answers "capped", so the cap bounds the work of
-    the whole solve.
+    spent, each later probe from a valid start that is not dead answers
+    "capped", so the cap bounds the work of the whole solve.
     """
 
     __slots__ = ("cap", "spent")
@@ -276,14 +276,16 @@ def _reach_uset(
     search share one memo.
 
     Every piece admitted draws one unit from ``budget``; once it is spent
-    the probe answers "capped" (at once, if it was spent before).
+    the probe answers "capped" (at once, if it was spent before and the
+    start is valid and not dead: an invalid or dead start answers a
+    certain "no" whatever the budget).
     """
-    if budget.spent >= budget.cap:
-        return ("capped", 0)
     v = u.analysis.vass
     q0, z0 = start
     if not v.is_valid(start) or dead.has(q0, z0):
         return ("no", 0)
+    if budget.spent >= budget.cap:
+        return ("capped", 0)
     n = v.n_states
     seen = RunSet(n)
     sets = (seen, dead)
@@ -362,7 +364,6 @@ def _reach_uset(
 
 @dataclass(frozen=True)
 class SaturateOutcome:
-    uset: USet
     added: dict      # (state, chain lo) -> the chain's new maximum
     truncated: bool
 
@@ -374,9 +375,10 @@ def saturate_step(u: USet, budget: Budget, chains: list,
     ``chains`` to its largest element that reaches ``u``, which closes
     downward soundly because lower chain elements pump up to it.
     ``chains`` lists bounded ``(state, period, lo, hi)`` bounds as
-    `chain_bounds` yields them; no `Chain` is built.  The result always
-    contains ``u``: a raised maximum lies above the old one, so the new
-    maxima simply overwrite the old (``added``).
+    `chain_bounds` yields them; no `Chain` is built.  Returns the raised
+    maxima (``added``); a raised maximum lies above the old one, so
+    ``{**u.per_chain_max, **added}`` is the set after the round, and it
+    contains ``u``.
 
     The elements of a chain that reach ``u`` form a prefix of it: one lap
     of the reference cycle validly takes an element ``z`` to ``z + W`` (see
@@ -389,19 +391,16 @@ def saturate_step(u: USet, budget: Budget, chains: list,
     The probes share the dead run set ``dead`` (see `_reach_uset`), which
     must hold only runs whose closures miss ``u``: the runs of a "no" cover
     a finite closure that misses ``u``, so the probes add their own to it,
-    later probes subtract them from their own runs, and a candidate that
-    is already dead is skipped without a probe.  When ``u`` is the seed
-    set they miss the saturated set too (see `unbounded_core`).  The
-    probes draw from ``budget``.
+    later probes subtract them from their own runs, and a probe from a
+    candidate that is already dead, or on a guard, answers "no" at once.
+    When ``u`` is the seed set they miss the saturated set too (see
+    `unbounded_core`).  The probes draw from ``budget``.
     """
-    v = u.analysis.vass
     truncated = False
     additions: dict[tuple[int, int], int] = {}
 
     def hits(q: int, x: int) -> bool:
         nonlocal truncated
-        if x in v.guards[q] or dead.has(q, x):
-            return False  # heads no valid run, or its closure misses u
         status, _ = _reach_uset(u, Configuration(q, x), budget, dead)
         truncated = truncated or status == "capped"
         return status == "hit"
@@ -424,20 +423,20 @@ def saturate_step(u: USet, budget: Budget, chains: list,
             x = lo
         additions[(q, clo)] = x
 
-    return SaturateOutcome(USet(u.analysis, {**chain_max, **additions}),
-                           additions, truncated)
+    return SaturateOutcome(additions, truncated)
 
 
-class _OnDemandSet(USet):
-    """The ``U`` of `unbounded_core`, each bounded chain's maximum raised
-    by `saturate_step` against the seed set on its first lookup.
+class CoreResult(USet):
+    """The saturated set of `unbounded_core`, each bounded chain's maximum
+    raised by `saturate_step` against the seed set on its first lookup.
 
     ``resolved`` maps each chain raised so far to its maximum (``None`` if
-    no element reaches the seed set); ``truncated`` says whether one of
-    their probes was cut.  Both describe only the probes run so far.
-    Reading `per_chain_max` raises every chain not yet resolved, in
-    `chain_bounds` order, which is the whole round when none was.  Every
-    probe draws from ``budget`` and shares ``dead``.
+    no element reaches the seed set), and ``truncated`` says whether one of
+    their probes was cut.  They, `status` and ``dead`` describe only the
+    probes run so far, so a completeness check forces the core first.
+    Reading `per_chain_max` or `rounds` forces it: it raises every chain
+    not yet resolved, in `chain_bounds` order, which is the whole round
+    when none was.  Every probe draws from ``budget`` and shares ``dead``.
     """
 
     __slots__ = ("seed", "budget", "dead", "resolved", "truncated", "_forced")
@@ -476,34 +475,11 @@ class _OnDemandSet(USet):
         for q, _, lo, _ in chains:
             self.resolved[(q, lo)] = out.added.get((q, lo))
 
-
-@dataclass(frozen=True)
-class CoreResult:
-    """The saturated set of `unbounded_core`, resolved on demand.
-
-    ``uset`` raises a chain's maximum on its first lookup.  Reading
-    ``uset.per_chain_max`` or `rounds` forces the core: it raises every
-    chain not yet resolved.  `status` and `dead` describe only the probes
-    run so far, so a completeness check forces the core first.
-    """
-
-    uset: _OnDemandSet
-
-    @property
-    def analysis(self) -> CycleAnalysis:
-        """The cycle analysis the set was built on."""
-        return self.uset.analysis
-
     @property
     def status(self) -> str:
         """``"incomplete"`` if a probe run so far was cut, else
         ``"complete"``."""
-        return "incomplete" if self.uset.truncated else "complete"
-
-    @property
-    def dead(self) -> RunSet:
-        """The dead runs of the probes so far: their closures miss ``U``."""
-        return self.uset.dead
+        return "incomplete" if self.truncated else "complete"
 
     @property
     def rounds(self) -> list:
@@ -512,7 +488,7 @@ class CoreResult:
         starts from the seed set, which holds no chain maximum, so chain
         ``(q, lo)`` gained ``lo, lo + W, ..., per_chain_max[(q, lo)]``."""
         added: dict = {}
-        for (q, lo), m in sorted(self.uset.per_chain_max.items()):
+        for (q, lo), m in sorted(self.per_chain_max.items()):
             w = self.analysis.states[q].selection.period
             added.setdefault(q, []).extend(range(lo, m + 1, w))
         return [{q: sorted(vals) for q, vals in added.items()}] if added else []
@@ -556,7 +532,7 @@ def unbounded_core(analysis: CycleAnalysis,
     _require_normalized(analysis.vass)
     if budget is None:
         budget = Budget(DEFAULT_NODE_CAP)
-    return CoreResult(_OnDemandSet(analysis, budget))
+    return CoreResult(analysis, budget)
 
 
 @dataclass(frozen=True)
@@ -571,7 +547,7 @@ class Decision:
     --emit-trace``) runs it once, under ``budget``.
 
     ``core`` holds only the chains the decision looked up.  Reading its
-    ``uset.per_chain_max`` or ``rounds`` forces it under ``budget``;
+    ``per_chain_max`` or ``rounds`` forces it under ``budget``;
     ``core.status`` and ``core.dead`` describe the probes run so far, and
     ``status`` and ``answer`` already account for every one the decision
     ran."""
@@ -623,8 +599,9 @@ def decide_unboundedness(v: Vass, s: int) -> Decision:
     saturated set was asked.  One `Budget` serves the seed probe, the probes
     that raise chains and the depth search.  A chain is cut only when that
     budget is spent; the depth search then answers "capped" at its next
-    piece, and a cut chain makes the answer UNKNOWN whatever the search
-    found: no depth is measured against a cut set.
+    piece (its start reached the seed set, so it is valid and not dead, and
+    no certain "no" comes first), and a cut chain makes the answer UNKNOWN
+    whatever the search found: no depth is measured against a cut set.
     """
     model.require_states(v, model.UNKNOWN_SOURCE, s)
     budget = Budget(DEFAULT_NODE_CAP)
@@ -646,9 +623,9 @@ def decide_unboundedness(v: Vass, s: int) -> Decision:
         if depth == 0:  # a member of the seed set
             return decision(True, "initial configuration is unbounded")
         core = unbounded_core(analysis, budget)
-        if core.uset.contains(c):
+        if core.contains(c):
             return decision(True, "initial configuration is unbounded")
-        status, depth = _reach_uset(core.uset, c, budget, core.dead)
+        status, depth = _reach_uset(core, c, budget, core.dead)
         if core.status == "incomplete":  # a chain it looked up was cut
             status = "capped"
         elif status == "no":  # the seed is a subset of the saturated set

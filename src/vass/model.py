@@ -358,8 +358,6 @@ def normalize_guards(v: Vass) -> Vass:
     kept as they are; if nothing needs splitting the input is returned
     unchanged.
     """
-    if all(len(g) <= 1 for g in v.guards):
-        return v
     return normalize_guards_with_maps(v)[0]
 
 

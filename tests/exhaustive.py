@@ -12,8 +12,8 @@ For each, `decide_unboundedness` from every state is compared with
 the lasso test answers the same queries against the same verdicts
 (`helpers.pareto_answer`).  The saturated set itself is
 checked too: at every pumpable state ``q`` of the split instance, each
-non-guard counter ``z`` from the floor up to 11 above it is in
-``unbounded_core(analyze(...)).uset`` iff `oracle_unbounded` finds
+non-guard counter ``z`` from the floor up to 11 above it is in the set
+``unbounded_core(analyze(...))`` returns iff `oracle_unbounded` finds
 ``(q, z)`` unbounded.  The answers alone cannot show which chain maxima the
 round raised, since a query reaches the saturated set iff it reaches the
 seed set (`unbounded_core`, step (b)), and a NO runs no round at all.
@@ -53,7 +53,7 @@ def membership(core):
     for q, sa in sorted(core.analysis.states.items()):
         for z in range(sa.floor, sa.floor + ABOVE_FLOOR):
             if z not in vn.guards[q]:
-                yield (q, z, core.uset.contains(Configuration(q, z)),
+                yield (q, z, core.contains(Configuration(q, z)),
                        oracle_unbounded(*with_start_counter(vn, z, q)))
 
 
@@ -93,7 +93,7 @@ def main() -> int:
                 if not verdict.definite or member != (verdict.answer == "yes"):
                     bad.append((v, ("member", q, z), member, verdict.answer))
             maxima, truncated = fresh_round(core.analysis)
-            forced = (core.uset.per_chain_max, core.status == "incomplete")
+            forced = (core.per_chain_max, core.status == "incomplete")
             cores += 1
             if forced != (maxima, truncated) or truncated:
                 bad.append((v, ("per_chain_max",), forced, maxima))

@@ -8,7 +8,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from vass import (Configuration, Path, Transition, Vass, fixpoint, oracle,
                   pareto)
@@ -134,7 +134,7 @@ def pareto_answer(v: Vass, query: tuple) -> bool:
     return pareto.decide_cover_pareto(v, *query)
 
 
-def added_values(u: USet, out: fixpoint.SaturateOutcome) -> dict:
+def added_values(u: USet, out: EagerRound) -> dict:
     """The counter values one round of `saturate_step` from ``u`` added, as
     ``{state: values, ascending}``: in each chain the round raised, from
     one period above its old maximum (its lowest element, if it had none)
@@ -148,13 +148,22 @@ def added_values(u: USet, out: fixpoint.SaturateOutcome) -> dict:
     return {q: sorted(vals) for q, vals in added.items()}
 
 
-def eager_round(u: USet, budget: fixpoint.Budget) -> fixpoint.SaturateOutcome:
+class EagerRound(NamedTuple):
+    uset: USet       # ``u`` with the raised maxima
+    added: dict      # (state, chain lo) -> the chain's new maximum
+    truncated: bool
+
+
+def eager_round(u: USet, budget: fixpoint.Budget) -> EagerRound:
     """One `saturate_step` round from ``u`` over every bounded chain of its
     analysis, in `chain_bounds` order, with a fresh dead run set: the round
-    a forced `unbounded_core` runs from the seed set."""
+    a forced `unbounded_core` runs from the seed set.  The merged set is
+    built here: `saturate_step` returns only the maxima it raised."""
     chains = [b for b in chain_bounds(u.analysis) if b[3] is not None]
-    return fixpoint.saturate_step(u, budget, chains,
-                                  RunSet(u.analysis.vass.n_states))
+    out = fixpoint.saturate_step(u, budget, chains,
+                                 RunSet(u.analysis.vass.n_states))
+    return EagerRound(USet(u.analysis, {**u.per_chain_max, **out.added}),
+                      out.added, out.truncated)
 
 
 def unbounded_core_reference(v: Vass) -> tuple[dict, list, str]:
@@ -231,17 +240,16 @@ def decide_config_reference(analysis: CycleAnalysis, c: Configuration
     dead runs.  Returns ``(answer, status, reason)``."""
     budget = fixpoint.Budget(fixpoint.DEFAULT_NODE_CAP)
     core = fixpoint.unbounded_core(analysis, budget)
-    u = core.uset
-    u.per_chain_max  # the whole round first, before the source is asked
-    if not u.analysis.vass.is_valid(c):
+    core.per_chain_max  # the whole round first, before the source is asked
+    if not analysis.vass.is_valid(c):
         return (False, "complete", "initial configuration is invalid")
-    if u.contains(c):
+    if core.contains(c):
         return (True, "complete", "initial configuration is unbounded")
-    status, _ = fixpoint._reach_uset(u, c, budget, core.dead)
+    status, _ = fixpoint._reach_uset(core, c, budget, core.dead)
     if status == "no":
         return (False, "complete", "reachable set is finite")
     if status == "hit":
-        status, depth = walk_uset_reference(u, c, budget, core.dead)
+        status, depth = walk_uset_reference(core, c, budget, core.dead)
         assert status != "no", "the walk missed a run the search found"
     if status == "capped":
         return (None, "incomplete", "node cap exhausted")

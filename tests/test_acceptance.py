@@ -92,7 +92,7 @@ def test_criterion_02_cycle_data(demo):
 def test_criterion_03_fixpoint_trace(demo):
     t0 = time.perf_counter()
     core = unbounded_core(analyze(demo))
-    core.uset.per_chain_max  # force the whole round inside the timed span
+    core.per_chain_max  # force the whole round inside the timed span
     elapsed = time.perf_counter() - t0
     rounds = [{demo.names[q]: vals for q, vals in r.items()}
               for r in core.rounds]
@@ -109,13 +109,13 @@ def test_criterion_03b_fixpoint_trace_verified(demo):
     against the brute-force oracle (and the pinned values are a subset)."""
     t0 = time.perf_counter()
     core = unbounded_core(analyze(demo))
-    core.uset.per_chain_max  # force the whole round inside the timed span
+    core.per_chain_max  # force the whole round inside the timed span
     elapsed = time.perf_counter() - t0
     rounds = [{demo.names[q]: vals for q, vals in r.items()}
               for r in core.rounds]
     ok = elapsed < 5.0 and core.status == "complete"
     ok = ok and set(rounds[0].get("s4", ())) >= {54, 60, 63, 69}
-    ok = ok and Configuration(1, 12) not in () and core.uset.contains(
+    ok = ok and Configuration(1, 12) not in () and core.contains(
         Configuration(1, 12))
     for q in sorted(core.analysis.states):
         sa = core.analysis.states[q]
@@ -125,7 +125,7 @@ def test_criterion_03b_fixpoint_trace_verified(demo):
             w, w0 = with_start_counter(demo, z, q)
             verdict = oracle_unbounded(w, w0, counter_cap=500)
             ok = ok and verdict.definite
-            ok = ok and core.uset.contains(Configuration(q, z)) == (
+            ok = ok and core.contains(Configuration(q, z)) == (
                 verdict.answer == "yes")
     assert report("3b", "demo trace verified against the oracle", ok,
                   f"{elapsed:.2f} s")
@@ -316,7 +316,7 @@ def test_runtime_growth_sanity():
                 v = gen_vass(rng, max_states=n, max_weight=8, max_guard=50,
                              guard_prob=0.5, edge_factor=2.0)
             t0 = time.perf_counter()
-            unbounded_core(analyze(v)).uset.per_chain_max  # the whole round
+            unbounded_core(analyze(v)).per_chain_max  # the whole round
             times.append(time.perf_counter() - t0)
         times.sort()
         medians.append(max(times[len(times) // 2], 1e-5))

@@ -154,7 +154,7 @@ def _expected_trace(v: model.Vass) -> dict:
         cycles.analyze(model.normalize_guards_with_maps(v)[0]))
     names = core.analysis.vass.names
     maxima: dict = {}
-    for (q, lo), m in sorted(core.uset.per_chain_max.items()):
+    for (q, lo), m in sorted(core.per_chain_max.items()):
         maxima.setdefault(names[q], []).append({"chain_lo": lo, "max": m})
     return {
         "rounds": [{names[q]: vals for q, vals in r.items()}

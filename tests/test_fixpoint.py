@@ -136,7 +136,7 @@ def test_decomposition_component_shape_demo(demo):
 def test_decomposition_matches_membership_pointwise(demo):
     ana = analyze(demo)
     for u in (USet(ana), golden_first_round_uset(demo),
-              unbounded_core(analyze(demo)).uset):
+              unbounded_core(analyze(demo))):
         for q in sorted(ana.states):
             objs = decompose_objectives(u, q)
             for z in range(0, 131):
@@ -151,11 +151,11 @@ def test_decomposition_matches_membership_random():
         v = gen_vass(rng, max_states=5, max_weight=4, max_guard=25)
         core = unbounded_core(analyze(v))
         for q in sorted(core.analysis.states):
-            objs = decompose_objectives(core.uset, q)
+            objs = decompose_objectives(core, q)
             assert len(objs) <= v.n_states + 1
             for z in range(0, 70):
                 c = Configuration(q, z)
-                assert core.uset.contains(c) == any(
+                assert core.contains(c) == any(
                     objective_contains(o, c) for o in objs)
 
 
@@ -196,7 +196,7 @@ def test_demo_saturation_is_monotone_and_prefix_closed(demo):
 
 def test_demo_fixpoint_matches_oracle_everywhere(demo):
     core = unbounded_core(analyze(demo))
-    core.uset.per_chain_max  # force every chain, so the status covers them all
+    core.per_chain_max  # force every chain, so the status covers them all
     assert core.status == "complete"
     for q in sorted(core.analysis.states):
         sa = core.analysis.states[q]
@@ -205,7 +205,7 @@ def test_demo_fixpoint_matches_oracle_everywhere(demo):
                 continue
             want = truly_unbounded(demo, q, z)
             assert want is not None
-            assert core.uset.contains(Configuration(q, z)) == want, (q, z)
+            assert core.contains(Configuration(q, z)) == want, (q, z)
 
 
 def test_fixpoint_trace_matches_historical_walkthrough(demo):
@@ -245,11 +245,11 @@ def _bisection_instance():
 def test_saturation_finds_a_chain_maximum_in_one_round():
     v = _bisection_instance()
     core = unbounded_core(analyze(v))
-    core.uset.per_chain_max  # force every chain, so the status covers them all
+    core.per_chain_max  # force every chain, so the status covers them all
     assert core.status == "complete"
     assert [r for r in core.rounds] == [{0: [5, 15, 25]}]
-    assert core.uset.per_chain_max[(0, 5)] == 25
-    assert not core.uset.contains(Configuration(0, 35))
+    assert core.per_chain_max[(0, 5)] == 25
+    assert not core.contains(Configuration(0, 35))
     for z, want in ((5, True), (15, True), (25, True), (35, False)):
         assert truly_unbounded(v, 0, z) is want
 
@@ -291,15 +291,15 @@ def test_stable_round_is_the_fixpoint():
     for _ in range(300):
         v = normalize_guards(gen_vass(rng, multi_guards=True))
         core = unbounded_core(analyze(v))
-        core.uset.per_chain_max  # force every chain, so the status covers them all
+        core.per_chain_max  # force every chain, so the status covers them all
         if core.status != "complete":
             continue
         for ch in fixpoint.bounded_chains(core.analysis):
             w = core.analysis.states[ch.state].selection.period
-            m = core.uset.per_chain_max.get((ch.state, ch.lo))
+            m = core.per_chain_max.get((ch.state, ch.lo))
             for x in range(ch.lo if m is None else m + w, ch.hi + 1, w):
                 c = Configuration(ch.state, x)
-                assert _walk(v, core.uset, c) == "no", (v, ch, x)
+                assert _walk(v, core, c) == "no", (v, ch, x)
                 probed += 1
     assert probed > 1000
 
@@ -314,10 +314,10 @@ def test_one_round_is_the_fixpoint():
     adding = 0
     for v in cases:
         core = unbounded_core(analyze(v))
-        core.uset.per_chain_max  # force every chain, so the status covers them all
+        core.per_chain_max  # force every chain, so the status covers them all
         assert core.status == "complete", v
-        assert not eager_round(core.uset, _budget()).added, v
-        assert (core.uset.per_chain_max, core.rounds,
+        assert not eager_round(core, _budget()).added, v
+        assert (core.per_chain_max, core.rounds,
                 core.status) == unbounded_core_reference(v), v
         adding += bool(core.rounds)
     assert len(cases) > 5000 and adding > 50, (len(cases), adding)
@@ -336,27 +336,27 @@ def test_lazy_maxima_equal_the_eager_round():
                 if dec.core is None:
                     continue
                 eager = unbounded_core(dec.analysis)
-                want = eager.uset.per_chain_max
-                for key, m in dec.core.uset.resolved.items():
+                want = eager.per_chain_max
+                for key, m in dec.core.resolved.items():
                     assert want.get(key) == m, (v, s, key)
                     resolved += 1
                     raised += m is not None
                 core = dec.core
-                assert (core.uset.per_chain_max, core.rounds, core.status) == (
+                assert (core.per_chain_max, core.rounds, core.status) == (
                     want, eager.rounds, eager.status), (v, s)
                 solves += 1
     # every chain looked up one by one, last chain first
     chains = raised_alone = 0
     for v in _memo_instances(350):
         ana = analyze(v)
-        core, want = unbounded_core(ana), unbounded_core(ana).uset.per_chain_max
+        core, want = unbounded_core(ana), unbounded_core(ana).per_chain_max
         bounded = [ch for ch in chain_bounds(ana) if ch[3] is not None]
         for q, w, lo, hi in reversed(bounded):
-            m = core.uset.chain_max(q, w, lo, hi)
+            m = core.chain_max(q, w, lo, hi)
             assert m == want.get((q, lo)), v
             chains += 1
             raised_alone += m is not None
-        assert core.uset.per_chain_max == want and core.status == "complete"
+        assert core.per_chain_max == want and core.status == "complete"
     assert solves > 900 and resolved > 100 and raised > 100, (solves, resolved)
     assert chains > 600 and 200 < raised_alone < chains - 200, chains
 
@@ -428,7 +428,7 @@ def _solve(v):
     """The core of ``v``, forced, and the answer from ``(s, 0)`` for every
     state."""
     core = unbounded_core(analyze(v))
-    core.uset.per_chain_max  # force every chain now, under the caller's patches
+    core.per_chain_max  # force every chain now, under the caller's patches
     answers = [decide_unboundedness(v, s).answer for s in range(v.n_states)]
     return core, answers
 
@@ -510,7 +510,7 @@ def test_dead_set_changes_no_result(monkeypatch):
     with_rounds = 0
     for v, (ref, ref_answers) in zip(cases, want):
         core, answers = _solve(v)
-        assert core.uset.per_chain_max == ref.uset.per_chain_max, v
+        assert core.per_chain_max == ref.per_chain_max, v
         assert (core.rounds, core.status) == (ref.rounds, ref.status), v
         assert answers == ref_answers, v
         assert not ref.dead
@@ -524,11 +524,11 @@ def test_dead_set_misses_the_final_set():
     checked = 0
     for v in _memo_instances(300):
         core = unbounded_core(analyze(v))
-        core.uset.per_chain_max  # force every chain: status and dead cover all
+        core.per_chain_max  # force every chain: status and dead cover all
         if core.status != "complete":
             continue
         for c in configurations(core.dead):
-            assert _walk(v, core.uset, c) == "no", (v, c)
+            assert _walk(v, core, c) == "no", (v, c)
             checked += 1
     assert checked > 1000
 
@@ -598,10 +598,10 @@ def test_run_search_matches_the_explicit_walk():
              + _dense_guard_instances(150))
     for v in cases:
         core = unbounded_core(analyze(v))
-        core.uset.per_chain_max  # force every chain, so the status covers them all
+        core.per_chain_max  # force every chain, so the status covers them all
         if core.status != "complete":
             continue
-        for u in (USet(core.analysis), core.uset):
+        for u in (USet(core.analysis), core):
             walk = _memo_walk(v, u)
             starts = [(Configuration(q, z), False)
                       for q in range(v.n_states) for z in range(30)]
@@ -639,7 +639,27 @@ def test_one_budget_bounds_the_whole_solve(monkeypatch):
         assert dec.answer is None and dec.status == "incomplete"
         assert dec.reason == "node cap exhausted"
         assert dec.core.status == "incomplete" and dec.budget.spent <= cap
-        assert list(dec.core.uset.resolved.values()) == [cut_max]
+        assert list(dec.core.resolved.values()) == [cut_max]
+
+
+def test_a_spent_budget_keeps_a_certain_no():
+    # a start on a guard or in a dead run reaches nothing new, so the probe
+    # answers a certain "no" before it reads the budget; only a start that
+    # needs a search is capped
+    demo = instances.demo_guarded()
+    u = USet(analyze(demo))
+    dead = fixpoint.RunSet(demo.n_states)
+    dead.add(2, 7, 7, 1)
+    dead.add(2, 10, 20, 5)
+    budget = fixpoint.Budget(10)
+    budget.spent = 10
+    for start in ((4, 90), (2, 7), (2, 15)):
+        got = fixpoint._reach_uset(u, Configuration(*start), budget, dead)
+        assert got == ("no", 0), start
+    for start in ((0, 0), (2, 12)):
+        got = fixpoint._reach_uset(u, Configuration(*start), budget, dead)
+        assert got == ("capped", 0), start
+    assert budget.spent == 10
 
 
 def test_probe_work_does_not_grow_with_the_guard(monkeypatch):
@@ -701,7 +721,7 @@ def test_cnf_yes_anchor_work_count(monkeypatch):
     dec = decide_unboundedness(v, s)
     assert dec.answer is True and dec.status == "complete"
     assert dec.reason == "reaches the unbounded core in 2 steps"
-    assert (probes, dec.budget.spent, len(dec.core.uset.resolved)) == (2, 4, 0)
+    assert (probes, dec.budget.spent, len(dec.core.resolved)) == (2, 4, 0)
     assert len(list(fixpoint.bounded_chains(dec.analysis))) == 1352
 
 
@@ -723,7 +743,7 @@ def test_a_no_from_the_seed_set_runs_no_round(monkeypatch):
     assert rounds == 0
     dec = decide_unboundedness(*cnf_yes_anchor())
     assert dec.answer is True and dec.core.status == "complete"
-    assert rounds == 0 and len(dec.core.uset.resolved) == 0
+    assert rounds == 0 and len(dec.core.resolved) == 0
 
 
 def test_a_seed_member_or_a_stuck_source_runs_no_round(monkeypatch):
@@ -783,7 +803,7 @@ def test_defect_empty_for_inactive_or_full_chains(demo):
     # nothing of the seed sits below the s4 bounded chains' residue mates:
     # every non-trivial class has its whole bounded part missing but the
     # seed holds the tail above them, which activates the chains
-    full = unbounded_core(analyze(demo)).uset
+    full = unbounded_core(analyze(demo))
     stats_full = defect_stats(full)
     chain = Chain(4, 0, 54, 81)
     assert stats_full.per_chain[chain] == 2  # {72, 81} stay out forever
@@ -842,7 +862,7 @@ def test_unboundedness_rejects_multi_guard_input():
 
 
 def _maxima(dec):
-    return None if dec.core is None else dec.core.uset.per_chain_max
+    return None if dec.core is None else dec.core.per_chain_max
 
 
 def test_unboundedness_on_multi_guard_input_matches_the_split():
@@ -865,7 +885,7 @@ def test_unboundedness_on_multi_guard_input_matches_the_split():
 
 
 def _core_distance(v, core, c):
-    """Transitions on the shortest valid run from ``c`` into ``core.uset``,
+    """Transitions on the shortest valid run from ``c`` into ``core``,
     by a plain breadth-first search over `successors`; None if it finds
     none."""
     if not v.is_valid(c):
@@ -873,7 +893,7 @@ def _core_distance(v, core, c):
     dist, queue = {c: 0}, deque([c])
     while queue:
         d = queue.popleft()
-        if core.uset.contains(d):
+        if core.contains(d):
             return dist[d]
         for e in successors(v, d):
             if e not in dist:
@@ -938,7 +958,7 @@ def test_random_fixpoint_membership_matches_oracle():
     for _ in range(50):
         v = gen_vass(rng, max_states=5, max_weight=4, max_guard=25)
         core = unbounded_core(analyze(v))
-        core.uset.per_chain_max  # force every chain, so the status covers them all
+        core.per_chain_max  # force every chain, so the status covers them all
         if core.status != "complete":
             continue
         for q in sorted(core.analysis.states):
@@ -949,4 +969,4 @@ def test_random_fixpoint_membership_matches_oracle():
                 want = truly_unbounded(v, q, z)
                 if want is None:
                     continue
-                assert core.uset.contains(Configuration(q, z)) == want
+                assert core.contains(Configuration(q, z)) == want
