@@ -209,11 +209,18 @@ class RunSet:
 
 def _uncovered(sets: tuple, q: int, lo: int, hi: int,
                step: int) -> list[tuple[int, int]]:
-    """The maximal sub-runs of the run ``lo .. hi`` (``lo < hi``) at ``q``
-    that the run's own bucket misses in each of ``sets``.  An element held
-    only as a singleton or in another step's bucket may come back: that
+    """The maximal sub-runs of the run ``lo .. hi`` at ``q`` that ``sets``
+    miss.  A one-element run is tested against each set in full
+    (`RunSet.has`): ``[]`` if one holds it, else ``[(lo, lo)]``.  A longer
+    run is cut only by its own bucket in each set, so an element held only
+    as a singleton or in another step's bucket may come back: that
     re-explores reachable configurations, and the run's bucket then holds
     it."""
+    if lo == hi:
+        for rs in sets:
+            if rs.has(q, lo):
+                return []
+        return [(lo, lo)]
     pieces = [(lo, hi)]
     key = (q, step, lo % step)
     for rs in sets:
@@ -246,15 +253,18 @@ def _reach_uset(
     transitions from ``start`` to the member found.  The search visits runs
     ``(state, lo, hi, step)``.  An edge shifts a run by its weight, drops
     what falls below 0 and splits the rest at the guards of its
-    destination.  What is left of it after the visited and dead runs of its
-    own bucket is tested against ``u``, and its elements in bounded chains
-    lap up to the tops of their chains in one step (`USet.laps`), so the
-    cost of a probe does not grow with the guard values.  Every configuration in a run is reachable and every reachable
-    one is covered by a run, so the answer is that of a walk over single
-    configurations.  Absent a hit the closure is finite: an infinite cone
-    pumps some positive cycle arbitrarily high and therefore enters an
-    unbounded chain, all of which lie in every ``USet``.  So "no"
-    certifies a finite reachable set.
+    destination.  Each part goes through one membership test,
+    `_uncovered`, against the visited and the dead runs.  What is left is
+    tested against ``u``, and its elements in bounded chains lap up to the
+    tops of their chains in one step (`USet.laps`), so the cost of a probe
+    does not grow with the guard values.  Every run a lap returns goes
+    through `_uncovered` again before it is queued, so no one-element run
+    is admitted that is visited or dead.  Every configuration in a run is
+    reachable and every reachable one is covered by a run, so the answer
+    is that of a walk over single configurations.  Absent a hit the
+    closure is finite: an infinite cone pumps some positive cycle
+    arbitrarily high and therefore enters an unbounded chain, all of which
+    lie in every ``USet``.  So "no" certifies a finite reachable set.
 
     The runs are searched level by level, so against the exact ``U`` of a
     complete `unbounded_core` a hit's depth is the distance to ``U``.  A
@@ -286,39 +296,18 @@ def _reach_uset(
         return ("no", 0)
     if budget.spent >= budget.cap:
         return ("capped", 0)
-    n = v.n_states
-    seen = RunSet(n)
+    seen = RunSet(v.n_states)
     sets = (seen, dead)
-    seen_ints, dead_ints = seen.ints, dead.ints
     queue: list = []  # the runs admitted at the next level
 
     def admit(q: int, lo: int, hi: int, step: int) -> Optional[str]:
         """Queue what is new of a run; "hit", "capped" or None."""
-        if lo == hi:
-            key = lo * n + q
-            if key in seen_ints or key in dead_ints or (
-                    (q in seen.keys_at or q in dead.keys_at)
-                    and any(rs.has(q, lo) for rs in sets)):
-                return None
-            new = ((lo, lo),)
-        else:
-            new = _uncovered(sets, q, lo, hi, step)
-        for a, e in new:
+        for a, e in _uncovered(sets, q, lo, hi, step):
             runs = u.laps(q, a, e, step)
             if runs is None:
                 return "hit"
-            for a, e, s in runs:
-                if a == e:
-                    # One of the run's own elements: new, unless the lap
-                    # of an earlier piece took it.
-                    key = a * n + q
-                    if key in seen_ints or (q in seen.keys_at
-                                            and seen.has(q, a)):
-                        continue
-                    fresh = ((a, a),)
-                else:  # a lap may have added known elements
-                    fresh = _uncovered(sets, q, a, e, s)
-                for a, e in fresh:
+            for a, e, s in runs:  # a lap may have added known elements
+                for a, e in _uncovered(sets, q, a, e, s):
                     if budget.spent >= budget.cap:
                         return "capped"
                     budget.spent += 1
@@ -549,17 +538,22 @@ class Decision:
     ``core`` holds only the chains the decision looked up.  Reading its
     ``per_chain_max`` or ``rounds`` forces it under ``budget``;
     ``core.status`` and ``core.dead`` describe the probes run so far, and
-    ``status`` and ``answer`` already account for every one the decision
-    ran."""
+    ``answer`` already accounts for every one the decision ran.  `status`
+    is derived from ``answer``, so the two cannot disagree."""
 
     answer: Optional[bool]      # None: could not decide under the caps
-    status: str                 # "complete" | "incomplete"
     reason: str
     vass: Vass                  # the instance solved
     budget: Budget              # the node budget of the solve
     core: Optional[CoreResult]  # the saturated set; None unless a later hit
     _analysis: Optional[CycleAnalysis] = field(
         default=None, repr=False, compare=False)
+
+    @property
+    def status(self) -> str:
+        """``"incomplete"`` if the decision is UNKNOWN (``answer is None``),
+        else ``"complete"``."""
+        return "incomplete" if self.answer is None else "complete"
 
     @property
     def analysis(self) -> CycleAnalysis:
@@ -608,8 +602,7 @@ def decide_unboundedness(v: Vass, s: int) -> Decision:
     vn, analysis, core = v, None, None
 
     def decision(answer: Optional[bool], reason: str) -> Decision:
-        return Decision(answer, "incomplete" if answer is None else "complete",
-                        reason, vn, budget, core, analysis)
+        return Decision(answer, reason, vn, budget, core, analysis)
 
     if 0 in v.guards[s]:
         return decision(False, "initial configuration is invalid")

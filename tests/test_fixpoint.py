@@ -24,6 +24,7 @@ from vass.cycles import Chain
 from vass.reductions import cnf_to_vass
 
 from helpers import (
+    _cnf_anchor,
     added_values,
     bounded_chains_reference,
     chains_of,
@@ -570,23 +571,59 @@ def test_run_set_holds_exactly_its_runs():
             for q in range(3):
                 for z in range(170):
                     assert runs.has(q, z) == ((q, z) in members)
-            pair.append((runs, bucketed))
+            pair.append((runs, members, bucketed))
+        sets = tuple(runs for runs, _, _ in pair)
         for _ in range(20):
             q, lo, hi, step = draw()
-            if lo == hi:
+            if lo == hi:  # tested against each set in full
+                held = any((q, lo) in members for _, members, _ in pair)
+                assert fixpoint._uncovered(sets, q, lo, hi, step) == (
+                    [] if held else [(lo, lo)])
                 continue
             # the maximal sub-runs whose elements no own bucket holds
             want, start = [], None
             for z in range(lo, hi + step + 1, step):
                 missed = z <= hi and all((q, step, z) not in bucketed
-                                         for _, bucketed in pair)
+                                         for _, _, bucketed in pair)
                 if missed and start is None:
                     start = z
                 elif not missed and start is not None:
                     want.append((start, z - step))
                     start = None
-            sets = tuple(runs for runs, _ in pair)
             assert fixpoint._uncovered(sets, q, lo, hi, step) == want
+
+
+def test_no_probe_admits_a_dead_configuration(monkeypatch):
+    # every one-element piece a probe queues, the runs a lap returns
+    # included, misses the probe's dead set as it stands when the piece is
+    # admitted: a dead configuration lies on no path to the set searched
+    # for, so admitting it only spends the budget.  The depth search's laps
+    # raise chains whose failed probes grow that dead set mid-search; a
+    # singleton chain's cut-off is then dead, and a lap still returns it.
+    stack, admitted = [], []
+    reach, add = fixpoint._reach_uset, fixpoint.RunSet.add
+
+    def spy_reach(u, start, budget, dead):
+        stack.append(dead)
+        try:
+            return reach(u, start, budget, dead)
+        finally:
+            stack.pop()
+
+    def spy_add(self, q, lo, hi, step):
+        # a probe's own visited set, not a dead set taking a probe's runs
+        if stack and all(self is not dead for dead in stack) and lo == hi:
+            admitted.append((q, lo, stack[-1].has(q, lo)))
+        add(self, q, lo, hi, step)
+
+    monkeypatch.setattr(fixpoint, "_reach_uset", spy_reach)
+    monkeypatch.setattr(fixpoint.RunSet, "add", spy_add)
+    for f in small_cnf_formulas():
+        if len(f.clauses) == 2:
+            for u in range(30):
+                decide_unboundedness(*_cnf_anchor(f, u))
+    assert len(admitted) > 1000
+    assert [(q, z) for q, z, dead in admitted if dead] == []
 
 
 def test_run_search_matches_the_explicit_walk():
