@@ -93,6 +93,9 @@ def _decision_exit(answer: Optional[bool]) -> tuple[str, int]:
     return ("YES" if answer else "NO"), EXIT_OK
 
 
+# Commands whose output has no JSON form: `--format json` is refused there.
+_TEXT_ONLY_COMMANDS = ("gen", "reduce", "selftest")
+
 # Flags that only one algorithm reads, over all commands; given with any
 # other algorithm they are refused rather than silently ignored.
 _ALGO_ONLY_FLAGS = (("emit_trace", "fixpoint"), ("counter_cap", "oracle"),
@@ -354,8 +357,6 @@ def _print_inspect_text(doc: dict) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind != "cnf":
-        raise UsageError("unknown generator")
     if args.dimacs:
         try:
             with open(args.dimacs, "r", encoding="utf-8") as f:
@@ -388,8 +389,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    if args.kind != "cov2unbound":
-        raise UsageError("unknown reduction")
     v = _read_instance(args.file)
     s = _resolve(v, args.source, v.initial, "source")
     t = _resolve(v, args.target, v.target, "target")
@@ -537,6 +536,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format == "json" and args.cmd in _TEXT_ONLY_COMMANDS:
+            raise UsageError(f"--format json does not apply to {args.cmd}")
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code

@@ -206,15 +206,13 @@ def select_cycles(v: Vass) -> dict[int, CycleSelection]:
     selections: dict[int, CycleSelection] = {}
     for comp in _strongly_connected_components(v):
         comp_set = set(comp)
-        edges_in = [
-            (i, t) for i, t in enumerate(v.transitions)
-            if t.src in comp_set and t.dst in comp_set
-        ]
-        if not edges_in:
+        out_by_src: dict[int, list[tuple[int, int, int]]] = {
+            q: [(i, t.dst, t.weight) for i, t in v.out_edges(q)
+                if t.dst in comp_set]
+            for q in comp
+        }
+        if not any(out_by_src.values()):
             continue
-        out_by_src: dict[int, list[tuple[int, int, int]]] = {q: [] for q in comp}
-        for i, t in edges_in:
-            out_by_src[t.src].append((i, t.dst, t.weight))
         if all(len(out) == 1 for out in out_by_src.values()):
             _select_ring(comp, out_by_src, selections)
             continue

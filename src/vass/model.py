@@ -93,7 +93,7 @@ class Vass:
     def __post_init__(self):
         seen = set()
         for name in self.names:
-            if not name or any(c.isspace() for c in name) or "#" in name:
+            if name.split() != [name] or "#" in name:
                 raise ModelError(f"bad state name {name!r}")
             if name in seen:
                 raise ModelError(f"duplicate state name {name!r}")
@@ -251,8 +251,7 @@ def parse_vass(text: str) -> Vass:
     guards: list[set[int]] = []
     index: dict[str, int] = {}
     edges: list[Transition] = []
-    initial: Optional[int] = None
-    target: Optional[int] = None
+    markers: dict[str, Optional[int]] = {"init": None, "target": None}
 
     def state_ref(tok: str, ln: int) -> int:
         if tok not in index:
@@ -297,18 +296,12 @@ def parse_vass(text: str) -> Vass:
             if abs(w) > MAX_MAGNITUDE:
                 raise ParseError(f"weight {w} out of range", ln)
             edges.append(Transition(src, dst, w))
-        elif kind == "init":
+        elif kind in markers:
             if len(args) != 1:
-                raise ParseError("init line needs one state name", ln)
-            if initial is not None:
-                raise ParseError("second init line", ln)
-            initial = state_ref(args[0], ln)
-        elif kind == "target":
-            if len(args) != 1:
-                raise ParseError("target line needs one state name", ln)
-            if target is not None:
-                raise ParseError("second target line", ln)
-            target = state_ref(args[0], ln)
+                raise ParseError(f"{kind} line needs one state name", ln)
+            if markers[kind] is not None:
+                raise ParseError(f"second {kind} line", ln)
+            markers[kind] = state_ref(args[0], ln)
         else:
             raise ParseError(f"unknown directive {kind!r}", ln)
 
@@ -317,8 +310,8 @@ def parse_vass(text: str) -> Vass:
             names=tuple(names),
             guards=tuple(frozenset(g) for g in guards),
             transitions=tuple(edges),
-            initial=initial,
-            target=target,
+            initial=markers["init"],
+            target=markers["target"],
         )
     except ModelError as e:  # pragma: no cover - parser pre-validates
         raise ParseError(str(e), 0) from e

@@ -1,14 +1,17 @@
 """Brute-force ground truth: explicit-state closure at desk scale.
 
-The oracle exists to be obviously correct, not fast.  Verdicts are
-three-valued so truncation is never confused with a real answer: "no" is
-only reported when the reachable set closed completely under the caps, and
-"unknown" whenever a cap cut the search before a positive witness appeared.
+The oracle exists to be obviously correct, not fast.  One breadth-first
+search, `_closure`, walks configurations for every question: coverability
+and unboundedness run it under a counter and a node cap, bounded cover
+under a bound on the number of steps.  Verdicts are three-valued so
+truncation is never confused with a real answer: "no" is only reported
+when the reachable set closed completely under the caps, and "unknown"
+whenever a cap cut the search before a positive witness appeared.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -40,41 +43,48 @@ def default_counter_cap(v: Vass) -> int:
 def _closure(
     v: Vass,
     init: Configuration,
-    counter_cap: int,
-    node_cap: int,
+    counter_cap: float,
+    node_cap: float,
     stop: Optional[Callable[[Configuration], bool]] = None,
+    steps: float = math.inf,
 ) -> tuple[set[Configuration], str, Optional[Configuration]]:
     """Breadth-first closure of the valid ``init`` under valid steps,
-    discarding counters above ``counter_cap``.
+    discarding counters above ``counter_cap``: the oracle's one search over
+    configurations.  It expands one layer per step, at most ``steps``
+    layers, each in the order the layer before it found its members.
 
     Returns ``(seen, outcome, hit)``.  ``outcome`` is "hit" when a newly
     found configuration ``hit`` satisfies ``stop`` (it is not added to
     ``seen``), "capped" when a new configuration would exceed ``node_cap``,
-    "truncated" when the closure finished but the counter cap discarded
-    something, and "closed" when it finished untouched by either cap.
+    "truncated" when the search finished but the counter cap discarded
+    something or the step bound left a layer unexpanded, and "closed" when
+    it finished untouched by any of them.
     """
     seen = {init}
-    queue = deque([init])
+    layer = [init]
     truncated = False
-    while queue:
-        q, z = queue.popleft()
-        for _, t in v.out_edges(q):
-            y = z + t.weight
-            if y < 0 or y in v.guards[t.dst]:
-                continue
-            if y > counter_cap:
-                truncated = True
-                continue
-            c = Configuration(t.dst, y)
-            if c in seen:
-                continue
-            if stop is not None and stop(c):
-                return seen, "hit", c
-            if len(seen) >= node_cap:
-                return seen, "capped", None
-            seen.add(c)
-            queue.append(c)
-    return seen, ("truncated" if truncated else "closed"), None
+    while layer and steps > 0:
+        steps -= 1
+        nxt = []
+        for q, z in layer:
+            for _, t in v.out_edges(q):
+                y = z + t.weight
+                if y < 0 or y in v.guards[t.dst]:
+                    continue
+                if y > counter_cap:
+                    truncated = True
+                    continue
+                c = Configuration(t.dst, y)
+                if c in seen:
+                    continue
+                if stop is not None and stop(c):
+                    return seen, "hit", c
+                if len(seen) >= node_cap:
+                    return seen, "capped", None
+                seen.add(c)
+                nxt.append(c)
+        layer = nxt
+    return seen, ("truncated" if truncated or layer else "closed"), None
 
 
 def _verdict(seen: set, outcome: str, yes: str, no: str) -> OracleVerdict:
@@ -168,29 +178,15 @@ def oracle_unbounded(
 def oracle_bounded_cover(
     v: Vass, init: Configuration, o: DiseqObjective, steps: int
 ) -> bool:
-    """Exhaustive layered search for the bounded-coverability question; the
-    unpruned counterpart of :func:`vass.objectives.decide_bounded_cover`."""
+    """Exhaustive search, at most ``steps`` steps deep, for the
+    bounded-coverability question; the unpruned counterpart of
+    :func:`vass.objectives.decide_bounded_cover`."""
     require_states(v, UNKNOWN_STATE, init.state, o.target_state)
     if not v.is_valid(init):
         return False
-    frontier = {init}
-    seen = {init}
-    if any(objective_contains(o, c) for c in frontier):
+    if objective_contains(o, init):
         return True
-    for _ in range(steps):
-        nxt = set()
-        for q, z in frontier:
-            for _, t in v.out_edges(q):
-                y = z + t.weight
-                if y < 0 or y in v.guards[t.dst]:
-                    continue
-                c = Configuration(t.dst, y)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.add(c)
-        if any(objective_contains(o, c) for c in nxt):
-            return True
-        frontier = nxt
-        if not frontier:
-            break
-    return False
+    _, outcome, _ = _closure(v, init, math.inf, math.inf,
+                             stop=lambda c: objective_contains(o, c),
+                             steps=steps)
+    return outcome == "hit"

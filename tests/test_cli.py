@@ -601,6 +601,25 @@ def test_closed_stdout_ends_quietly(demo_file, argv):
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "check")[0] == 1
     assert run(capsys, "frobnicate")[0] == 1
+    for argv in (("gen", "foo"), ("reduce", "foo", "x.vass")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("usage error: argument kind: invalid choice: "
+                              "'foo'"), err
+
+
+@pytest.mark.parametrize("argv", (
+    ("gen", "cnf", "--random", "3", "1", "1"),
+    ("reduce", "cov2unbound", "DEMO"),
+    ("selftest",),
+))
+def test_format_json_is_refused_where_it_does_nothing(capsys, demo_file,
+                                                      argv):
+    # these commands print text only: a JSON request is a usage error
+    argv = [demo_file if a == "DEMO" else a for a in argv]
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert code == 1 and out == ""
+    assert err == f"usage error: --format json does not apply to {argv[0]}\n"
 
 
 def test_input_error_exit_code(capsys, tmp_path):

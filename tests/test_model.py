@@ -111,6 +111,18 @@ def test_parse_double_init_rejected():
         parse_vass("state a\ninit a\ninit a\n")
 
 
+@pytest.mark.parametrize("text, line, message", (
+    ("state a\nstate b\ninit a b\n", 3, "init line needs one state name"),
+    ("state a\ninit a\n\ninit a\n", 4, "second init line"),
+    ("state a\ntarget\n", 2, "target line needs one state name"),
+    ("state a\ntarget a\ninit a\ntarget a\n", 4, "second target line"),
+))
+def test_parse_marker_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_vass(text)
+    assert exc.value.line == line and str(exc.value) == f"line {line}: {message}"
+
+
 def test_serialize_preserves_parallel_edges():
     v = Vass(("a", "b"), (frozenset(), frozenset()),
              (Transition(0, 1, 2), Transition(0, 1, 2)))
@@ -141,6 +153,16 @@ def test_bad_state_name_rejected():
         Vass(("a b",), (frozenset(),), ())
     with pytest.raises(ModelError):
         Vass(("a#1",), (frozenset(),), ())
+
+
+def test_state_name_holds_no_whitespace_nor_hash():
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    for bad in ["", "#", "a#"] + [n for ch in spaces
+                                  for n in (ch, "a" + ch, ch + "a", "a" + ch + "b")]:
+        with pytest.raises(ModelError, match="^bad state name "):
+            Vass((bad,), (frozenset(),), ())
+    # a zero-width space is no whitespace to str.split, so a name may hold it
+    assert Vass(("a\u200bb",), (frozenset(),), ()).names == ("a\u200bb",)
 
 
 def test_dangling_transition_rejected():
