@@ -486,14 +486,16 @@ class CoreResult(USet):
 def unbounded_core(analysis: CycleAnalysis,
                    budget: Optional[Budget] = None) -> CoreResult:
     """The set of unbounded configurations in the pumpable region of
-    ``analysis``, of a single-guard instance: one round of `saturate_step`
-    from the seed set, each chain raised when it is first looked up.
+    ``analysis``: one round of `saturate_step` from the seed set, each
+    chain raised when it is first looked up.
 
-    One round is the fixpoint.  A bounded chain holds no guard cut-off
-    except as a singleton chain, so from any element ``z`` of a chain one
-    lap of the reference cycle validly reaches ``z + W``, staying at or
-    above the floor.  The same lap argument lets a probe take a whole
-    chain in one step (see `USet.laps`).  Then:
+    One round is the fixpoint.  A state may carry a set of guards, and
+    `chain_bounds` makes every cut-off of every guard on the reference
+    cycle its own singleton chain.  So a longer bounded chain holds no
+    cut-off, and from any element ``z`` of it one lap of the reference
+    cycle validly reaches ``z + W``, staying at or above the floor.  The
+    same lap argument lets a probe take a whole chain in one step (see
+    `USet.laps`).  Then:
 
     (a) Absent a cap, the round adds exactly the prefix of each chain that
         reaches the seed set.  Those elements are a prefix, since whatever
@@ -518,7 +520,6 @@ def unbounded_core(analysis: CycleAnalysis,
     pieces.  A spent budget degrades the status to "incomplete"; the set
     itself stays sound.
     """
-    _require_normalized(analysis.vass)
     if budget is None:
         budget = Budget(DEFAULT_NODE_CAP)
     return CoreResult(analysis, budget)
@@ -563,11 +564,6 @@ class Decision:
             object.__setattr__(self, "_analysis",
                                analyze(model.normalize_guards(self.vass)))
         return self._analysis
-
-
-def _require_normalized(v: Vass) -> None:
-    if any(len(g) > 1 for g in v.guards):
-        raise ValueError("multi-guard states present: apply normalize_guards first")
 
 
 def decide_unboundedness(v: Vass, s: int) -> Decision:

@@ -364,28 +364,24 @@ def normalize_guards_with_maps(v: Vass) -> tuple[Vass, list[int], list[int]]:
     guards: list[frozenset[int]] = []
     entry: list[int] = []
     exit_: list[int] = []
+    edges: list[Transition] = []
     taken = set(v.names)
     # Names of untouched states survive; chain links get ".k" suffixes,
-    # uniquified if the user already used such names.
+    # uniquified if the user already used such names.  The 0-weight link
+    # edges come first, in state order, then the input's transitions.
     for q in range(v.n_states):
         gs = sorted(v.guards[q])
+        entry.append(len(names))
         if len(gs) <= 1:
-            entry.append(len(names))
-            exit_.append(len(names))
             names.append(v.names[q])
             guards.append(frozenset(gs))
         else:
-            entry.append(len(names))
             for k, g in enumerate(gs, start=1):
+                if k > 1:
+                    edges.append(Transition(len(names) - 1, len(names), 0))
                 names.append(_fresh_name(f"{v.names[q]}.{k}", taken))
                 guards.append(frozenset((g,)))
-            exit_.append(len(names) - 1)
-    edges: list[Transition] = []
-    for q in range(v.n_states):
-        gs = sorted(v.guards[q])
-        if len(gs) > 1:
-            for k in range(len(gs) - 1):
-                edges.append(Transition(entry[q] + k, entry[q] + k + 1, 0))
+        exit_.append(len(names) - 1)
     for t in v.transitions:
         edges.append(Transition(exit_[t.src], entry[t.dst], t.weight))
     vn = Vass(

@@ -139,10 +139,7 @@ def cnf_to_vass(f: Cnf3) -> tuple[Vass, CnfVassMeta]:
     state per clause; clause ``i`` has a self-loop of weight ``c_i`` (the
     product of its variables' primes) and guards on every value in
     ``[P, P + c_i)`` whose assignment satisfies the clause.  Clause states
-    carry many guards.  `analyze`, `select_cycles` and the ``decide_*``
-    procedures take them as they are; only `fixpoint.unbounded_core` needs
-    single guards, so pass the result through ``normalize_guards`` before
-    it.
+    carry many guards, which every layer reads as they are.
     """
     primes = first_primes(f.num_vars)
     product = 1
@@ -157,8 +154,6 @@ def cnf_to_vass(f: Cnf3) -> tuple[Vass, CnfVassMeta]:
         c_i = 1
         for var, _ in clause:
             c_i *= primes[var - 1]
-        if product > MAX_MAGNITUDE or product + c_i > MAX_MAGNITUDE:
-            raise ValueError("prime product out of the supported range")
         lo, hi = product, product + c_i
         gs = {
             u for u in range(lo, hi)

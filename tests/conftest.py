@@ -5,6 +5,7 @@ settings.register_profile(
     "suite",
     max_examples=60,
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")

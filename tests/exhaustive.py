@@ -14,7 +14,9 @@ the lasso test answers the same queries against the same verdicts
 checked too: at every pumpable state ``q`` of the split instance, each
 non-guard counter ``z`` from the floor up to 11 above it is in the set
 ``unbounded_core(analyze(...))`` returns iff `oracle_unbounded` finds
-``(q, z)`` unbounded.  The answers alone cannot show which chain maxima the
+``(q, z)`` unbounded.  An instance that holds a multi-guard state gets a
+second, native pass: the same check, and the forced-core check below, on
+the instance as given, whose states carry their guard sets unsplit.  The answers alone cannot show which chain maxima the
 round raised, since a query reaches the saturated set iff it reaches the
 seed set (`unbounded_core`, step (b)), and a NO runs no round at all.
 The membership tests raise only the chains they look up; each core is then
@@ -48,7 +50,7 @@ ABOVE_FLOOR = 12  # counters checked per pumpable state: floor .. floor + 11
 
 def membership(core):
     """``(q, z, member, verdict)`` for every counter the set check tests in
-    the split instance of ``core``."""
+    the instance of ``core``."""
     vn = core.analysis.vass
     for q, sa in sorted(core.analysis.states.items()):
         for z in range(sa.floor, sa.floor + ABOVE_FLOOR):
@@ -66,6 +68,7 @@ def fresh_round(analysis) -> tuple[dict, bool]:
 def main() -> int:
     t0 = time.perf_counter()
     instances = unbounded = cover = lasso = members = selections = cores = 0
+    native = 0
     bad = []
     for n, max_weight, max_edges in SETS:
         for v in small_instances(n, max_weight, max_edges):
@@ -87,21 +90,25 @@ def main() -> int:
             selections += len(sels)
             if sels != select_cycles_reference(vn):
                 bad.append((v, ("select_cycles",), sels, "the full DP"))
-            core = unbounded_core(analyze(vn))
-            for q, z, member, verdict in membership(core):
-                members += 1
-                if not verdict.definite or member != (verdict.answer == "yes"):
-                    bad.append((v, ("member", q, z), member, verdict.answer))
-            maxima, truncated = fresh_round(core.analysis)
-            forced = (core.per_chain_max, core.status == "incomplete")
-            cores += 1
-            if forced != (maxima, truncated) or truncated:
-                bad.append((v, ("per_chain_max",), forced, maxima))
+            solved = (vn,) if vn is v else (vn, v)
+            native += len(solved) - 1
+            for w in solved:  # the split instance, then the native pass
+                core = unbounded_core(analyze(w))
+                for q, z, member, verdict in membership(core):
+                    members += 1
+                    if not verdict.definite or member != (verdict.answer == "yes"):
+                        bad.append((w, ("member", q, z), member, verdict.answer))
+                maxima, truncated = fresh_round(core.analysis)
+                forced = (core.per_chain_max, core.status == "incomplete")
+                cores += 1
+                if forced != (maxima, truncated) or truncated:
+                    bad.append((w, ("per_chain_max",), forced, maxima))
     for v, query, answer, want in bad[:20]:
         print(f"{query}: solver {answer}, oracle {want}: {v}")
     print(f"{instances} instances, {unbounded} unboundedness and {cover} "
           f"coverability queries, {lasso} of them also by the lasso test, "
-          f"{members} memberships, {cores} forced cores, {selections} "
+          f"{members} memberships, {cores} forced cores ({native} of them "
+          f"of a multi-guard instance as given), {selections} "
           f"selections, {len(bad)} disagreements or unknown verdicts, "
           f"{time.perf_counter() - t0:.0f} s")
     return 1 if bad else 0

@@ -71,6 +71,12 @@ def multi_guard_instances(count: int) -> list[Vass]:
     return [gen_vass(rng, multi_guards=True) for _ in range(count)]
 
 
+def unsplit_multi_guard(vs) -> list[Vass]:
+    """The members of ``vs`` that hold a multi-guard state, as given (not
+    split by `normalize_guards`)."""
+    return [v for v in vs if any(len(g) > 1 for g in v.guards)]
+
+
 def gen_dense_guard_free(rng: random.Random, n: int,
                          max_weight: int = 5) -> Vass:
     """A guard-free graph on ``n`` states with three out-edges per state."""

@@ -45,6 +45,7 @@ from helpers import (
     successors,
     two_state_instances,
     unbounded_core_reference,
+    unsplit_multi_guard,
     walk_uset_reference,
     worstcase_bounds,
 )
@@ -312,6 +313,7 @@ def test_one_round_is_the_fixpoint():
     cases = [_bisection_instance()]
     cases += _memo_instances(300) + _dense_guard_instances(150)
     cases += [normalize_guards(v) for v in two_state_instances()]
+    cases += unsplit_multi_guard(two_state_instances())  # and as given
     adding = 0
     for v in cases:
         core = unbounded_core(analyze(v))
@@ -446,12 +448,12 @@ def _large_guard_instances(count):
             for _ in range(count)]
 
 
-def _dense_guard_instances(count):
+def _dense_guard_instances(count, split=True):
     # guards among small counters: runs are split at guards on the way
     rng = random.Random(2020)
-    return [normalize_guards(gen_vass(rng, max_weight=3, max_guard=20,
-                                      guard_prob=0.8, multi_guards=True))
-            for _ in range(count)]
+    vs = [gen_vass(rng, max_weight=3, max_guard=20, guard_prob=0.8,
+                   multi_guards=True) for _ in range(count)]
+    return [normalize_guards(v) for v in vs] if split else vs
 
 
 def test_bounded_chains_walk_in_the_reference_order():
@@ -633,7 +635,12 @@ def test_run_search_matches_the_explicit_walk():
     probed = long_runs = 0
     cases = (_memo_instances(150) + _large_guard_instances(40)
              + _dense_guard_instances(150))
-    for v in cases:
+    # and on the multi-guard states as given, where one run is cut at
+    # several guards of one state
+    unsplit = unsplit_multi_guard(multi_guard_instances(150)
+                                  + _dense_guard_instances(150, split=False))
+    unsplit_probed = 0
+    for i, v in enumerate(cases + unsplit):
         core = unbounded_core(analyze(v))
         core.per_chain_max  # force every chain, so the status covers them all
         if core.status != "complete":
@@ -652,7 +659,10 @@ def test_run_search_matches_the_explicit_walk():
                 assert got[0] == walk(c), (v, c)
                 probed += 1
                 long_runs += long
+                unsplit_probed += i >= len(cases)
     assert probed > 5000 and long_runs > 1000
+    assert len(unsplit) > 200 and unsplit_probed > 50000, (len(unsplit),
+                                                           unsplit_probed)
 
 
 def test_one_budget_bounds_the_whole_solve(monkeypatch):
@@ -991,19 +1001,31 @@ def test_coverability_empty_run_cases():
 
 
 def test_random_fixpoint_membership_matches_oracle():
+    # counters up to 60 (above=None), or up to `above - 1` past the floor
     rng = random.Random(99881)
-    for _ in range(50):
-        v = gen_vass(rng, max_states=5, max_weight=4, max_guard=25)
+    cases = [(gen_vass(rng, max_states=5, max_weight=4, max_guard=25), None)
+             for _ in range(50)]
+    # and multi-guard states as given: the two-state set (guards 1 and 2,
+    # weights -2..2) in the window tests/exhaustive.py checks
+    unsplit = [(v, None)
+               for v in unsplit_multi_guard(multi_guard_instances(120))]
+    unsplit += [(v, 12) for v in unsplit_multi_guard(two_state_instances())]
+    unsplit_members = 0
+    for i, (v, above) in enumerate(cases + unsplit):
         core = unbounded_core(analyze(v))
         core.per_chain_max  # force every chain, so the status covers them all
         if core.status != "complete":
             continue
         for q in sorted(core.analysis.states):
             sa = core.analysis.states[q]
-            for z in range(sa.floor, 61):
+            top = 61 if above is None else sa.floor + above
+            for z in range(sa.floor, top):
                 if z in v.guards[q]:
                     continue
                 want = truly_unbounded(v, q, z)
                 if want is None:
                     continue
-                assert core.contains(Configuration(q, z)) == want
+                assert core.contains(Configuration(q, z)) == want, (v, q, z)
+                unsplit_members += i >= len(cases)
+    assert len(unsplit) > 1900 and unsplit_members > 10000, (len(unsplit),
+                                                             unsplit_members)

@@ -6,7 +6,8 @@ that a gate reads fails here, not only when someone runs the gate."""
 import importlib.util
 import pathlib
 
-from vass import analyze, instances, serialize_vass, unbounded_core
+from vass import (analyze, instances, parse_vass, serialize_vass,
+                  unbounded_core)
 
 TESTS = pathlib.Path(__file__).resolve().parent
 
@@ -21,12 +22,16 @@ def _gate(name):
 
 def test_exhaustive_checks_a_one_state_instance():
     exhaustive = _gate("exhaustive")
-    core = unbounded_core(analyze(instances.up(5)))
-    checked = list(exhaustive.membership(core))
-    assert checked
-    for q, z, member, verdict in checked:
-        assert verdict.definite and member == (verdict.answer == "yes"), (q, z)
-    assert exhaustive.fresh_round(core.analysis) == (core.per_chain_max, False)
+    # the second is the native pass: two guards, unsplit, on a pumpable cycle
+    for v in (instances.up(5), parse_vass("state a 1 2\nedge a a 3\n")):
+        core = unbounded_core(analyze(v))
+        checked = list(exhaustive.membership(core))
+        assert checked
+        for q, z, member, verdict in checked:
+            assert verdict.definite and member == (verdict.answer == "yes"), (
+                v, q, z)
+        assert exhaustive.fresh_round(core.analysis) == (core.per_chain_max,
+                                                         False)
 
 
 def test_identity_runs_the_cli_on_one_instance_file(tmp_path):

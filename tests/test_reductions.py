@@ -16,6 +16,7 @@ from vass import (
     val_u,
     with_start_counter,
 )
+from vass.model import MAX_MAGNITUDE
 from vass.oracle import oracle_cover, oracle_unbounded
 
 from helpers import gen_vass
@@ -84,6 +85,9 @@ def test_first_primes_upper_limit():
     for p in ps:
         product *= p
     assert product == 614889782588491410
+    # so no guard of cnf_to_vass, at most product + the largest clause
+    # weight, leaves the supported range
+    assert product + 47 * 43 * 41 <= MAX_MAGNITUDE
 
 
 def test_first_primes_range_checked():
