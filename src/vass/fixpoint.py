@@ -534,7 +534,9 @@ class Decision:
     counter stuck at 0).  ``analysis`` is the cycle analysis of the split
     instance.  A decision that ran none makes it on first read, so a caller
     that wants the saturation of an answer settled without one (``check
-    --emit-trace``) runs it once, under ``budget``.
+    --emit-trace``) runs it once, under ``budget``.  Its states are
+    analysed on demand (`cycles.analyze`): the decision made only those its
+    searches read, and iterating ``analysis.states`` makes the rest.
 
     ``core`` holds only the chains the decision looked up.  Reading its
     ``per_chain_max`` or ``rounds`` forces it under ``budget``;
@@ -559,7 +561,8 @@ class Decision:
     @property
     def analysis(self) -> CycleAnalysis:
         """The cycle analysis of the split instance, made on first read
-        unless the decision made it."""
+        unless the decision made it; a state's entry is made on its first
+        lookup."""
         if self._analysis is None:
             object.__setattr__(self, "_analysis",
                                analyze(model.normalize_guards(self.vass)))

@@ -305,6 +305,19 @@ def gen_guard_free(rng: random.Random, max_states: int = 6,
                     guard_prob=0.0)
 
 
+def dense_and_random_graphs() -> list[Vass]:
+    """A shared seeded set of guard-free graphs: 300 random, 100 dense with
+    weights in -5..5 and 50 dense with weights in -1..1."""
+    rng = random.Random(5150)
+    graphs = [gen_guard_free(rng) for _ in range(300)]
+    graphs += [gen_dense_guard_free(rng, 4 + k % 13) for k in range(100)]
+    # weights in -1..1: many prefixes and suffixes tie in weight and
+    # length, so the Pareto filter has to compare their transitions
+    graphs += [gen_dense_guard_free(rng, 4 + k % 13, max_weight=1)
+               for k in range(50)]
+    return graphs
+
+
 def random_path(rng: random.Random, v: Vass, max_len: int = 8) -> Path:
     start = rng.randrange(v.n_states)
     q = start
@@ -414,6 +427,26 @@ def select_cycles_reference(v: Vass) -> dict[int, CycleSelection]:
                     state=q, gamma=Path(q, path), period=wt, pmin=pmin
                 )
     return selections
+
+
+def analysis_reference(v: Vass, selections: dict[int, CycleSelection]
+                       ) -> dict[int, StateAnalysis]:
+    """Every state's `StateAnalysis`, made eagerly from ``selections``, the
+    result of `select_cycles_reference`: each guard ``g`` met at prefix
+    weight ``p`` along the cycle is the cut-off ``g - p`` if that is at
+    least the floor ``-pmin``; the cut-offs are grouped by residue,
+    ascending.  Reference for ``analyze(v).states``."""
+    states = {}
+    for q, sel in selections.items():
+        floor, prefix, caps = -sel.pmin, 0, set()
+        for p, ti in zip(v.path_states(sel.gamma), sel.gamma.transitions):
+            caps.update(g - prefix for g in v.guards[p] if g - prefix >= floor)
+            prefix += v.transitions[ti].weight
+        splits: dict[int, list[int]] = {}
+        for cap in sorted(caps):
+            splits.setdefault(cap % sel.period, []).append(cap)
+        states[q] = StateAnalysis(selection=sel, floor=floor, splits=splits)
+    return states
 
 
 @dataclass(frozen=True)

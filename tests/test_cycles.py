@@ -15,9 +15,12 @@ from vass.model import Transition, Vass, Violation, normalize_guards
 from vass.reductions import cnf_to_vass
 
 from helpers import (
+    analysis_reference,
     chains_of,
     cnf_no_anchor,
+    cnf_yes_anchor,
     conf_plus_contains,
+    dense_and_random_graphs,
     gen_dense_guard_free,
     gen_vass,
     multi_guard_instances,
@@ -25,6 +28,7 @@ from helpers import (
     simple_cycles_through,
     small_cnf_formulas,
     summarize_path,
+    two_state_instances,
 )
 
 
@@ -97,6 +101,64 @@ def test_cnf_selection_equals_full_leveled_dp():
         assert select_cycles(v) == select_cycles_reference(v), f
 
 
+def _lookups_agree(rng, got, want: dict, keys) -> None:
+    """Look up each of ``keys`` in ``got`` in a seeded random order, each
+    by ``get``, ``in`` and ``[]`` in a random order, against ``want``."""
+    keys = list(keys)
+    rng.shuffle(keys)
+    for q in keys:
+        ways = ["get", "in", "[]"]
+        rng.shuffle(ways)
+        for way in ways:
+            if way == "get":
+                assert got.get(q) == want.get(q), q
+            elif way == "in":
+                assert (q in got) == (q in want), q
+            else:
+                try:
+                    e = got[q]
+                except KeyError:
+                    e = None
+                assert e == want.get(q), q
+
+
+def test_on_demand_analysis_equals_the_eager_one():
+    # every entry made on its first lookup, in any order and by any of
+    # get, in and [], equals the eager one; the states with no positive
+    # cycle, and keys that are no state, read as absent all three ways
+    rng = random.Random(36036)
+    sets = (multi_guard_instances(300), two_state_instances(),
+            dense_and_random_graphs(),
+            [cnf_no_anchor()[0], cnf_yes_anchor()[0]])
+    absent = 0
+    for vs in sets:
+        for v in vs:
+            keys = [-1, *range(v.n_states), v.n_states]
+            want_sels = select_cycles_reference(v)
+            want = analysis_reference(v, want_sels)
+            sels, states = select_cycles(v), analyze(v).states
+            _lookups_agree(rng, sels, want_sels, keys)
+            _lookups_agree(rng, states, want, keys)
+            assert sels == want_sels and states == want, v
+            assert list(states) == sorted(want) and len(states) == len(want)
+            absent += v.n_states - len(want)
+    assert absent > 1000, absent
+
+
+def test_iteration_makes_every_entry_in_state_order():
+    # a mapping iterated before any lookup and one looked up backwards
+    # first both list every entry, states ascending
+    v, _ = cnf_yes_anchor()
+    want = analysis_reference(v, select_cycles_reference(v))
+    states = analyze(v).states
+    assert list(states.items()) == sorted(want.items())
+    backwards = analyze(v).states
+    for q in reversed(range(v.n_states)):
+        backwards.get(q)
+    assert list(backwards.items()) == sorted(want.items())
+    assert repr(backwards) == repr(dict(backwards.items()))
+
+
 def _elements_fed_to_prune(monkeypatch, v) -> int:
     """How many elements ``select_cycles(v)`` feeds to the frontier prune."""
     fed = 0
@@ -108,7 +170,7 @@ def _elements_fed_to_prune(monkeypatch, v) -> int:
         return prune(elems)
 
     monkeypatch.setattr(cycles, "_prune_frontier", counted)
-    select_cycles(v)
+    dict(select_cycles(v))  # make every selection
     monkeypatch.undo()
     return fed
 

@@ -6,7 +6,9 @@ import pytest
 
 from vass import (
     Configuration,
+    Transition,
     USet,
+    Vass,
     analyze,
     chain_bounds,
     cycles,
@@ -34,7 +36,9 @@ from helpers import (
     decide_config_reference,
     decompose_objectives,
     defect_stats,
+    dense_and_random_graphs,
     eager_round,
+    gen_dense_guard_free,
     gen_vass,
     members_at,
     multi_guard_instances,
@@ -770,6 +774,75 @@ def test_cnf_yes_anchor_work_count(monkeypatch):
     assert dec.reason == "reaches the unbounded core in 2 steps"
     assert (probes, dec.budget.spent, len(dec.core.resolved)) == (2, 4, 0)
     assert len(list(fixpoint.bounded_chains(dec.analysis))) == 1352
+
+
+def test_a_yes_analyses_only_the_states_it_reads(monkeypatch):
+    # the cycle analysis makes a state's cut-offs on its first lookup: a
+    # YES that hits soon makes fewer than the analysis has states, and
+    # answers as the whole analysis and round, made first, do
+    calls = 0
+    caps = cycles._cutoff_caps
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return caps(*args)
+
+    monkeypatch.setattr(cycles, "_cutoff_caps", counted)
+    # ((instance, source), reason, (cut-offs made, pumpable states))
+    for (v, s), reason, work in (
+            (cnf_yes_anchor(), "reaches the unbounded core in 2 steps",
+             (1, 26)),
+            ((gen_dense_guard_free(random.Random(8), 12), 0),
+             "reaches the unbounded core in 1 steps", (1, 9))):
+        calls = 0
+        dec = decide_unboundedness(v, s)
+        made = calls
+        assert (dec.answer, dec.reason) == (True, reason)
+        assert (made, len(dec.analysis.states)) == work
+        whole = analyze(dec.vass)
+        dict(whole.states)  # every state analysed before the question
+        assert decide_config_reference(whole, Configuration(s, 0)) \
+            == (True, "complete", reason)
+
+
+def _scaled(v: Vass, k: int) -> Vass:
+    """``v`` with every transition weight and every guard times ``k``."""
+    return Vass(names=v.names,
+                guards=tuple(frozenset(g * k for g in gs) for gs in v.guards),
+                transitions=tuple(Transition(t.src, t.dst, t.weight * k)
+                                  for t in v.transitions),
+                initial=v.initial, target=v.target)
+
+
+def test_scaling_weights_and_guards_keeps_every_decision():
+    # no decision depends on counter magnitude: times 7 and times 10^9, the
+    # answer, the reason line and the pieces spent stay the same, from
+    # every state, and for coverability of every state from the first
+    def account(dec):
+        return dec.answer, dec.reason, dec.budget.spent
+
+    cases = [(v, range(v.n_states))
+             for vs in (multi_guard_instances(300), two_state_instances(),
+                        dense_and_random_graphs())
+             for v in vs]
+    cases += [(v, (s,)) for v, s in (cnf_no_anchor(), cnf_yes_anchor())]
+    spent = 0
+    for v, sources in cases:
+        big = [_scaled(v, k) for k in (7, 10**9)]
+        for s in sources:
+            want = account(decide_unboundedness(v, s))
+            spent += want[2]
+            for w in big:
+                assert account(decide_unboundedness(w, s)) == want, (v, s)
+    for v in multi_guard_instances(300):
+        big = [_scaled(v, k) for k in (7, 10**9)]
+        for t in range(v.n_states):
+            want = account(decide_coverability(v, 0, t))
+            spent += want[2]
+            for w in big:
+                assert account(decide_coverability(w, 0, t)) == want, (v, t)
+    assert spent > 5_000, spent
 
 
 def test_a_no_from_the_seed_set_runs_no_round(monkeypatch):

@@ -31,6 +31,7 @@ from vass.pareto import ParetoElem, ParetoFamily
 from helpers import (
     _full_levels,
     build_families_reference,
+    dense_and_random_graphs,
     enumerate_paths,
     gen_dense_guard_free,
     gen_guard_free,
@@ -247,17 +248,6 @@ def test_families_dominate_every_short_path():
                 assert any(dominates(f, e) for f in fam.cell(src, dst)), (src, dst)
 
 
-def _dense_and_random_graphs():
-    rng = random.Random(5150)
-    graphs = [gen_guard_free(rng) for _ in range(300)]
-    graphs += [gen_dense_guard_free(rng, 4 + k % 13) for k in range(100)]
-    # weights in -1..1: many prefixes and suffixes tie in weight and
-    # length, so the filter has to compare their transitions
-    graphs += [gen_dense_guard_free(rng, 4 + k % 13, max_weight=1)
-               for k in range(50)]
-    return graphs
-
-
 def _lifts(v, dec) -> bool:
     stem, cyc = dec.stem.witness, dec.cycle.witness
     run = lift_run(v, Path(stem.start, stem.transitions + cyc.transitions), 0)
@@ -265,7 +255,7 @@ def _lifts(v, dec) -> bool:
 
 
 def test_families_equal_the_walking_reference():
-    for v in _dense_and_random_graphs():
+    for v in dense_and_random_graphs():
         fam = build_families(v)
         ref = build_families_reference(v)
         assert fam.level == ref.level
@@ -287,7 +277,7 @@ def test_level_zero_equals_the_filter_every_cell_reference():
     # changes no cell, witness or nadir, on the graphs and on their
     # coverability reductions
     kept = 0
-    for v in _dense_and_random_graphs():
+    for v in dense_and_random_graphs():
         for w in [v] + [reduce_cov_to_unbound(v, 0, t)[0]
                         for t in range(v.n_states)]:
             got, want = pareto._level_zero(w), level_zero_reference(w)
@@ -459,7 +449,7 @@ def test_lasso_equals_the_full_level_reference():
     # whose counter cannot leave 0 without building any family.
     sources_checked = 0
     # every source of the sparse graphs, the first of the dense ones
-    for k, v in enumerate(_dense_and_random_graphs()):
+    for k, v in enumerate(dense_and_random_graphs()):
         sources = range(v.n_states if k < 300 else 1)
         for s, (level, lasso) in lasso_reference(v, sources).items():
             assert build_families(v, source=s).level == level
